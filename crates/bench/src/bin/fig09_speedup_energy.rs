@@ -4,74 +4,24 @@
 //!
 //! Paper reference: geometric mean 3.71x speedup and 4.40x lower energy.
 
-use ant_bench::checkpoint::CheckpointFile;
 use ant_bench::obs::Experiment;
 use ant_bench::report::{geomean, percent, ratio, Table};
 use ant_bench::runner::{
-    energy_ratio, speedup, try_simulate_network_parallel, try_simulate_network_parallel_checkpointed,
-    ExperimentConfig, NetworkResult, RunOptions,
+    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, NetworkResult,
+    RunOptions,
 };
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{AntError, ConvSim, EnergyModel};
+use ant_sim::{ConvSim, EnergyModel};
 use ant_workloads::models::figure9_networks;
 use ant_workloads::NetworkModel;
 
-/// Command-line options: `--checkpoint PATH` persists completed layers to a
-/// JSONL sidecar; `--resume` additionally loads it first and skips the
-/// layers it already holds.
-#[derive(Debug, Default)]
-struct CliOptions {
-    checkpoint: Option<String>,
-    resume: bool,
-}
-
-fn parse_args() -> Result<CliOptions, AntError> {
-    let mut opts = CliOptions::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--checkpoint" => {
-                opts.checkpoint = Some(args.next().ok_or_else(|| {
-                    AntError::invalid_config("--checkpoint", "expected a file path")
-                })?);
-            }
-            "--resume" => opts.resume = true,
-            other => {
-                return Err(AntError::invalid_config(
-                    "argument",
-                    format!("unknown argument {other:?} (expected --checkpoint PATH, --resume)"),
-                ));
-            }
-        }
-    }
-    if opts.resume && opts.checkpoint.is_none() {
-        return Err(AntError::invalid_config(
-            "--resume",
-            "requires --checkpoint PATH",
-        ));
-    }
-    Ok(opts)
-}
-
-fn run<S: ConvSim + Sync>(
-    pe: &S,
-    net: &NetworkModel,
-    cfg: &ExperimentConfig,
-    checkpoint: Option<&mut CheckpointFile>,
-) -> NetworkResult {
-    let opts = RunOptions::default();
-    let result = match checkpoint {
-        Some(file) => {
-            let mut scope = file.scope(net.name, pe.name());
-            try_simulate_network_parallel_checkpointed(pe, net, cfg, &opts, &mut scope)
-        }
-        None => try_simulate_network_parallel(pe, net, cfg, &opts),
-    };
-    let result = result.unwrap_or_else(|e| {
-        eprintln!("fig09: {}/{}: {e}", net.name, pe.name());
-        std::process::exit(2);
-    });
+fn run<S: ConvSim + Sync>(pe: &S, net: &NetworkModel, cfg: &ExperimentConfig) -> NetworkResult {
+    let result = try_simulate_network_parallel(pe, net, cfg, &RunOptions::default())
+        .unwrap_or_else(|e| {
+            eprintln!("fig09: {}/{}: {e}", net.name, pe.name());
+            std::process::exit(2);
+        });
     if result.partial {
         eprintln!(
             "fig09: warning: {}/{} completed with {} quarantined pair failure(s); \
@@ -85,10 +35,13 @@ fn run<S: ConvSim + Sync>(
 }
 
 fn main() {
-    let cli = parse_args().unwrap_or_else(|e| {
-        eprintln!("fig09: {e}");
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!(
+            "fig09: unexpected argument {arg:?}; the sweep takes no arguments \
+             (resume an interrupted sweep with ANT_CACHE_DIR=path)"
+        );
         std::process::exit(2);
-    });
+    }
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
@@ -99,29 +52,6 @@ fn main() {
         "Figure 9: ANT vs SCNN+ at 90% sparse training",
     );
     exp.config("sparsity", 0.9).config_experiment(&cfg);
-    let mut checkpoint = cli.checkpoint.as_ref().map(|path| {
-        let opened = if cli.resume {
-            CheckpointFile::resume(path, &cfg)
-        } else {
-            CheckpointFile::create(path, &cfg)
-        };
-        opened.unwrap_or_else(|e| {
-            eprintln!("fig09: {e}");
-            std::process::exit(2);
-        })
-    });
-    if let Some(file) = &checkpoint {
-        if cli.resume {
-            let path = cli.checkpoint.as_deref().unwrap_or_default();
-            println!(
-                "(resuming from {path}: {} layer(s) checkpointed)",
-                file.resumable_layers()
-            );
-            // Surfaced as `resumed_from` in every `ant-status/1` publish
-            // and in the manifest's host section.
-            ant_obs::progress::set_resumed_from(path);
-        }
-    }
     println!(
         "(config: n={}, k={}, {} PEs, channel sample {})\n",
         4, 16, cfg.num_pes, cfg.max_channels
@@ -154,8 +84,8 @@ fn main() {
     // the `ant-redundancy/1` sidecar `obsctl redundancy` analyzes.
     let mut ledger = ant_bench::redundancy::RedundancyLedger::new();
     for net in networks {
-        let s = run(&scnn, &net, &cfg, checkpoint.as_mut());
-        let a = run(&ant, &net, &cfg, checkpoint.as_mut());
+        let s = run(&scnn, &net, &cfg);
+        let a = run(&ant, &net, &cfg);
         ledger.add_network(&s, &net);
         ledger.add_network(&a, &net);
         sim_total.accumulate(&s.total);
@@ -201,8 +131,8 @@ fn main() {
 
     // Per-phase detail for one network: where the win comes from.
     let net = ant_workloads::models::resnet18_cifar();
-    let s = run(&scnn, &net, &cfg, checkpoint.as_mut());
-    let a = run(&ant, &net, &cfg, checkpoint.as_mut());
+    let s = run(&scnn, &net, &cfg);
+    let a = run(&ant, &net, &cfg);
     worker_table.add(&s.workers);
     worker_table.add(&a.workers);
     cache_table.add(&s);

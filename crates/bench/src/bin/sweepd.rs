@@ -17,8 +17,9 @@
 //!   `sweepd.*` service counters.
 //!
 //! The daemon is crash-safe by construction: every state transition spools
-//! a job record and every running job checkpoints per grid cell, so a
-//! `kill -9` at any point recovers on restart with byte-identical results.
+//! a job record and every completed layer lands in the spool's layer cache
+//! (`<spool>/simcache`), so a `kill -9` at any point recovers on restart
+//! with byte-identical results.
 
 use std::process::ExitCode;
 

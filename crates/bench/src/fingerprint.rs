@@ -1,15 +1,13 @@
-//! Shared fingerprinting for checkpoint and simulation-cache keying.
+//! Stable fingerprinting for the layer cache's keys.
 //!
-//! Two sidecars need to decide "is this stored result still valid for the
-//! run in front of me?": the checkpoint file (`ant-checkpoint/1`) and the
-//! content-addressed simulation cache (`ant-simcache/1`). Both answer it
-//! with the machinery here, so the keying scheme cannot drift between
-//! them:
+//! The content-addressed layer cache (`ant-simcache/1`, the one durable
+//! result store) decides "is this stored result still valid for the run in
+//! front of me?" with the machinery here:
 //!
-//! * [`Fingerprint`] — the experiment-config identity stored on every
-//!   checkpoint line (seed, sampling bounds, sparsity targets). Two runs
-//!   with equal fingerprints synthesize identical operands for every
-//!   layer.
+//! * [`Fingerprint`] — the experiment-config identity (seed, sampling
+//!   bounds, sparsity targets) folded into every pre-synthesis memo key.
+//!   Two runs with equal fingerprints synthesize identical operands for
+//!   every layer.
 //! * [`StableHasher`] / [`KeyBuilder`] — a dependency-free FNV-1a stream
 //!   hasher and its 128-bit double-pass variant, used to fingerprint CSR
 //!   operand planes, layer geometry, and machine identity into an
@@ -24,10 +22,9 @@ use ant_sparse::CsrMatrix;
 
 use crate::runner::ExperimentConfig;
 
-/// The experiment-config fingerprint stored on every checkpoint line (and
-/// folded into every simulation-cache key). Two runs with equal
-/// fingerprints synthesize identical operands for every layer, which is
-/// what makes replaying stored stats byte-identical.
+/// The experiment-config fingerprint folded into every pre-synthesis memo
+/// key. Two runs with equal fingerprints synthesize identical operands for
+/// every layer, which is what makes replaying stored stats byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fingerprint {
     /// Base RNG seed.

@@ -12,9 +12,11 @@
 //! * [`obs`] — the per-binary experiment harness: banner, root span,
 //!   progress reporting, and a run-manifest sidecar for every output
 //!   (tracing gated by `ANT_TRACE`; see `docs/OBSERVABILITY.md`).
-//! * [`checkpoint`] — the JSONL checkpoint sidecar behind `--resume`:
-//!   completed layers persist as they finish and are skipped (with
-//!   byte-identical merged results) when a sweep restarts.
+//! * [`simcache`] — the one durable result store: the content-addressed
+//!   layer cache (`ANT_CACHE` / `ANT_CACHE_DIR`). Clean layers persist as
+//!   they finish, so resuming an interrupted sweep is a warm run against
+//!   the same `ANT_CACHE_DIR`, byte-identical to an uninterrupted one.
+//! * [`fingerprint`] — the stable hashing behind the cache keys.
 //! * [`history`] — the bench-history ledger (`BENCH_history.jsonl`):
 //!   append-only benchmark runs keyed by git revision, with trend-aware
 //!   regression comparison (`bench_history` binary, `scripts/bench_check.sh`).
@@ -31,7 +33,7 @@
 //! * [`serve`] — `ant-sweepd` (`sweepd` binary): a fault-tolerant
 //!   multi-tenant sweep service over the runner, with weighted-fair
 //!   queueing, supervised retry/backoff, job deadlines, and crash recovery
-//!   from spooled checkpoints (see `docs/ROBUSTNESS.md`).
+//!   from the spool's layer cache (see `docs/ROBUSTNESS.md`).
 //!
 //! Every binary linking this crate gets the counting global allocator
 //! compiled in (below). It is **disabled** unless `ANT_ALLOC=1` is set or a
@@ -41,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod fingerprint;
 pub mod history;
 pub mod kernels;

@@ -158,13 +158,10 @@ fn finalize(name: &'static str, mut manifest: RunManifest, span: Span) {
         }
     }
     // Build identity in the host section: which revision produced these
-    // host-side numbers, and (on resumed sweeps) which checkpoint seeded
-    // them — mirrors the same fields in the live `ant-status/1`.
+    // host-side numbers — mirrors the same field in the live
+    // `ant-status/1`.
     if let Some(rev) = ant_obs::manifest::git_revision_cached() {
         manifest.host_stat("git_revision", rev);
-    }
-    if let Some(resumed) = ant_obs::progress::resumed_from() {
-        manifest.host_stat("resumed_from", resumed);
     }
     match manifest.write_to_dir(&experiments_dir()) {
         Ok(path) => println!("manifest: {}", path.display()),

@@ -159,7 +159,7 @@ pub fn render(text: &str) -> Result<String, String> {
         if skipped > 0 {
             let _ = writeln!(
                 out,
-                "     deadline cancelled {skipped} pair job(s); checkpoint retained for resume"
+                "     deadline cancelled {skipped} pair job(s); completed layers cached for resume"
             );
         }
     }

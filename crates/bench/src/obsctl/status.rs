@@ -133,16 +133,9 @@ pub fn render(text: &str) -> Result<String, String> {
         u("quarantined").unwrap_or(0),
         u("watchdog_slow").unwrap_or(0),
     );
-    let mut identity: Vec<String> = Vec::new();
     if let Some(rev) = s("git_revision") {
         let short: String = rev.chars().take(10).collect();
-        identity.push(format!("rev {short}"));
-    }
-    if let Some(resumed) = s("resumed_from") {
-        identity.push(format!("resumed from {resumed}"));
-    }
-    if !identity.is_empty() {
-        let _ = writeln!(out, "  build  {}", identity.join(", "));
+        let _ = writeln!(out, "  build  rev {short}");
     }
     Ok(out)
 }
@@ -158,7 +151,7 @@ mod tests {
                 r#""git_revision":"deadbeefcafe","layers_done":1,"layers_total":2,"#,
                 r#""machine":"SCNN+","name":"fig09","network":"tiny","pairs_done":12,"#,
                 r#""pairs_per_sec":4.8,"pairs_total":24,"quarantined":0,"#,
-                r#""resumed_from":"ckpt.json","retries":1,"state":"{}","threads":3,"#,
+                r#""retries":1,"state":"{}","threads":3,"#,
                 r#""updated_at_unix_ms":1,"watchdog_slow":0}}"#
             ),
             state
@@ -191,7 +184,6 @@ mod tests {
         assert!(out.contains("eta 1.5s"), "{out}");
         assert!(out.contains("retries=1"), "{out}");
         assert!(out.contains("rev deadbeefca"), "{out}");
-        assert!(out.contains("resumed from ckpt.json"), "{out}");
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub struct RunOptions {
     /// sweepd deadline scheduler. Once exceeded, workers cancel at the next
     /// pair-job boundary: remaining jobs are skipped (counted in
     /// [`FailureReport::deadline_skipped`]), the affected layers are left
-    /// out of checkpoint and cache (a resumed run re-simulates exactly
-    /// them), and the result is flagged
+    /// out of the layer cache (a rerun re-simulates exactly them), and the
+    /// result is flagged
     /// [`NetworkResult::deadline_exceeded`] + partial. `None` (the
     /// default) never cancels.
     pub deadline_us: Option<u64>,
@@ -163,8 +163,8 @@ pub struct FailureReport {
     /// retry then also failed): `retried.len() + failures.len()` as a `u64`.
     pub retries: u64,
     /// Pair jobs skipped because the run exceeded its
-    /// [`RunOptions::deadline_us`] budget; their layers are re-simulated on
-    /// resume.
+    /// [`RunOptions::deadline_us`] budget; their layers are re-simulated by
+    /// a rerun.
     pub deadline_skipped: u64,
 }
 
@@ -173,22 +173,6 @@ impl FailureReport {
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
     }
-}
-
-/// Per-layer checkpoint storage driven by the parallel runner: completed
-/// layers' finalized (scaled) per-phase stats are recorded as the run
-/// progresses, and a resumed run skips synthesis and simulation for layers
-/// the store already holds. Implemented by
-/// [`crate::checkpoint::Checkpoint`]; tests use in-memory impls.
-pub trait LayerCheckpoint {
-    /// The scaled per-phase stats (`[forward, backward, update]`) a previous
-    /// run recorded for this layer, or `None` to simulate it afresh.
-    fn lookup(&self, layer_index: usize, layer_name: &str) -> Option<[SimStats; 3]>;
-
-    /// Called once per freshly simulated layer, in layer order. `clean` is
-    /// false when the layer had quarantined pairs — such layers must not be
-    /// replayed into later runs.
-    fn record(&mut self, layer_index: usize, layer_name: &str, phases: &[SimStats; 3], clean: bool);
 }
 
 /// Per-worker scheduler telemetry from one parallel run, collected when
@@ -290,8 +274,8 @@ pub struct NetworkResult {
     /// dispatched to the worker pool; zero when the cache is off.
     pub analytic_pairs: u64,
     /// True when the run was cancelled at a pair-job boundary because it
-    /// exceeded [`RunOptions::deadline_us`]. The checkpoint (if any) holds
-    /// every completed layer, so a resumed run picks up where this one
+    /// exceeded [`RunOptions::deadline_us`]. With the layer cache on, every
+    /// completed layer is stored, so a rerun picks up where this one
     /// stopped.
     pub deadline_exceeded: bool,
 }
@@ -455,21 +439,7 @@ pub fn try_simulate_network_parallel<S: ConvSim + Sync + ?Sized>(
     cfg: &ExperimentConfig,
     opts: &RunOptions,
 ) -> Result<NetworkResult, AntError> {
-    run_network_parallel(pe, net, cfg, opts, None)
-}
-
-/// Like [`try_simulate_network_parallel`], with checkpoint/resume: layers
-/// already in `checkpoint` are skipped (their stored stats merge in
-/// byte-identically — per-layer synthesis seeds depend only on the layer
-/// index), and each freshly completed layer is recorded write-through.
-pub fn try_simulate_network_parallel_checkpointed<S: ConvSim + Sync + ?Sized>(
-    pe: &S,
-    net: &NetworkModel,
-    cfg: &ExperimentConfig,
-    opts: &RunOptions,
-    checkpoint: &mut dyn LayerCheckpoint,
-) -> Result<NetworkResult, AntError> {
-    run_network_parallel(pe, net, cfg, opts, Some(checkpoint))
+    run_network_parallel(pe, net, cfg, opts)
 }
 
 /// Rejects configurations the runners cannot execute, with structured
@@ -737,7 +707,7 @@ pub fn simulate_network_parallel_with_threads<S: ConvSim + Sync + ?Sized>(
 ///
 /// 1. **Synthesis** — layers are synthesized concurrently (each layer's RNG
 ///    seed derives from its index alone, so synthesis order is free).
-///    Checkpointed layers are skipped entirely.
+///    Layers the cache resolves are skipped entirely.
 /// 2. **Simulation** — every (layer, phase, pair) becomes one job. Jobs are
 ///    dealt to per-worker deques in contiguous chunks (a worker runs one
 ///    layer's like-shaped pairs back to back, keeping its [`SimScratch`]
@@ -756,7 +726,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
     net: &NetworkModel,
     cfg: &ExperimentConfig,
     opts: &RunOptions,
-    mut checkpoint: Option<&mut dyn LayerCheckpoint>,
 ) -> Result<NetworkResult, AntError> {
     validate_experiment(net, cfg)?;
     let started = Instant::now();
@@ -797,22 +766,9 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
             None
         };
 
-    // Resume: layers a previous run already completed merge from storage.
-    let prior: Vec<Option<[SimStats; 3]>> = net
-        .layers
-        .iter()
-        .enumerate()
-        .map(|(li, layer)| {
-            checkpoint
-                .as_deref()
-                .and_then(|c| c.lookup(li, &layer.name))
-        })
-        .collect();
-    let resumed = prior.iter().filter(|p| p.is_some()).count();
-
     // Tier 1, pre-synthesis: resolve each pending layer's memo key against
     // the cache. A hit skips synthesis, hashing, and simulation — the warm
-    // sweep's fast path.
+    // sweep's (and a resumed sweep's) fast path.
     let synth_keys: Vec<Option<CacheKey>> = net
         .layers
         .iter()
@@ -825,9 +781,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         .collect();
     let mut cached: Vec<Option<[SimStats; 3]>> = vec![None; net.layers.len()];
     for (li, skey) in synth_keys.iter().enumerate() {
-        if prior[li].is_some() {
-            continue;
-        }
         if let Some(skey) = skey {
             cached[li] = simcache::lookup_memo(skey);
         }
@@ -836,7 +789,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
     // Stage 1: synthesize the pending layers, claiming indices from a
     // shared atomic.
     let pending: Vec<usize> = (0..net.layers.len())
-        .filter(|&li| prior[li].is_none() && cached[li].is_none())
+        .filter(|&li| cached[li].is_none())
         .collect();
     let slots: Vec<OnceLock<Result<LayerWork, AntError>>> =
         (0..net.layers.len()).map(|_| OnceLock::new()).collect();
@@ -863,7 +816,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
     let mut layer_work: Vec<Option<LayerWork>> = Vec::with_capacity(net.layers.len());
     for slot in slots {
         match slot.into_inner() {
-            None => layer_work.push(None), // resumed from the checkpoint
+            None => layer_work.push(None), // resolved by the cache
             Some(Ok(work)) => layer_work.push(Some(work)),
             Some(Err(e)) => return Err(e),
         }
@@ -929,8 +882,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         .record("threads", workers)
         .record("parallel", true)
         .record("scheduler", "work-steal")
-        .record("jobs", jobs.len())
-        .record("resumed_layers", resumed);
+        .record("jobs", jobs.len());
     if analytic_active {
         span.record("cache_hits", cache_hits)
             .record("analytic_pairs", analytic_pairs);
@@ -938,14 +890,14 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
 
     // Live-progress state: per-layer outstanding-job counters (a layer is
     // "done" when its last pair lands) plus the run-wide shared counters
-    // the reporter thread snapshots. Resumed layers count as done up front.
+    // the reporter thread snapshots.
     let progress_shared = progress.then(ProgressShared::default);
     let layer_remaining: Vec<AtomicU64> = (0..net.layers.len())
         .map(|_| AtomicU64::new(0))
         .collect();
     // Per-layer count of jobs skipped after the run deadline passed; a
     // layer with any skipped job is incomplete and must not be recorded to
-    // checkpoint or cache. Only touched on the (cold) cancellation path.
+    // the cache. Only touched on the (cold) cancellation path.
     let deadline_us = opts.deadline_us;
     let layer_skipped: Vec<AtomicU64> = (0..net.layers.len())
         .map(|_| AtomicU64::new(0))
@@ -954,8 +906,8 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         layer_remaining[task.layer].fetch_add(1, Ordering::Relaxed);
     }
     if let Some(shared) = &progress_shared {
-        // Layers with no outstanding jobs — resumed, cache-resolved, or
-        // fully answered by the analytic tier — count as done up front.
+        // Layers with no outstanding jobs — cache-resolved or fully
+        // answered by the analytic tier — count as done up front.
         let upfront_done = layer_remaining
             .iter()
             .filter(|r| r.load(Ordering::Relaxed) == 0)
@@ -977,7 +929,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         } else {
             None
         },
-        resumed_from: ant_obs::progress::resumed_from(),
         ..ant_obs::RunStatus::default()
     };
     // Per-job Perfetto slices are only worth their memory when both the
@@ -1053,8 +1004,8 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
             // Job-level deadline: cancellation happens only at this
             // pair-job boundary (a running pair holds no cancellable
             // resources, same contract as the watchdog). Remaining jobs
-            // drain unexecuted; their layers are left out of checkpoint
-            // and cache so a resumed run re-simulates exactly them.
+            // drain unexecuted; their layers are left out of the cache so
+            // a rerun re-simulates exactly them.
             if deadline_us.is_some_and(|d| started.elapsed().as_micros() as u64 >= d) {
                 out.skipped += 1;
                 layer_skipped[task.layer].fetch_add(1, Ordering::Relaxed);
@@ -1289,27 +1240,11 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
     let mut cache_misses = 0u64;
     for (li, layer) in net.layers.iter().enumerate() {
         let mut layer_total = SimStats::default();
-        if let Some(stored) = &prior[li] {
-            // Resumed layer: the stored stats are the finalized per-phase
-            // outputs of an identical earlier run.
-            for (pi, scaled) in stored.iter().enumerate() {
-                merged.total.accumulate(scaled);
-                merged.per_phase[pi].1.accumulate(scaled);
-                layer_total.accumulate(scaled);
-            }
-            merged.per_layer.push(LayerStats {
-                index: li,
-                name: layer.name.clone(),
-                stats: layer_total,
-                phases: *stored,
-            });
-            continue;
-        }
         if let Some(stored) = &cached[li] {
             // Cache-resolved layer: the stored phases are the finalized
             // outputs of a byte-identical earlier simulation (same content
-            // key, same machine identity, same model version). Like
-            // checkpoint-resumed layers, nothing fresh is recorded.
+            // key, same machine identity, same model version); nothing
+            // fresh is recorded.
             for (pi, scaled) in stored.iter().enumerate() {
                 merged.total.accumulate(scaled);
                 merged.per_phase[pi].1.accumulate(scaled);
@@ -1326,7 +1261,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         let Some(work) = &layer_work[li] else {
             return Err(AntError::corrupt(
                 "runner",
-                format!("layer {li} neither synthesized nor resumed"),
+                format!("layer {li} neither synthesized nor cached"),
             ));
         };
         let mut layer_span = ant_obs::span("layer");
@@ -1376,9 +1311,6 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
         // skipped by deadline cancellation — either way its stats are
         // incomplete and replaying them would poison every later run.
         let clean = !failed_layers.contains(&li) && !skipped_layers.contains(&li);
-        if let Some(ckpt) = checkpoint.as_deref_mut() {
-            ckpt.record(li, &layer.name, &scaled_phases, clean);
-        }
         if content_keys[li].is_some() {
             cache_misses += 1;
         }

@@ -10,17 +10,28 @@
 //! record. Deadlines generalize `RunOptions::pair_budget_us` to the job
 //! level: the remaining budget is handed to the runner as
 //! `RunOptions::deadline_us`, which cancels at the next pair-job boundary
-//! and leaves the affected layers out of the checkpoint — an expired job
-//! keeps its sidecar, so a re-submission *resumes*.
+//! and leaves the affected layers out of the layer cache — the layers an
+//! expired job did complete stay cached, so a re-submission *resumes*.
 //!
 //! Every job persists a record under the spool directory
-//! (`job-<seq>.json`, schema [`JOB_SCHEMA`]) and checkpoints per grid cell
-//! (`ckpt-<spec-hash>-c<cell>.jsonl`, the PR 5 `ant-checkpoint/1` format,
-//! keyed by [`JobSpec::content_hash`]). On restart the daemon scans the
-//! spool: terminal jobs load for serving, interrupted jobs re-enqueue and
-//! resume from their checkpoints — results are byte-identical to an
-//! uninterrupted run because completed layers merge from the sidecar and
-//! per-layer seeds derive from layer index alone.
+//! (`job-<seq>.json`, schema [`JOB_SCHEMA`]). Completed layers go to the
+//! one durable result store: [`Sweepd::start`] points the process layer
+//! cache at `<spool>/simcache` (the [`crate::simcache`] store, stamped with
+//! `MODEL_VERSION` and a per-line self-check hash). On restart the daemon
+//! scans the spool: terminal jobs load for serving, and interrupted jobs
+//! re-enqueue and resume as warm runs — results are byte-identical to an
+//! uninterrupted run because completed layers resolve as cache hits and
+//! per-layer seeds derive from layer index alone. A result-perturbing
+//! `ANT_CHAOS` spec or `ANT_TRACE_PAIRS` stands the cache down; recovery
+//! then re-simulates every layer, still to identical bytes.
+//!
+//! The HTTP surface is the shared `ant-obs` server
+//! ([`ant_obs::export::Server`]): the daemon adds `POST /jobs` (`202` with
+//! id and queue position, `400` invalid spec, `429` queue full, `503` past
+//! deadline, the latter two counted as `sweepd.job.shed`), `GET /jobs`
+//! (schema [`JOBS_SCHEMA`]), and `GET /jobs/{id}` (by external id or
+//! sequence number) in front of the shared `GET /status`, `GET /metrics`,
+//! and `GET /healthz`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,17 +40,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use ant_obs::export::{Request, Response, Server};
 use ant_obs::json::{write_json_string, Json};
 use ant_sim::chaos::{self, ServiceFault};
 use ant_sim::AntError;
 
-use crate::checkpoint::CheckpointFile;
 use crate::fingerprint::StableHasher;
-use crate::runner::{try_simulate_network_parallel_checkpointed, RunOptions};
-use crate::serve::http;
+use crate::runner::{try_simulate_network_parallel, RunOptions};
 use crate::serve::queue::{FairQueue, Shed};
 use crate::serve::spec::JobSpec;
 use crate::serve::SweepdConfig;
+use crate::simcache::{self, CacheOverride, SimCacheConfig};
 
 /// Schema tag of one job record (spool file and `GET /jobs/{id}` body).
 pub const JOB_SCHEMA: &str = "ant-sweepd-job/1";
@@ -66,7 +77,7 @@ pub enum JobState {
     Done,
     /// Exhausted `max_attempts`; the error history is in the record.
     Quarantined,
-    /// Missed its deadline; the checkpoint is retained for resume.
+    /// Missed its deadline; its completed layers stay cached for resume.
     Expired,
 }
 
@@ -146,28 +157,28 @@ pub struct Job {
 }
 
 #[derive(Debug)]
-pub(crate) struct State {
-    pub(crate) queue: FairQueue,
-    pub(crate) jobs: BTreeMap<u64, Job>,
+struct State {
+    queue: FairQueue,
+    jobs: BTreeMap<u64, Job>,
     /// `(wake_at_ms, seq)` for jobs waiting out a retry backoff.
-    pub(crate) backoff: Vec<(u64, u64)>,
+    backoff: Vec<(u64, u64)>,
     durations: VecDeque<u64>,
     next_seq: u64,
 }
 
-/// Shared daemon state: HTTP handlers and the scheduler both hold an
+/// Shared daemon state: the HTTP routes and the scheduler both hold an
 /// `Arc<Inner>`.
 #[derive(Debug)]
-pub(crate) struct Inner {
-    pub(crate) config: SweepdConfig,
-    pub(crate) state: Mutex<State>,
-    pub(crate) cv: Condvar,
-    pub(crate) stop: AtomicBool,
+struct Inner {
+    config: SweepdConfig,
+    state: Mutex<State>,
+    cv: Condvar,
+    stop: AtomicBool,
     spool_writes: AtomicU64,
 }
 
 impl Inner {
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
@@ -200,17 +211,23 @@ pub fn backoff_ms(seed: u64, seq: u64, attempt: u32, base_ms: u64) -> u64 {
 #[derive(Debug)]
 pub struct Sweepd {
     inner: Arc<Inner>,
-    addr: std::net::SocketAddr,
-    http: Option<std::thread::JoinHandle<()>>,
-    sched: Option<std::thread::JoinHandle<()>>,
+    server: Server,
+    sched: std::thread::JoinHandle<()>,
 }
 
 impl Sweepd {
-    /// Creates the spool, recovers interrupted jobs, binds the HTTP
-    /// listener, and spawns the scheduler.
+    /// Creates the spool, points the process layer cache at
+    /// `<spool>/simcache`, recovers interrupted jobs, starts the HTTP
+    /// server, and spawns the scheduler.
+    ///
+    /// The layer cache is process-global, so one process runs one daemon
+    /// at a time.
     pub fn start(config: SweepdConfig) -> Result<Sweepd, AntError> {
         std::fs::create_dir_all(&config.spool)
             .map_err(|e| AntError::io(format!("create spool {}", config.spool.display()), &e))?;
+        simcache::set_override(CacheOverride::On(SimCacheConfig {
+            dir: Some(config.spool.join("simcache")),
+        }));
         let mut state = State {
             queue: FairQueue::new(config.queue_capacity),
             jobs: BTreeMap::new(),
@@ -227,7 +244,14 @@ impl Sweepd {
             spool_writes: AtomicU64::new(0),
         });
         publish_queue_depth(&inner);
-        let (addr, http) = http::serve(inner.clone())?;
+        let route_inner = inner.clone();
+        let server = Server::start(
+            &inner.config.addr,
+            "ant-sweepd-http",
+            Some(Box::new(move |req: &Request<'_>| route(&route_inner, req))),
+        )
+        .map_err(|e| AntError::io(format!("bind {}", inner.config.addr), &e))?;
+        let addr = server.addr();
         let sched_inner = inner.clone();
         let sched = std::thread::Builder::new()
             .name("ant-sweepd-sched".to_string())
@@ -241,47 +265,64 @@ impl Sweepd {
         }
         Ok(Sweepd {
             inner,
-            addr,
-            http: Some(http),
-            sched: Some(sched),
+            server,
+            sched,
         })
     }
 
     /// The bound listen address (useful after requesting port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Signals both threads to stop and joins them. A job mid-attempt
-    /// finishes first (attempts are not torn down — the checkpoint makes a
-    /// `kill -9` safe, but an orderly shutdown is cleaner still).
-    pub fn shutdown(mut self) {
+    /// Signals the scheduler and the HTTP server to stop and joins both. A
+    /// job mid-attempt finishes first (attempts are not torn down — the
+    /// spool makes a `kill -9` safe, but an orderly shutdown is cleaner
+    /// still).
+    pub fn shutdown(self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.cv.notify_all();
-        if let Some(h) = self.sched.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.http.take() {
-            let _ = h.join();
-        }
+        let _ = self.sched.join();
+        self.server.shutdown();
     }
 
     /// Blocks until the scheduler thread exits (it never does unless
     /// [`Sweepd::shutdown`] is called — the daemon runs until killed).
-    pub fn join(mut self) {
-        if let Some(h) = self.sched.take() {
-            let _ = h.join();
+    pub fn join(self) {
+        let _ = self.sched.join();
+        self.server.join();
+    }
+}
+
+/// The daemon's routes on the shared HTTP server; anything else falls
+/// through to `/status`, `/metrics`, `/healthz`, and `404`/`405`.
+fn route(inner: &Inner, req: &Request<'_>) -> Option<Response> {
+    const JSON: &str = "application/json";
+    match (req.method, req.path) {
+        ("POST", "/jobs") => {
+            let (status, body) = submit(inner, req.body);
+            Some((status, JSON, body))
         }
-        if let Some(h) = self.http.take() {
-            let _ = h.join();
+        ("GET", "/jobs") => Some(("200 OK", JSON, jobs_json(inner))),
+        ("GET", path) => {
+            let id = path.strip_prefix("/jobs/")?;
+            Some(match job_json(inner, id) {
+                Some(body) => ("200 OK", JSON, body),
+                None => (
+                    "404 Not Found",
+                    JSON,
+                    "{\"error\":\"unknown job\"}\n".to_string(),
+                ),
+            })
         }
+        _ => None,
     }
 }
 
 /// Restores jobs from `job-*.json` spool records. Terminal jobs load for
 /// serving; queued/running/backoff jobs were interrupted — they re-enqueue
 /// (in seq order, so the recovered schedule is deterministic) and will
-/// resume from their checkpoints.
+/// resume from the spool's layer cache.
 fn recover_spool(config: &SweepdConfig, state: &mut State) -> Result<(), AntError> {
     let entries = match std::fs::read_dir(&config.spool) {
         Ok(entries) => entries,
@@ -342,7 +383,7 @@ fn publish_queue_depth(inner: &Inner) {
 
 /// Handles `POST /jobs`: validate, shed, or admit. Returns the HTTP status
 /// line and JSONL body.
-pub(crate) fn submit(inner: &Inner, body: &str) -> (&'static str, String) {
+fn submit(inner: &Inner, body: &str) -> (&'static str, String) {
     let registry = ant_obs::registry();
     let spec = match JobSpec::parse(body) {
         Ok(spec) => spec,
@@ -497,7 +538,7 @@ fn mean_duration(st: &State) -> Option<u64> {
 }
 
 /// `GET /jobs`: every known job, seq order, schema [`JOBS_SCHEMA`].
-pub(crate) fn jobs_json(inner: &Inner) -> String {
+fn jobs_json(inner: &Inner) -> String {
     let st = inner.lock();
     let mut out = String::with_capacity(256);
     out.push_str(&format!("{{\"schema\":\"{JOBS_SCHEMA}\",\"queue_depth\":{},\"jobs\":[", st.queue.len()));
@@ -513,7 +554,7 @@ pub(crate) fn jobs_json(inner: &Inner) -> String {
 
 /// `GET /jobs/{id}`: one job by external id (or numeric seq), `None` when
 /// unknown.
-pub(crate) fn job_json(inner: &Inner, id: &str) -> Option<String> {
+fn job_json(inner: &Inner, id: &str) -> Option<String> {
     let st = inner.lock();
     let job = st
         .jobs
@@ -684,7 +725,7 @@ fn scheduler_loop(inner: &Arc<Inner>) {
 fn drop_expired(inner: &Inner, job: &Job) {
     ant_obs::registry().counter("sweepd.job.expired").incr();
     eprintln!(
-        "ant-sweepd: job {} (seq {}) expired before running; checkpoint retained",
+        "ant-sweepd: job {} (seq {}) expired; completed layers stay cached",
         job.id, job.seq
     );
     write_job_record(inner, job);
@@ -847,8 +888,8 @@ fn write_atomic(path: &std::path::Path, content: &str) {
     }
 }
 
-/// Simulates every grid cell, resuming from per-cell checkpoints. The
-/// result bytes are a pure function of the spec and the simulated stats —
+/// Simulates every grid cell; layers already in the spool's layer cache
+/// resolve as hits. The result bytes are a pure function of the spec and the simulated stats —
 /// no clocks, no attempt numbers — which is what makes a recovered run
 /// byte-identical to an uninterrupted one.
 fn execute_attempt(
@@ -861,7 +902,6 @@ fn execute_attempt(
         panic!("chaos: injected job-worker death");
     }
     let net = spec.build_model();
-    let hash = spec.content_hash();
     let mut csv = String::new();
     let mut jsonl = String::new();
     let mut out = AttemptOutput {
@@ -872,13 +912,11 @@ fn execute_attempt(
         deadline_skipped: 0,
         deadline_exceeded: false,
     };
-    for (ci, (machine_name, sparsity)) in spec.cells().into_iter().enumerate() {
+    for (machine_name, sparsity) in spec.cells() {
         let machine = JobSpec::build_machine(&machine_name).ok_or_else(|| {
             AntError::invalid_config("machines", format!("unknown machine {machine_name:?}"))
         })?;
         let cfg = spec.experiment_config(sparsity);
-        let ckpt_path = config.spool.join(format!("ckpt-{hash:016x}-c{ci}.jsonl"));
-        let mut ckpt = CheckpointFile::resume(&ckpt_path, &cfg)?;
         let remaining_us = match deadline_at_ms {
             Some(deadline) => {
                 let now = now_ms();
@@ -896,13 +934,7 @@ fn execute_attempt(
             deadline_us: remaining_us,
             ..RunOptions::default()
         };
-        let result = try_simulate_network_parallel_checkpointed(
-            machine.as_ref(),
-            &net,
-            &cfg,
-            &opts,
-            &mut ckpt.scope(net.name, machine.name()),
-        )?;
+        let result = try_simulate_network_parallel(machine.as_ref(), &net, &cfg, &opts)?;
         out.pair_retries += result.failures.retries;
         out.quarantined_pairs += result.failures.failures.len() as u64;
         out.deadline_skipped += result.failures.deadline_skipped;

@@ -14,25 +14,26 @@
 //!   schedule then quarantine, job deadlines cancel at pair-job boundaries
 //!   via [`RunOptions::deadline_us`](crate::runner::RunOptions::deadline_us),
 //!   and every state transition persists to a spool so a `kill -9` recovers
-//!   to byte-identical results (checkpoints are keyed by
-//!   [`JobSpec::content_hash`], so re-submission *resumes*).
-//! - [`http`] — the wire surface: `POST /jobs`, `GET /jobs[/{id}]`,
-//!   `GET /status`, `GET /metrics`, `GET /healthz`.
+//!   to byte-identical results. Completed layers live in the spool's layer
+//!   cache (`<spool>/simcache`, the [`crate::simcache`] store), so a
+//!   recovered or re-submitted job *resumes* as a warm run. The wire
+//!   surface is `POST /jobs` and `GET /jobs[/{id}]`, served on the shared
+//!   `ant-obs` HTTP server next to its `GET /status`, `GET /metrics`, and
+//!   `GET /healthz`.
 //!
 //! Service health shows up in the process metrics registry as
 //! `sweepd.queue.*` and `sweepd.job.*`, scrapeable from the daemon's own
 //! `/metrics` endpoint and renderable with `obsctl`.
 
 pub mod daemon;
-pub mod http;
 pub mod queue;
 pub mod spec;
 
+pub use ant_obs::export::http_post;
 pub use daemon::{
     backoff_ms, AttemptRecord, Job, JobState, Sweepd, ERROR_SCHEMA, JOBS_SCHEMA, JOB_SCHEMA,
     RESULT_SCHEMA,
 };
-pub use http::http_post;
 pub use queue::{FairQueue, Shed};
 pub use spec::{JobSpec, MACHINES, MAX_WEIGHT, MODELS, SPARSIFIERS};
 
@@ -44,7 +45,7 @@ use std::path::{Path, PathBuf};
 pub struct SweepdConfig {
     /// Listen address (`host:port`; port `0` picks a free port).
     pub addr: String,
-    /// Spool directory: job records, per-cell checkpoints, results.
+    /// Spool directory: job records, results, and the layer cache.
     pub spool: PathBuf,
     /// Maximum queued jobs across all tenants; submissions beyond it shed
     /// with a typed 429.

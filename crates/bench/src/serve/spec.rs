@@ -8,8 +8,10 @@
 //! everything up front through the [`AntError`] taxonomy — a malformed
 //! submission is rejected with a 400 before it can ever occupy a queue
 //! slot. The canonical JSON emission is deterministic, so a spec hashes to
-//! a stable identity: checkpoints are keyed by it, which is what makes a
-//! re-submitted (or crash-recovered) job *resume* instead of restart.
+//! a stable identity (part of every job id). A re-submitted or
+//! crash-recovered job *resumes* instead of restarting because each cell's
+//! layers resolve from the layer cache, whose keys derive from the
+//! experiment config the spec builds, not from the tenant or deadline.
 
 use ant_sim::ant::AntAccelerator;
 use ant_sim::dst::DstAccelerator;
@@ -268,8 +270,8 @@ impl JobSpec {
 
     /// Stable 64-bit identity of the *work* this spec describes: everything
     /// except the scheduling fields (tenant, weight, deadline), so the same
-    /// sweep re-submitted under any tenant or deadline resumes from the
-    /// same checkpoints.
+    /// sweep re-submitted under any tenant or deadline carries the same
+    /// hash in its job id.
     pub fn content_hash(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_bytes(self.model.as_bytes());

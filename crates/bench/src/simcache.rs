@@ -1,6 +1,9 @@
 //! The process-global content-addressed simulation cache (tier 1 of the
 //! simulator's redundancy eliminator), gated by `ANT_CACHE` /
-//! `ANT_CACHE_DIR`.
+//! `ANT_CACHE_DIR`. It is the workspace's one durable result store:
+//! resuming an interrupted sweep is a warm run against the same
+//! `ANT_CACHE_DIR`, and `ant-sweepd` keeps its completed layers in
+//! `<spool>/simcache` for crash recovery and re-submission.
 //!
 //! The store itself ([`ant_sim::cache::LayerCache`]) is policy-free; this
 //! module owns activation and persistence:
@@ -8,7 +11,7 @@
 //! * **Activation** — off by default. `ANT_CACHE=1` enables the in-memory
 //!   cache for the process; `ANT_CACHE_DIR=path` additionally persists
 //!   entries to `<path>/simcache.jsonl` (and implies `ANT_CACHE=1`). Tests
-//!   drive activation with [`set_override`], chaos-style.
+//!   and the sweepd daemon drive activation with [`set_override`].
 //! * **Persistence** — JSONL, schema [`SCHEMA`]. Every line carries the
 //!   [`MODEL_VERSION`] stamp (version-mismatched lines are stale and
 //!   skipped), a 128-bit content key plus the pre-synthesis memo key (hex —
@@ -47,7 +50,7 @@ pub struct SimCacheConfig {
     pub dir: Option<PathBuf>,
 }
 
-/// Test-facing activation override (process-wide, like
+/// Activation override (process-wide, like
 /// [`ant_sim::chaos::set_override`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheOverride {
@@ -126,9 +129,10 @@ fn config_from_env() -> Option<SimCacheConfig> {
 }
 
 /// Installs (or clears, with [`CacheOverride::Env`]) an activation
-/// override. Intended for tests; takes effect process-wide and always
-/// resets the store (a fresh override starts from an empty in-memory
-/// cache, reloading the on-disk store if one is configured).
+/// override. Used by tests and by `Sweepd::start`; takes effect
+/// process-wide and always resets the store (a fresh override starts from
+/// an empty in-memory cache, reloading the on-disk store if one is
+/// configured).
 pub fn set_override(over: CacheOverride) {
     let mut g = GLOBAL.lock().unwrap_or_else(|p| p.into_inner());
     g.over = over;

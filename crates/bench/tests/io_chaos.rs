@@ -1,8 +1,8 @@
 //! Injected IO faults (`ANT_CHAOS` `torn=`/`enospc=`) against the
-//! `ant-checkpoint/1` and `ant-simcache/1` writers.
+//! `ant-simcache/1` writer, the one durable result store.
 //!
 //! Pins the degradation contract: a torn write leaves a line that fails to
-//! parse on reload (checkpoint entries re-simulate, cache entries miss), an
+//! parse on reload (the entry misses and its layer re-simulates), an
 //! injected ENOSPC disables the writer with a counted warning, and in every
 //! case the simulated results stay byte-identical to a fault-free run —
 //! IO chaos degrades persistence, never correctness.
@@ -10,10 +10,8 @@
 //! Chaos and cache activation are process-global, so everything lives in
 //! one `#[test]` (its own binary) to keep the windows from overlapping.
 
-use ant_bench::checkpoint::CheckpointFile;
 use ant_bench::runner::{
-    simulate_network, try_simulate_network_parallel, try_simulate_network_parallel_checkpointed,
-    ExperimentConfig, RunOptions,
+    simulate_network, try_simulate_network_parallel, ExperimentConfig, RunOptions,
 };
 use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_sim::chaos::{self, ChaosConfig};
@@ -57,73 +55,6 @@ fn io_faults_degrade_to_fresh_runs_and_misses_never_wrong_results() {
     let registry = ant_obs::registry();
     let tmp = std::env::temp_dir().join(format!("ant-io-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("create temp dir");
-    let ckpt_path = tmp.join("ckpt.jsonl");
-
-    // --- Checkpoint torn writes -------------------------------------------
-    // Every appended line is truncated on disk; the run itself is
-    // unaffected, and a resume finds nothing usable so it re-simulates —
-    // byte-identical to the uninterrupted baseline.
-    let torn_before = registry.counter("checkpoint.io_torn").get();
-    chaos::set_override(Some(torn_only(11)));
-    let mut file = CheckpointFile::create(&ckpt_path, &cfg).expect("create checkpoint");
-    let run = try_simulate_network_parallel_checkpointed(
-        &pe,
-        &net,
-        &cfg,
-        &opts,
-        &mut file.scope(net.name, "SCNN+"),
-    )
-    .expect("torn-checkpoint run completes");
-    chaos::set_override(None);
-    drop(file);
-    assert!(!run.partial, "IO faults must not taint the run");
-    assert_eq!(run.total, baseline.total, "torn writes changed results");
-    assert_eq!(
-        registry.counter("checkpoint.io_torn").get() - torn_before,
-        net.layers.len() as u64,
-        "one torn write per recorded layer"
-    );
-    let mut resumed = CheckpointFile::resume(&ckpt_path, &cfg).expect("resume checkpoint");
-    assert_eq!(resumed.resumable_layers(), 0, "torn lines must not resume");
-    assert_eq!(resumed.ignored_lines(), net.layers.len());
-    let rerun = try_simulate_network_parallel_checkpointed(
-        &pe,
-        &net,
-        &cfg,
-        &opts,
-        &mut resumed.scope(net.name, "SCNN+"),
-    )
-    .expect("fresh rerun completes");
-    assert_eq!(rerun.total, baseline.total, "degraded resume diverged");
-    drop(resumed);
-
-    // --- Checkpoint ENOSPC -------------------------------------------------
-    // The first append hits the injected ENOSPC and disables checkpointing;
-    // the sweep continues and later records are silently skipped (exactly
-    // one counted fault), leaving an empty-but-valid sidecar.
-    let enospc_before = registry.counter("checkpoint.io_enospc").get();
-    chaos::set_override(Some(enospc_only(12)));
-    let mut file = CheckpointFile::create(&ckpt_path, &cfg).expect("recreate checkpoint");
-    let run = try_simulate_network_parallel_checkpointed(
-        &pe,
-        &net,
-        &cfg,
-        &opts,
-        &mut file.scope(net.name, "SCNN+"),
-    )
-    .expect("enospc-checkpoint run completes");
-    chaos::set_override(None);
-    drop(file);
-    assert_eq!(run.total, baseline.total, "ENOSPC changed results");
-    assert_eq!(
-        registry.counter("checkpoint.io_enospc").get() - enospc_before,
-        1,
-        "writer must disable after the first injected ENOSPC"
-    );
-    let resumed = CheckpointFile::resume(&ckpt_path, &cfg).expect("resume after ENOSPC");
-    assert_eq!(resumed.resumable_layers(), 0);
-    assert_eq!(resumed.ignored_lines(), 0, "ENOSPC must not corrupt the file");
-    drop(resumed);
 
     // --- Simcache torn writes ----------------------------------------------
     // Every persisted cache line is truncated. The in-process entries stay

@@ -63,10 +63,8 @@ fn progress_reporter_writes_final_status_file() {
     assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(0.0));
     assert!(json.get("updated_at_unix_ms").and_then(Json::as_u64).is_some());
     // Build identity: the key is always present (a string in a git
-    // checkout, null outside one); resumed_from only appears on resumed
-    // runs, and this run started fresh.
+    // checkout, null outside one).
     assert!(json.get("git_revision").is_some(), "git_revision key present");
-    assert!(json.get("resumed_from").is_none(), "fresh run has no resumed_from");
     // No torn-write temp file is left behind.
     assert!(!dir.join("status.json.tmp").exists());
 

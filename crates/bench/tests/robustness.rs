@@ -1,12 +1,12 @@
 //! Degradation and recovery behaviour of the hardened runner: bad configs
 //! come back as typed errors, degenerate worker counts run inline, and a
-//! checkpointed sweep resumes byte-identically.
+//! sweep resumes byte-identically from a persistent layer cache.
 
-use ant_bench::checkpoint::CheckpointFile;
 use ant_bench::runner::{
     simulate_network, simulate_network_parallel_with_threads, try_simulate_network_parallel,
-    try_simulate_network_parallel_checkpointed, ExperimentConfig, NetworkResult, RunOptions,
+    ExperimentConfig, NetworkResult, RunOptions,
 };
+use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_sim::scnn::ScnnPlus;
 use ant_sim::AntError;
 use ant_workloads::{ConvLayerSpec, NetworkModel};
@@ -112,50 +112,87 @@ fn watchdog_budget_leaves_results_bit_identical() {
     assert!(watched.failures.slow.is_empty());
 }
 
+/// The JSON object the layer cache persists for one phase's counters
+/// (field order as in `SimStats::fields`), used to find a layer's line.
+fn phase_object(stats: &ant_sim::SimStats) -> String {
+    let fields: Vec<String> = stats
+        .fields()
+        .iter()
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
 #[test]
 fn checkpointed_sweep_resumes_byte_identically() {
-    let cfg = ExperimentConfig::paper_default();
+    // Resume is a warm run against a persistent layer cache. The cache is
+    // process-wide and other tests in this binary run concurrently, so
+    // this test uses its own seed: their entries never share its keys.
+    let cfg = ExperimentConfig {
+        seed: 0x5E50E,
+        ..ExperimentConfig::paper_default()
+    };
     let net = tiny_net();
+    let layers = net.layers.len() as u64;
     let pe = ScnnPlus::paper_default();
     let opts = RunOptions::default();
     let serial = simulate_network(&pe, &net, &cfg);
-    let mut path = std::env::temp_dir();
-    path.push(format!("ant-robustness-ckpt-{}.jsonl", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ant-robustness-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reload = || {
+        simcache::set_override(CacheOverride::On(SimCacheConfig {
+            dir: Some(dir.clone()),
+        }))
+    };
 
     // First pass: everything simulates, every layer persists.
-    {
-        let mut file = CheckpointFile::create(&path, &cfg).expect("create checkpoint");
-        let mut scope = file.scope(net.name, "SCNN+");
-        let first =
-            try_simulate_network_parallel_checkpointed(&pe, &net, &cfg, &opts, &mut scope)
-                .expect("checkpointed run");
-        assert_same_result(&serial, &first, "checkpointed first pass");
-    }
+    reload();
+    let first = try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("first pass");
+    assert_same_result(&serial, &first, "first pass");
+    assert_eq!((first.cache_hits, first.cache_misses), (0, layers));
 
-    // Second pass resumes every layer from disk — no synthesis, no
-    // simulation — and must still merge byte-identically.
-    let mut file = CheckpointFile::resume(&path, &cfg).expect("resume checkpoint");
-    assert_eq!(file.resumable_layers(), net.layers.len());
-    assert_eq!(file.ignored_lines(), 0);
-    let mut scope = file.scope(net.name, "SCNN+");
-    let resumed = try_simulate_network_parallel_checkpointed(&pe, &net, &cfg, &opts, &mut scope)
-        .expect("resumed run");
+    // Second pass reloads the store from disk: every layer resolves before
+    // synthesis — no simulation — and the merge is byte-identical.
+    reload();
+    let resumed = try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("resumed pass");
     assert_same_result(&serial, &resumed, "resumed pass");
-    drop(file);
+    assert_eq!((resumed.cache_hits, resumed.cache_misses), (layers, 0));
 
-    // A corrupted sidecar degrades to a partial resume, never a wrong
-    // result: damaged lines are skipped and the layer re-simulates.
-    let mut text = std::fs::read_to_string(&path).expect("read sidecar");
-    text = text.replacen("\"phases\"", "\"phasez\"", 1);
-    text.push_str("{\"schema\":\"something-else\"}\ngarbage\n");
-    std::fs::write(&path, text).expect("corrupt sidecar");
-    let mut file = CheckpointFile::resume(&path, &cfg).expect("resume corrupt checkpoint");
-    assert_eq!(file.ignored_lines(), 3);
-    assert_eq!(file.resumable_layers(), net.layers.len() - 1);
-    let mut scope = file.scope(net.name, "SCNN+");
-    let partial = try_simulate_network_parallel_checkpointed(&pe, &net, &cfg, &opts, &mut scope)
-        .expect("partially resumed run");
+    // A corrupted store degrades to a partial resume, never a wrong
+    // result: the damaged line is skipped and its layer re-simulates. The
+    // cache is off while the file is rewritten, so no append can race it.
+    simcache::set_override(CacheOverride::Off);
+    let path = dir.join("simcache.jsonl");
+    let text = std::fs::read_to_string(&path).expect("read store");
+    let first_layer = phase_object(&first.per_layer[0].phases[0]);
+    let found = text.lines().filter(|l| l.contains(&first_layer)).count();
+    assert_eq!(found, 1, "layer 0 has exactly one line in the store");
+    let damaged: String = text
+        .lines()
+        .map(|line| {
+            if line.contains(&first_layer) {
+                line.replacen("\"phases\"", "\"phasez\"", 1)
+            } else {
+                line.to_string()
+            }
+        })
+        .chain([
+            "{\"schema\":\"something-else\"}".to_string(),
+            "garbage".to_string(),
+        ])
+        .map(|line| line + "\n")
+        .collect();
+    std::fs::write(&path, damaged).expect("corrupt store");
+    reload();
+    let partial = try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("partial resume");
     assert_same_result(&serial, &partial, "partially resumed pass");
-    drop(file);
-    std::fs::remove_file(&path).expect("cleanup");
+    assert_eq!((partial.cache_hits, partial.cache_misses), (layers - 1, 1));
+    let stats = simcache::stats().expect("cache active");
+    assert_eq!(
+        (stats.skipped_corrupt, stats.skipped_stale),
+        (2, 1),
+        "{stats:?}"
+    );
+    simcache::set_override(CacheOverride::Env);
+    let _ = std::fs::remove_dir_all(&dir);
 }

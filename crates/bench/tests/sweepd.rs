@@ -1,6 +1,6 @@
 //! End-to-end tests for `ant-sweepd`: typed shedding, weighted-fair
 //! multi-tenancy, deterministic retry/backoff under service chaos, crash
-//! recovery from the spool, and the deadline/checkpoint interplay.
+//! recovery from the spool, and the deadline/layer-cache interplay.
 //!
 //! Chaos is process-global, so everything lives in one `#[test]` (its own
 //! binary); each phase runs its own daemon on an ephemeral port with its
@@ -9,11 +9,11 @@
 //! deterministically by spooling a job record by hand and letting a fresh
 //! daemon recover it.
 
-use ant_bench::checkpoint::CheckpointFile;
 use ant_bench::runner::{
-    simulate_network, try_simulate_network_parallel_checkpointed, ExperimentConfig, RunOptions,
+    simulate_network, try_simulate_network_parallel, ExperimentConfig, RunOptions,
 };
 use ant_bench::serve::{backoff_ms, http_post, Sweepd, SweepdConfig};
+use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_obs::export::http_get;
 use ant_obs::json::Json;
 use ant_sim::ant::AntAccelerator;
@@ -185,8 +185,8 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
 
     // --- Phase D: multi-tenant runs are deterministic ----------------------
     // Same work submitted by two tenants: both complete and their result
-    // files are byte-identical (bob's run resumes from the checkpoints
-    // alice's run spooled, since the content hash ignores the tenant).
+    // files are byte-identical (bob's run resolves every layer from the
+    // spool's layer cache alice's run filled; cache keys ignore the tenant).
     {
         let spool = tmp.join("d");
         let (daemon, base) = daemon(&spool, 16);
@@ -292,11 +292,13 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
         daemon.shutdown();
     }
 
-    // --- Phase G: deadlines expire jobs but retain their checkpoints -------
+    // --- Phase G: deadlines expire jobs; a resubmission resumes -----------
     // A 1ms deadline expires before (or at) the first pair boundary; the
     // job ends "expired", never "done" — and an identical re-submission
-    // without a deadline completes with the canonical bytes, resuming from
-    // whatever the expired attempt checkpointed.
+    // without a deadline completes with the canonical bytes, resolving
+    // whatever layers the expired attempt completed from the spool's layer
+    // cache. Completed layers live in `<spool>/simcache`, never in per-cell
+    // sidecars.
     {
         let spool = tmp.join("g");
         let expired_before = counter("sweepd.job.expired");
@@ -320,14 +322,29 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
         let csv = std::fs::read_to_string(spool.join("job-2.result.csv")).expect("result");
         assert_eq!(csv, alice_csv, "post-expiry resubmission diverged");
         daemon.shutdown();
+        let store = std::fs::read_to_string(spool.join("simcache").join("simcache.jsonl"))
+            .expect("the spool holds the layer cache");
+        assert_eq!(store.lines().count(), 2, "one line per tiny layer");
+        let names: Vec<String> = std::fs::read_dir(&spool)
+            .expect("list spool")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names
+                .iter()
+                .all(|n| n == "simcache" || n.starts_with("job-")),
+            "unexpected spool entries: {names:?}"
+        );
     }
 
-    // --- Phase H: the runner-level deadline/checkpoint interplay -----------
-    // (no daemon) A warm checkpoint for layer 0 plus a zero deadline: the
+    // --- Phase H: the runner-level deadline/layer-cache interplay ----------
+    // (no daemon) Layer 0 in a persistent cache plus a zero deadline: the
     // run cancels at the pair boundary (only layer 1's pairs are skipped —
-    // checkpointed layers never reach the workers), the sidecar retains
-    // layer 0, a deadline-free rerun resumes to byte-identical totals, and
-    // once fully checkpointed even a zero deadline has nothing to cancel.
+    // cached layers never reach the workers), the store keeps layer 0 and
+    // nothing of layer 1, a deadline-free rerun resumes to byte-identical
+    // totals, and once fully cached even a zero deadline has nothing to
+    // cancel.
     {
         let cfg = ExperimentConfig::paper_default();
         let full = tiny_net("deadline-tiny");
@@ -345,66 +362,48 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
             deadline_us: Some(0),
             ..opts
         };
-        let path = tmp.join("deadline-ckpt.jsonl");
-        // Warm layer 0 via the one-layer prefix.
-        let mut ckpt = CheckpointFile::create(&path, &cfg).expect("create checkpoint");
-        try_simulate_network_parallel_checkpointed(
-            &pe,
-            &prefix,
-            &cfg,
-            &opts,
-            &mut ckpt.scope(full.name, "SCNN+"),
-        )
-        .expect("prefix run");
-        drop(ckpt);
+        let store = tmp.join("h-cache");
+        let reload = || {
+            simcache::set_override(CacheOverride::On(SimCacheConfig {
+                dir: Some(store.clone()),
+            }));
+            simcache::stats().expect("cache active").loaded
+        };
+        // Cache layer 0 via the one-layer prefix.
+        reload();
+        try_simulate_network_parallel(&pe, &prefix, &cfg, &opts).expect("prefix run");
         // Zero deadline: cancelled at the boundary, layer 0 untouched.
-        let mut ckpt = CheckpointFile::resume(&path, &cfg).expect("resume");
-        assert_eq!(ckpt.resumable_layers(), 1, "layer 0 is checkpointed");
-        let cancelled = try_simulate_network_parallel_checkpointed(
-            &pe,
-            &full,
-            &cfg,
-            &zero_deadline,
-            &mut ckpt.scope(full.name, "SCNN+"),
-        )
-        .expect("cancelled run still returns");
+        assert_eq!(reload(), 1, "layer 0 is stored");
+        let cancelled = try_simulate_network_parallel(&pe, &full, &cfg, &zero_deadline)
+            .expect("cancelled run still returns");
         assert!(cancelled.deadline_exceeded && cancelled.partial);
+        assert_eq!(cancelled.cache_hits, 1);
         assert!(
             cancelled.failures.deadline_skipped > 0,
             "layer 1's pairs are skipped at the boundary"
         );
-        drop(ckpt);
-        // The checkpoint survives the cancelled run; a deadline-free rerun
-        // resumes and lands on the baseline bytes.
-        let mut ckpt = CheckpointFile::resume(&path, &cfg).expect("resume again");
-        assert_eq!(ckpt.resumable_layers(), 1, "cancellation retained the sidecar");
-        let resumed = try_simulate_network_parallel_checkpointed(
-            &pe,
-            &full,
-            &cfg,
-            &opts,
-            &mut ckpt.scope(full.name, "SCNN+"),
-        )
-        .expect("resumed run");
+        // The store survives the cancelled run without its incomplete
+        // layer; a deadline-free rerun resumes and lands on the baseline
+        // bytes.
+        assert_eq!(
+            reload(),
+            1,
+            "cancellation kept layer 0 and stored nothing else"
+        );
+        let resumed = try_simulate_network_parallel(&pe, &full, &cfg, &opts).expect("resumed run");
         assert!(!resumed.deadline_exceeded && !resumed.partial);
+        assert_eq!((resumed.cache_hits, resumed.cache_misses), (1, 1));
         assert_eq!(resumed.total, baseline.total, "resume diverged");
-        drop(ckpt);
-        // Fully checkpointed: a zero deadline has no pair jobs to cancel.
-        let mut ckpt = CheckpointFile::resume(&path, &cfg).expect("resume warm");
-        assert_eq!(ckpt.resumable_layers(), 2);
-        let warm = try_simulate_network_parallel_checkpointed(
-            &pe,
-            &full,
-            &cfg,
-            &zero_deadline,
-            &mut ckpt.scope(full.name, "SCNN+"),
-        )
-        .expect("warm run");
+        // Fully cached: a zero deadline has no pair jobs to cancel.
+        assert_eq!(reload(), 2);
+        let warm =
+            try_simulate_network_parallel(&pe, &full, &cfg, &zero_deadline).expect("warm run");
         assert!(
             !warm.deadline_exceeded,
             "resume means restart-free: nothing left to cancel"
         );
         assert_eq!(warm.total, baseline.total);
+        simcache::set_override(CacheOverride::Env);
     }
 
     let _ = std::fs::remove_dir_all(&tmp);

@@ -5,8 +5,8 @@
 //! ([`ConvError`], [`SparseError`], [`FnirError`]) and adds the structured
 //! contexts the higher layers need — which configuration parameter was
 //! unusable, which machine rejected which operand, what a quarantined
-//! simulation job panicked with, and where a persisted artifact (checkpoint
-//! sidecar, bench ledger) was corrupt.
+//! simulation job panicked with, and where a persisted artifact (layer
+//! cache, bench ledger) was corrupt.
 //!
 //! The taxonomy exists so that public constructors and entry points return
 //! `Result` instead of panicking: a malformed layer shape or a poisoned
@@ -61,7 +61,7 @@ pub enum AntError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A persisted artifact (checkpoint line, ledger line) failed to parse
+    /// A persisted artifact (cache line, ledger line) failed to parse
     /// or round-trip.
     Corrupt {
         /// What artifact was corrupt (usually a file path).

@@ -1,8 +1,12 @@
-//! Embedded `/metrics` HTTP exporter (`ANT_METRICS_ADDR`).
+//! The workspace's one embedded HTTP server, and the `/metrics` exporter
+//! that runs on it (`ANT_METRICS_ADDR`).
 //!
-//! A zero-dependency, std-only monitoring surface: when `ANT_METRICS_ADDR`
-//! names a `host:port`, [`init_from_env`] binds a TCP listener there and a
-//! background thread serves three endpoints for the lifetime of the process:
+//! [`Server`] is a zero-dependency, std-only listener: one short-lived
+//! connection at a time, a bounded request reader (head plus
+//! `Content-Length` body, at most 256 KiB; larger bodies get `413`), 2 s
+//! socket timeouts, and a non-blocking accept poll so
+//! [`Server::shutdown`] stops and joins the thread promptly. Every server
+//! answers three shared routes:
 //!
 //! - `GET /metrics` — the process-wide [`Registry`](crate::metrics::Registry)
 //!   rendered as Prometheus text exposition (format 0.0.4). Counters render
@@ -14,32 +18,133 @@
 //!   straight from memory (no file read). `503` until the first publish.
 //! - `GET /healthz` — liveness: always `200 ok`.
 //!
-//! Everything is off by default: with `ANT_METRICS_ADDR` unset the only cost
-//! is one cached environment lookup, no thread, no socket, no allocation on
-//! any hot path. Binding to port `0` picks a free port; the resolved address
-//! is written to `ANT_METRICS_ADDR_FILE` (default
-//! `target/experiments/metrics.addr`) so a harness that requested port `0`
-//! can discover where to scrape.
+//! An application adds its own routes ([`Routes`]) in front of these; the
+//! `ant-sweepd` daemon serves its `/jobs` API that way.
 //!
-//! The exporter is strictly read-only over shared state the run already
+//! The exporter is off by default: with `ANT_METRICS_ADDR` unset the only
+//! cost is one cached environment lookup, no thread, no socket, no
+//! allocation on any hot path. When the variable names a `host:port`,
+//! [`init_from_env`] starts a server there for the lifetime of the process.
+//! Binding to port `0` picks a free port; the resolved address is written
+//! to `ANT_METRICS_ADDR_FILE` (default `target/experiments/metrics.addr`)
+//! so a harness that requested port `0` can discover where to scrape.
+//!
+//! The shared routes are strictly read-only over state the run already
 //! maintains — serving a scrape never touches simulated state, so the
 //! byte-identity and steady-state-allocation gates hold with it enabled.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::metrics::{registry, InstrumentSnapshot};
 use crate::progress::latest_status_json;
 
-/// Per-connection socket timeout: a stalled scraper must never wedge the
-/// exporter thread for long.
+/// Per-connection socket timeout: a stalled client must never wedge the
+/// serving thread for long.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Largest request head the exporter will buffer before answering.
-const MAX_REQUEST_BYTES: usize = 8 * 1024;
+/// Largest request (head + body) a server will buffer.
+const MAX_REQUEST_BYTES: usize = 256 * 1024;
+
+/// Accept-poll interval while idle; bounds shutdown latency.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// One parsed request, as a route table sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    /// Request method (`GET`, `POST`, ...).
+    pub method: &'a str,
+    /// Request path, query string stripped.
+    pub path: &'a str,
+    /// Request body (empty for bodiless requests).
+    pub body: &'a str,
+}
+
+/// One response: status line (`"200 OK"`), content type, body.
+pub type Response = (&'static str, &'static str, String);
+
+/// Application routes a [`Server`] consults before the shared ones;
+/// returning `None` falls through to `/metrics`, `/status`, `/healthz`,
+/// then `404`/`405`.
+pub type Routes = Box<dyn Fn(&Request<'_>) -> Option<Response> + Send + Sync>;
+
+/// A running HTTP server: one background thread serving the shared routes
+/// plus any application [`Routes`].
+///
+/// Dropping a `Server` detaches its thread, which then serves until the
+/// process exits (the metrics exporter runs that way); call
+/// [`Server::shutdown`] to stop it.
+#[derive(Debug)]
+pub struct Server {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Binds `addr` and spawns the serving thread, named `name`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind, socket-option, and thread-spawn failures.
+    pub fn start(addr: &str, name: &str, routes: Option<Routes>) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        let bound = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = stop.clone();
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                while !flag.load(Ordering::SeqCst) {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            // Back to blocking IO (with timeouts) per
+                            // connection: requests are tiny, and serialized
+                            // handling keeps the server allocation-bounded.
+                            let _ = stream.set_nonblocking(false);
+                            handle_connection(stream, routes.as_ref());
+                        }
+                        Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    }
+                }
+            })?;
+        Ok(Server {
+            addr: bound,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// The bound address (useful after requesting port `0`).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting and joins the serving thread; returns within one
+    /// accept poll (plus any request in flight).
+    pub fn shutdown(mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.join_thread();
+    }
+
+    /// Blocks until the serving thread exits, i.e. until another handle
+    /// stops it or the process ends.
+    pub fn join(mut self) {
+        self.join_thread();
+    }
+
+    fn join_thread(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
 
 /// The `ANT_METRICS_ADDR` value, or `None` when unset/falsy. Truthiness
 /// matches the other `ANT_*` switches: `""`, `0`, `false`, `off`, and `no`
@@ -115,23 +220,12 @@ pub fn linger_from_env() {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
-/// Binds `addr` and spawns the serving thread. Public so tests (and tools
-/// that manage their own lifecycle) can run an exporter without touching
-/// the environment; production code should go through [`init_from_env`].
+/// Starts a shared-routes-only [`Server`] on `addr` that serves until the
+/// process exits. Public so tests (and tools that manage their own
+/// lifecycle) can run an exporter without touching the environment;
+/// production code should go through [`init_from_env`].
 pub fn serve(addr: &str) -> std::io::Result<SocketAddr> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    std::thread::Builder::new()
-        .name("ant-metrics".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { continue };
-                // One short-lived connection at a time: scrapes are tiny and
-                // serialized handling keeps the exporter allocation-bounded.
-                handle_connection(stream);
-            }
-        })?;
-    Ok(bound)
+    Ok(Server::start(addr, "ant-metrics", None)?.addr())
 }
 
 /// Best-effort write of the bound address for port-0 discovery.
@@ -145,31 +239,74 @@ fn write_addr_file(bound: &SocketAddr) {
     let _ = std::fs::write(&path, format!("{bound}\n"));
 }
 
-/// Reads one request head, routes it, writes one response, closes.
-fn handle_connection(mut stream: TcpStream) {
+/// Reads one request (head, then `Content-Length` bytes of body), routes
+/// it, writes one response, closes.
+fn handle_connection(mut stream: TcpStream, routes: Option<&Routes>) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let mut head = Vec::with_capacity(256);
-    let mut buf = [0u8; 512];
-    loop {
+    let mut raw = Vec::with_capacity(512);
+    let mut buf = [0u8; 1024];
+    let mut head_end = None;
+    // Phase 1: read until the blank line separating head from body.
+    while head_end.is_none() && raw.len() < MAX_REQUEST_BYTES {
         match stream.read(&mut buf) {
-            Ok(0) => break,
+            Ok(0) | Err(_) => break,
             Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= MAX_REQUEST_BYTES {
-                    break;
-                }
+                raw.extend_from_slice(&buf[..n]);
+                head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
             }
-            Err(_) => break,
         }
     }
-    let head = String::from_utf8_lossy(&head);
+    let Some(head_end) = head_end else {
+        let body = "{\"error\":\"malformed request\"}\n".to_string();
+        respond(&mut stream, ("400 Bad Request", "application/json", body));
+        return;
+    };
+    let head = String::from_utf8_lossy(&raw[..head_end]).to_string();
+    let content_length = head
+        .lines()
+        .find_map(|l| {
+            let (name, value) = l.split_once(':')?;
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                value.trim().parse::<usize>().ok()
+            } else {
+                None
+            }
+        })
+        .unwrap_or(0);
+    if content_length > MAX_REQUEST_BYTES {
+        let body = "{\"error\":\"body too large\"}\n".to_string();
+        respond(
+            &mut stream,
+            ("413 Payload Too Large", "application/json", body),
+        );
+        return;
+    }
+    // Phase 2: the rest of the body.
+    while raw.len() < head_end + content_length {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+        }
+    }
+    let body = String::from_utf8_lossy(&raw[head_end..]).to_string();
     let mut request_line = head.lines().next().unwrap_or("").split_whitespace();
     let method = request_line.next().unwrap_or("");
     let target = request_line.next().unwrap_or("");
     // Ignore any query string; routing is by path only.
     let path = target.split('?').next().unwrap_or(target);
-    let (status, content_type, body) = route(method, path);
+    let request = Request {
+        method,
+        path,
+        body: &body,
+    };
+    let response = routes
+        .and_then(|routes| routes(&request))
+        .unwrap_or_else(|| route(method, path));
+    respond(&mut stream, response);
+}
+
+fn respond(stream: &mut TcpStream, (status, content_type, body): Response) {
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -178,22 +315,15 @@ fn handle_connection(mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
-/// Maps `(method, path)` to `(status line, content type, body)`.
-fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
-    if method != "GET" {
-        return (
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "only GET is supported\n".to_string(),
-        );
-    }
-    match path {
-        "/metrics" => {
+/// The shared routes: maps `(method, path)` to a [`Response`].
+fn route(method: &str, path: &str) -> Response {
+    match (method, path) {
+        ("GET", "/metrics") => {
             let mut body = render_build_info();
             body.push_str(&render_prometheus(&registry().snapshot_instruments()));
             ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
         }
-        "/status" => match latest_status_json() {
+        ("GET", "/status") => match latest_status_json() {
             Some(json) => ("200 OK", "application/json", json + "\n"),
             None => (
                 "503 Service Unavailable",
@@ -201,11 +331,16 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
                 "{\"error\":\"no status published yet\"}\n".to_string(),
             ),
         },
-        "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-        _ => (
+        ("GET", "/healthz") => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
+        ("GET", _) => (
             "404 Not Found",
             "text/plain; charset=utf-8",
             "unknown path; try /metrics, /status, /healthz\n".to_string(),
+        ),
+        _ => (
+            "405 Method Not Allowed",
+            "text/plain; charset=utf-8",
+            "unsupported method\n".to_string(),
         ),
     }
 }
@@ -314,10 +449,29 @@ pub fn render_prometheus(snapshot: &[(String, InstrumentSnapshot)]) -> String {
     out
 }
 
-/// A minimal `http://host:port/path` GET client for the exporter's own
+/// A minimal `http://host:port/path` GET client for the server's own
 /// endpoints (used by `obsctl status` against a live run). Returns the
 /// status code and body.
+///
+/// # Errors
+///
+/// Propagates connection and IO failures; HTTP-level errors come back as
+/// the status code in the tuple.
 pub fn http_get(url: &str) -> std::io::Result<(u16, String)> {
+    request(url, "GET", None)
+}
+
+/// The `POST` sibling of [`http_get`] (JSON body), used by tests, `obsctl`,
+/// and harness scripts to submit `ant-sweepd` jobs.
+///
+/// # Errors
+///
+/// As [`http_get`].
+pub fn http_post(url: &str, body: &str) -> std::io::Result<(u16, String)> {
+    request(url, "POST", Some(body))
+}
+
+fn request(url: &str, method: &str, body: Option<&str>) -> std::io::Result<(u16, String)> {
     let rest = url.strip_prefix("http://").unwrap_or(url);
     let (host_port, path) = match rest.find('/') {
         Some(idx) => (&rest[..idx], &rest[idx..]),
@@ -326,9 +480,16 @@ pub fn http_get(url: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(host_port)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    stream.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: {host_port}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
+    let mut message = format!("{method} {path} HTTP/1.1\r\nHost: {host_port}\r\n");
+    if let Some(body) = body {
+        message.push_str(&format!(
+            "Content-Type: application/json\r\nContent-Length: {}\r\n",
+            body.len()
+        ));
+    }
+    message.push_str("Connection: close\r\n\r\n");
+    message.push_str(body.unwrap_or(""));
+    stream.write_all(message.as_bytes())?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
     let mut parts = response.splitn(2, "\r\n\r\n");

@@ -28,10 +28,12 @@
 //! * **Flamegraphs** ([`flame`]) — span-tree rollup of self/total wall
 //!   time per span path, exported as collapsed stacks
 //!   (inferno/speedscope-compatible) under `ANT_FLAME` / `ANT_FLAME_FILE`.
-//! * **Metrics exporter** ([`export`]) — an embedded std-only HTTP server
-//!   (`ANT_METRICS_ADDR=host:port`) serving `GET /metrics` (Prometheus text
-//!   exposition of the process registry), `GET /status` (live `ant-status/1`
-//!   JSON), and `GET /healthz`. Off by default with zero overhead.
+//! * **HTTP server and metrics exporter** ([`export`]) — the workspace's
+//!   one std-only HTTP server ([`export::Server`]): `GET /metrics`
+//!   (Prometheus text exposition of the process registry), `GET /status`
+//!   (live `ant-status/1` JSON), and `GET /healthz`, plus any application
+//!   routes (the `ant-sweepd` `/jobs` API). The exporter
+//!   (`ANT_METRICS_ADDR=host:port`) is off by default with zero overhead.
 //!
 //! See `docs/OBSERVABILITY.md` for the full event schema and workflows.
 

@@ -37,30 +37,6 @@ pub fn latest_status_json() -> Option<String> {
         .clone()
 }
 
-/// Context a resumed run carries into its status: the checkpoint path the
-/// sweep was resumed from. Set once by the binary that parsed `--resume`;
-/// the runner folds it into every [`RunStatus`] it publishes.
-fn resumed_from_slot() -> &'static Mutex<Option<String>> {
-    static RESUMED: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    RESUMED.get_or_init(|| Mutex::new(None))
-}
-
-/// Declares that this process resumed from the checkpoint at `path`
-/// (surfaced as `resumed_from` in every subsequent `ant-status/1`).
-pub fn set_resumed_from(path: impl Into<String>) {
-    *resumed_from_slot()
-        .lock()
-        .unwrap_or_else(|p| p.into_inner()) = Some(path.into());
-}
-
-/// The checkpoint path declared via [`set_resumed_from`], if any.
-pub fn resumed_from() -> Option<String> {
-    resumed_from_slot()
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone()
-}
-
 /// Prints the experiment banner (title plus underline) to stdout, matching
 /// the look the experiment binaries had before they shared a helper.
 pub fn banner(title: &str) {
@@ -193,9 +169,6 @@ pub struct RunStatus {
     /// Git revision of the build publishing this status (`None` when the
     /// revision could not be determined; serialized as JSON `null`).
     pub git_revision: Option<String>,
-    /// Checkpoint path this run resumed from. Omitted from the JSON when
-    /// the run started fresh.
-    pub resumed_from: Option<String>,
 }
 
 impl RunStatus {
@@ -220,9 +193,8 @@ impl RunStatus {
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
         // `None` serializes as JSON `null` (our `Value` enum has no null
-        // variant); keys stay in sorted order, with `resumed_from` present
-        // only on resumed runs.
-        let mut entries: Vec<(&str, Option<Value>)> = vec![
+        // variant); keys stay in sorted order.
+        let entries: [(&str, Option<Value>); 17] = [
             ("elapsed_s", Some(Value::F64(finite(self.elapsed_s)))),
             ("eta_s", Some(Value::F64(finite(self.eta_s)))),
             ("git_revision", self.git_revision.clone().map(Value::Str)),
@@ -235,17 +207,12 @@ impl RunStatus {
             ("pairs_per_sec", Some(Value::F64(finite(self.pairs_per_sec)))),
             ("pairs_total", Some(Value::U64(self.pairs_total))),
             ("quarantined", Some(Value::U64(self.quarantined))),
-        ];
-        if let Some(resumed) = &self.resumed_from {
-            entries.push(("resumed_from", Some(Value::Str(resumed.clone()))));
-        }
-        entries.extend([
             ("retries", Some(Value::U64(self.retries))),
             ("state", Some(Value::Str(self.state.to_string()))),
             ("threads", Some(Value::U64(self.threads))),
             ("updated_at_unix_ms", Some(Value::U64(unix_ms))),
             ("watchdog_slow", Some(Value::U64(self.watchdog_slow))),
-        ]);
+        ];
         for (key, value) in &entries {
             out.push(',');
             write_json_string(key, &mut out);
@@ -411,7 +378,6 @@ mod tests {
             retries: 2,
             watchdog_slow: 3,
             git_revision: None,
-            resumed_from: None,
         }
     }
 
@@ -444,25 +410,20 @@ mod tests {
 
     #[test]
     fn git_revision_and_resumed_from_render_per_schema() {
-        // Fresh run, unknown revision: git_revision is null, resumed_from
-        // is omitted entirely.
+        // Unknown revision: git_revision is null; `resumed_from` is not
+        // part of the schema.
         let fresh = sample_status().to_json();
         assert!(fresh.contains("\"git_revision\":null"), "null revision: {fresh}");
-        assert!(!fresh.contains("resumed_from"), "fresh run omits resumed_from");
+        assert!(!fresh.contains("resumed_from"), "retired key: {fresh}");
 
-        // Resumed run with a known revision: both appear, keys stay sorted.
+        // Known revision: a string, keys stay sorted.
         let status = RunStatus {
             git_revision: Some("abc1234".to_string()),
-            resumed_from: Some("ckpt/fig09.ckpt".to_string()),
             ..sample_status()
         };
         let text = status.to_json();
         let json = parse(&text).expect("parses");
         assert_eq!(json.get("git_revision").and_then(Json::as_str), Some("abc1234"));
-        assert_eq!(
-            json.get("resumed_from").and_then(Json::as_str),
-            Some("ckpt/fig09.ckpt")
-        );
         let body = text.trim_start_matches("{\"schema\":\"ant-status/1\",");
         let keys: Vec<&str> = body
             .split(',')
@@ -489,15 +450,6 @@ mod tests {
         assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
         assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(321));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resumed_from_global_round_trips() {
-        assert_eq!(resumed_from(), None);
-        set_resumed_from("ckpt/a.jsonl");
-        assert_eq!(resumed_from(), Some("ckpt/a.jsonl".to_string()));
-        // Reset so other tests in this process see a clean slate.
-        *resumed_from_slot().lock().unwrap_or_else(|p| p.into_inner()) = None;
     }
 
     #[test]

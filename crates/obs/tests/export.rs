@@ -1,7 +1,11 @@
-//! End-to-end tests for the embedded `/metrics` exporter: a real listener
-//! on a loopback port, scraped with the crate's own tiny HTTP client.
+//! End-to-end tests for the embedded HTTP server and the `/metrics`
+//! exporter on it: a real listener on a loopback port, driven with the
+//! crate's own tiny HTTP client.
 
-use ant_obs::export::{http_get, serve};
+use std::io::{Read, Write};
+use std::time::{Duration, Instant};
+
+use ant_obs::export::{http_get, http_post, serve, Request, Server};
 use ant_obs::json::{parse, Json};
 use ant_obs::progress::{RunStatus, StatusReporter};
 
@@ -134,6 +138,42 @@ fn healthz_and_unknown_paths_route_correctly() {
 
     let (code, _) = http_get(&format!("http://{addr}/metrics?debug=1")).expect("query ignored");
     assert_eq!(code, 200);
+}
+
+#[test]
+fn application_routes_body_bound_and_shutdown() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        "export-test-http",
+        Some(Box::new(|req: &Request<'_>| {
+            (req.method == "POST" && req.path == "/echo")
+                .then(|| ("200 OK", "text/plain", req.body.to_string()))
+        })),
+    )
+    .expect("bind loopback");
+    let addr = server.addr();
+    let base = format!("http://{addr}");
+
+    // Application routes come first; the shared ones still answer.
+    let echoed = http_post(&format!("{base}/echo"), "{\"job\":1}").expect("echo");
+    assert_eq!(echoed, (200, "{\"job\":1}".to_string()));
+    assert_eq!(http_get(&format!("{base}/healthz")).expect("healthz").0, 200);
+    assert_eq!(http_post(&format!("{base}/healthz"), "").expect("post").0, 405);
+
+    // A declared body above 256 KiB is refused before any of it is read.
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"POST /echo HTTP/1.1\r\nContent-Length: 262145\r\n\r\n")
+        .expect("send head");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
+
+    // Shutdown is prompt and releases the listener.
+    let started = Instant::now();
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(1), "slow shutdown");
+    assert!(http_get(&format!("{base}/healthz")).is_err(), "still listening");
 }
 
 #[test]

@@ -13,9 +13,9 @@
 //! Two further fault families target the layers *around* the simulator:
 //!
 //! * [`IoFault`] — short/torn writes and simulated `ENOSPC` against the
-//!   sidecar writers (`ant-checkpoint/1`, `ant-simcache/1`, the sweepd
-//!   spool). Both stores must degrade to misses/fresh runs with counted
-//!   warnings, never to wrong results.
+//!   sidecar writers (the `ant-simcache/1` layer store and the sweepd
+//!   spool). Both must degrade to misses/fresh runs with counted warnings,
+//!   never to wrong results.
 //! * [`ServiceFault`] — whole-job faults for the `ant-sweepd` supervisor:
 //!   job-worker death (a panic around the entire job) and slow-job stalls,
 //!   so the retry/backoff/quarantine loop is testable deterministically.
@@ -96,12 +96,10 @@ impl IoFault {
 }
 
 /// Which sidecar writer an [`IoFault`] decision is for. The domain salts
-/// the hash so the checkpoint and cache writers draw independent faults
-/// from one seed.
+/// the hash so the cache and spool writers draw independent faults from
+/// one seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoDomain {
-    /// The `ant-checkpoint/1` sidecar writer.
-    Checkpoint,
     /// The `ant-simcache/1` store writer.
     SimCache,
     /// The sweepd spool (job records and results).
@@ -111,7 +109,6 @@ pub enum IoDomain {
 impl IoDomain {
     fn salt(self) -> u64 {
         match self {
-            IoDomain::Checkpoint => 0xC4E0,
             IoDomain::SimCache => 0x51CA,
             IoDomain::Spool => 0x5900,
         }
@@ -450,7 +447,7 @@ mod tests {
     fn zero_probabilities_never_fire() {
         let c = ChaosConfig::quiet(99);
         assert!((0..1000).all(|p| c.fault_for(0, 1, p, 0).is_none()));
-        assert!((0..1000).all(|i| c.io_fault_for(IoDomain::Checkpoint, i).is_none()));
+        assert!((0..1000).all(|i| c.io_fault_for(IoDomain::SimCache, i).is_none()));
         assert!((0..1000).all(|j| c.service_fault_for(j, 0).is_none()));
         assert!((0..1000).all(|i| !c.spool_fault_for(i)));
     }
@@ -477,16 +474,16 @@ mod tests {
             enospc_prob: 0.25,
             ..ChaosConfig::quiet(11)
         };
-        let ckpt: Vec<_> = (0..128).map(|i| c.io_fault_for(IoDomain::Checkpoint, i)).collect();
-        assert_eq!(
-            ckpt,
-            (0..128).map(|i| c.io_fault_for(IoDomain::Checkpoint, i)).collect::<Vec<_>>()
-        );
         let cache: Vec<_> = (0..128).map(|i| c.io_fault_for(IoDomain::SimCache, i)).collect();
-        assert_ne!(ckpt, cache, "domains must draw independently");
-        assert!(ckpt.iter().any(|f| *f == Some(IoFault::TornWrite)));
-        assert!(ckpt.iter().any(|f| *f == Some(IoFault::Enospc)));
-        assert!(ckpt.iter().any(|f| f.is_none()));
+        assert_eq!(
+            cache,
+            (0..128).map(|i| c.io_fault_for(IoDomain::SimCache, i)).collect::<Vec<_>>()
+        );
+        let spool: Vec<_> = (0..128).map(|i| c.io_fault_for(IoDomain::Spool, i)).collect();
+        assert_ne!(cache, spool, "domains must draw independently");
+        assert!(cache.contains(&Some(IoFault::TornWrite)));
+        assert!(cache.contains(&Some(IoFault::Enospc)));
+        assert!(cache.iter().any(|f| f.is_none()));
     }
 
     #[test]

@@ -442,7 +442,9 @@ echo "== sweepd smoke (kill -9 mid-job, restart: recovery + byte-identical resul
 #   3. restart on the same spool: both jobs recover; seeded job-death chaos
 #      (seed=4, job=0.05 strikes exactly job 1 attempt 1) exercises the
 #      supervised retry, and a deadline_ms=0 submission the typed 503 shed.
-#      Recovered results must be byte-identical to the reference run.
+#      Recovered results must be byte-identical to the reference run, and
+#      the spool's layer cache (simcache/simcache.jsonl) is what it resumed
+#      from.
 SWEEPD=./target/release/sweepd
 SWEEPD_DIR=target/experiments/ci_sweepd
 rm -rf "$SWEEPD_DIR"
@@ -506,11 +508,19 @@ kill "$SWEEPD_PID" 2>/dev/null || true
 wait "$SWEEPD_PID" 2>/dev/null || true
 
 # Phase 2: same jobs, kill -9 inside job 1's chaos stall (25ms window).
+# Both jobs go out from one Python process: a second interpreter start
+# (~0.2 s on a 2-vCPU host) outlasts job 1, which would then finish
+# before the kill.
 sweepd_start "$SWEEPD_DIR/spool" "$SWEEPD_DIR/kill.addr" ANT_CHAOS=stall=1.0
-[[ $(sweepd_post "$SWEEPD_BASE" "$SPEC_ALICE") == 202 ]] \
-  || { echo "interrupted alice submit refused" >&2; exit 1; }
-[[ $(sweepd_post "$SWEEPD_BASE" "$SPEC_BOB") == 202 ]] \
-  || { echo "interrupted bob submit refused" >&2; exit 1; }
+python3 - "$SWEEPD_BASE" "$SPEC_ALICE" "$SPEC_BOB" <<'PY' \
+  || { echo "interrupted submits refused" >&2; exit 1; }
+import sys, urllib.request
+for spec in sys.argv[2:]:
+    req = urllib.request.Request(sys.argv[1] + "/jobs", data=spec.encode(),
+                                 headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=10) as r:
+        assert r.status == 202, r.status
+PY
 sleep 0.01
 kill -9 "$SWEEPD_PID"
 wait "$SWEEPD_PID" 2>/dev/null || true
@@ -526,6 +536,14 @@ for f in job-1.result.csv job-1.result.jsonl job-2.result.csv job-2.result.jsonl
   cmp -s "$SWEEPD_DIR/ref-spool/$f" "$SWEEPD_DIR/spool/$f" \
     || { echo "recovered $f diverged from the uninterrupted reference" >&2; exit 1; }
 done
+# Recovery resumed from the spool's layer cache, the one durable result
+# store: it must exist, and the spool holds nothing but job files and it
+# (no per-cell result sidecars).
+[[ -s "$SWEEPD_DIR/spool/simcache/simcache.jsonl" ]] \
+  || { echo "restarted spool has no simcache/simcache.jsonl" >&2; exit 1; }
+STRAY=$(find "$SWEEPD_DIR/spool" -mindepth 1 -maxdepth 1 ! -name 'job-*' ! -name simcache)
+[[ -z "$STRAY" ]] \
+  || { echo "restarted spool holds unexpected entries: $STRAY" >&2; exit 1; }
 python3 - "$SWEEPD_BASE" "$SWEEPD_DIR" <<'PY'
 import json, sys, urllib.request
 base, outdir = sys.argv[1], sys.argv[2]
