@@ -114,7 +114,10 @@ fn cmd_record(args: &[String]) -> ExitCode {
     exp.config("label", label.as_str())
         .config("repeats", repeats as u64)
         .config("ledger", path.display().to_string());
-    let entry = history::record(set, repeats);
+    let entry = match history::record(set, repeats) {
+        Ok(entry) => entry,
+        Err(e) => return fail(&e.to_string()),
+    };
     if let Err(err) = history::append(&path, &entry) {
         eprintln!("bench_history: cannot append to {}: {err}", path.display());
         return ExitCode::FAILURE;

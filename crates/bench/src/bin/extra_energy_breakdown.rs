@@ -9,18 +9,19 @@
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, Table};
-use ant_bench::runner::{simulate_network_parallel, ExperimentConfig};
+use ant_bench::runner::{try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::EnergyModel;
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::resnet18_cifar;
 
-fn main() {
+fn main() -> Result<(), AntError> {
+    let opts = RunOptions::default();
     let cfg = ExperimentConfig::paper_default();
     let model = EnergyModel::paper_7nm();
     let net = resnet18_cifar();
-    let s = simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg);
-    let a = simulate_network_parallel(&AntAccelerator::paper_default(), &net, &cfg);
+    let s = try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts)?;
+    let a = try_simulate_network_parallel(&AntAccelerator::paper_default(), &net, &cfg, &opts)?;
     let sb = s.total.energy_breakdown(&model);
     let ab = a.total.energy_breakdown(&model);
 
@@ -53,4 +54,5 @@ fn main() {
          because both machines write exactly the useful products."
     );
     exp.finish(&table);
+    Ok(())
 }

@@ -11,16 +11,17 @@
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{ratio, Table};
-use ant_bench::runner::{simulate_network_parallel, ExperimentConfig};
+use ant_bench::runner::{try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::dst::DstAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::intersection::IntersectionAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, EnergyModel};
+use ant_sim::{AntError, ConvSim, EnergyModel};
 use ant_workloads::models::resnet18_cifar;
 
-fn main() {
+fn main() -> Result<(), AntError> {
+    let opts = RunOptions::default();
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
     let net = resnet18_cifar();
@@ -54,11 +55,12 @@ fn main() {
         ("SCNN+ (plain OP)", Box::new(ScnnPlus::paper_default())),
         ("ANT (this work)", Box::new(AntAccelerator::paper_default())),
     ];
-    let dense = simulate_network_parallel(&DenseInnerProduct::paper_default(), &net, &cfg);
+    let dense =
+        try_simulate_network_parallel(&DenseInnerProduct::paper_default(), &net, &cfg, &opts)?;
     let mut table = Table::new(&["machine", "cycles", "vs dense", "energy (uJ)"]);
     let mut progress = exp.progress(machines.len());
     for (label, machine) in &machines {
-        let r = simulate_network_parallel(machine.as_ref(), &net, &cfg);
+        let r = try_simulate_network_parallel(machine.as_ref(), &net, &cfg, &opts)?;
         progress.step(label);
         table.push_row(vec![
             label.to_string(),
@@ -76,4 +78,5 @@ fn main() {
          two-sided dynamic sparsity, and ANT removes the RCPs they pay for it."
     );
     exp.finish(&table);
+    Ok(())
 }

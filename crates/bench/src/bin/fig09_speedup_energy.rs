@@ -7,34 +7,14 @@
 use ant_bench::obs::Experiment;
 use ant_bench::report::{geomean, percent, ratio, Table};
 use ant_bench::runner::{
-    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, NetworkResult,
-    RunOptions,
+    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, RunOptions,
 };
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, EnergyModel};
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::figure9_networks;
-use ant_workloads::NetworkModel;
 
-fn run<S: ConvSim + Sync>(pe: &S, net: &NetworkModel, cfg: &ExperimentConfig) -> NetworkResult {
-    let result = try_simulate_network_parallel(pe, net, cfg, &RunOptions::default())
-        .unwrap_or_else(|e| {
-            eprintln!("fig09: {}/{}: {e}", net.name, pe.name());
-            std::process::exit(2);
-        });
-    if result.partial {
-        eprintln!(
-            "fig09: warning: {}/{} completed with {} quarantined pair failure(s); \
-             stats are partial",
-            net.name,
-            pe.name(),
-            result.failures.failures.len()
-        );
-    }
-    result
-}
-
-fn main() {
+fn main() -> Result<(), AntError> {
     if let Some(arg) = std::env::args().nth(1) {
         eprintln!(
             "fig09: unexpected argument {arg:?}; the sweep takes no arguments \
@@ -43,6 +23,7 @@ fn main() {
         std::process::exit(2);
     }
     let cfg = ExperimentConfig::paper_default();
+    let opts = RunOptions::default();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
     let ant = AntAccelerator::paper_default();
@@ -84,8 +65,8 @@ fn main() {
     // the `ant-redundancy/1` sidecar `obsctl redundancy` analyzes.
     let mut ledger = ant_bench::redundancy::RedundancyLedger::new();
     for net in networks {
-        let s = run(&scnn, &net, &cfg);
-        let a = run(&ant, &net, &cfg);
+        let s = try_simulate_network_parallel(&scnn, &net, &cfg, &opts)?;
+        let a = try_simulate_network_parallel(&ant, &net, &cfg, &opts)?;
         ledger.add_network(&s, &net);
         ledger.add_network(&a, &net);
         sim_total.accumulate(&s.total);
@@ -131,8 +112,8 @@ fn main() {
 
     // Per-phase detail for one network: where the win comes from.
     let net = ant_workloads::models::resnet18_cifar();
-    let s = run(&scnn, &net, &cfg);
-    let a = run(&ant, &net, &cfg);
+    let s = try_simulate_network_parallel(&scnn, &net, &cfg, &opts)?;
+    let a = try_simulate_network_parallel(&ant, &net, &cfg, &opts)?;
     worker_table.add(&s.workers);
     worker_table.add(&a.workers);
     cache_table.add(&s);
@@ -166,4 +147,5 @@ fn main() {
         Err(err) => eprintln!("redundancy sidecar write failed: {err}"),
     }
     exp.finish(&table);
+    Ok(())
 }

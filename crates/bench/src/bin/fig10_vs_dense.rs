@@ -6,14 +6,16 @@
 //! dense, so only `A` and `G_A` sparsities vary.
 
 use ant_bench::report::{ratio, Table};
-use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
+use ant_bench::runner::{
+    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, RunOptions,
+};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::EnergyModel;
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::resnet18_cifar;
 use ant_workloads::synth::LayerSparsity;
 
-fn main() {
+fn main() -> Result<(), AntError> {
     let net = resnet18_cifar();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
@@ -24,7 +26,7 @@ fn main() {
         sparsity: LayerSparsity::uniform(0.0),
         ..ExperimentConfig::paper_default()
     };
-    let dense = simulate_network_parallel(&scnn, &net, &dense_cfg);
+    let dense = try_simulate_network_parallel(&scnn, &net, &dense_cfg, &RunOptions::default())?;
 
     println!("Figure 10: ANT vs dense SCNN+ (ResNet18/CIFAR, ReSprop-style)\n");
     let mut table = Table::new(&["G_A/A sparsity", "speedup vs dense", "energy vs dense"]);
@@ -45,7 +47,7 @@ fn main() {
             },
             ..ExperimentConfig::paper_default()
         };
-        let result = simulate_network_parallel(&ant, &net, &cfg);
+        let result = try_simulate_network_parallel(&ant, &net, &cfg, &RunOptions::default())?;
         table.push_row(vec![
             format!("{:.0}%/{:.0}%", g * 100.0, a * 100.0),
             ratio(speedup(&dense, &result)),
@@ -58,4 +60,5 @@ fn main() {
         Ok(path) => println!("\ncsv: {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    Ok(())
 }

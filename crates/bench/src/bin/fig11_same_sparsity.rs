@@ -5,14 +5,16 @@
 //! 2.6x and 4.4x less energy at every sparsity level.
 
 use ant_bench::report::{ratio, Table};
-use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
+use ant_bench::runner::{
+    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, RunOptions,
+};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::EnergyModel;
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::resnet18_cifar;
 use ant_workloads::synth::LayerSparsity;
 
-fn main() {
+fn main() -> Result<(), AntError> {
     let net = resnet18_cifar();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
@@ -36,8 +38,8 @@ fn main() {
             },
             ..ExperimentConfig::paper_default()
         };
-        let s = simulate_network_parallel(&scnn, &net, &cfg);
-        let r = simulate_network_parallel(&ant, &net, &cfg);
+        let s = try_simulate_network_parallel(&scnn, &net, &cfg, &RunOptions::default())?;
+        let r = try_simulate_network_parallel(&ant, &net, &cfg, &RunOptions::default())?;
         table.push_row(vec![
             format!("{:.0}%/{:.0}%", g * 100.0, a * 100.0),
             ratio(speedup(&s, &r)),
@@ -50,4 +52,5 @@ fn main() {
         Ok(path) => println!("\ncsv: {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    Ok(())
 }

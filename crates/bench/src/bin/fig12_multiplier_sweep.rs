@@ -5,14 +5,16 @@
 //! Paper reference: ANT outperforms SCNN+ at every array size.
 
 use ant_bench::report::{ratio, Table};
-use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
+use ant_bench::runner::{
+    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, RunOptions,
+};
 use ant_core::anticipator::AntConfig;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::EnergyModel;
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::resnet18_cifar;
 
-fn main() {
+fn main() -> Result<(), AntError> {
     let net = resnet18_cifar();
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
@@ -28,8 +30,8 @@ fn main() {
             k: 4 * n,
             ..AntConfig::paper_default()
         });
-        let s = simulate_network_parallel(&scnn, &net, &cfg);
-        let a = simulate_network_parallel(&ant, &net, &cfg);
+        let s = try_simulate_network_parallel(&scnn, &net, &cfg, &RunOptions::default())?;
+        let a = try_simulate_network_parallel(&ant, &net, &cfg, &RunOptions::default())?;
         table.push_row(vec![
             format!("{n}x{n}"),
             ratio(speedup(&s, &a)),
@@ -42,4 +44,5 @@ fn main() {
         Ok(path) => println!("\ncsv: {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    Ok(())
 }

@@ -6,19 +6,22 @@
 //! bottleneck.
 
 use ant_bench::report::{ratio, Table};
-use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
+use ant_bench::runner::{
+    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, RunOptions,
+};
 use ant_core::anticipator::AntConfig;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::EnergyModel;
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::resnet18_cifar;
 
-fn main() {
+fn main() -> Result<(), AntError> {
+    let opts = RunOptions::default();
     let net = resnet18_cifar();
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
-    let s = simulate_network_parallel(&scnn, &net, &cfg);
+    let s = try_simulate_network_parallel(&scnn, &net, &cfg, &opts)?;
 
     println!("Figure 13: FNIR window sensitivity (ResNet18, SWAT 90%, 4x4)\n");
     let mut table = Table::new(&["sparsity", "k", "speedup", "energy ratio"]);
@@ -27,7 +30,7 @@ fn main() {
             k,
             ..AntConfig::paper_default()
         });
-        let a = simulate_network_parallel(&ant, &net, &cfg);
+        let a = try_simulate_network_parallel(&ant, &net, &cfg, &opts)?;
         table.push_row(vec![
             "90%".to_string(),
             k.to_string(),
@@ -42,13 +45,13 @@ fn main() {
         sparsity: ant_workloads::synth::LayerSparsity::uniform(0.5),
         ..ExperimentConfig::paper_default()
     };
-    let s50 = simulate_network_parallel(&scnn, &net, &dense_cfg);
+    let s50 = try_simulate_network_parallel(&scnn, &net, &dense_cfg, &opts)?;
     for k in [4usize, 8, 16, 32] {
         let ant = AntAccelerator::new(AntConfig {
             k,
             ..AntConfig::paper_default()
         });
-        let a = simulate_network_parallel(&ant, &net, &dense_cfg);
+        let a = try_simulate_network_parallel(&ant, &net, &dense_cfg, &opts)?;
         table.push_row(vec![
             "50%".to_string(),
             k.to_string(),
@@ -62,4 +65,5 @@ fn main() {
         Ok(path) => println!("\ncsv: {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    Ok(())
 }

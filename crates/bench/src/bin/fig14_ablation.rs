@@ -7,19 +7,21 @@
 //! eliminated sets overlap, so the combined elimination is not their sum.
 
 use ant_bench::report::{percent, ratio, Table};
-use ant_bench::runner::{energy_ratio, simulate_network_parallel, speedup, ExperimentConfig};
+use ant_bench::runner::{
+    energy_ratio, speedup, try_simulate_network_parallel, ExperimentConfig, RunOptions,
+};
 use ant_core::anticipator::AntConfig;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::EnergyModel;
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::resnet18_cifar;
 
-fn main() {
+fn main() -> Result<(), AntError> {
     let net = resnet18_cifar();
     let cfg = ExperimentConfig::paper_default();
     let energy = EnergyModel::paper_7nm();
     let scnn = ScnnPlus::paper_default();
-    let s = simulate_network_parallel(&scnn, &net, &cfg);
+    let s = try_simulate_network_parallel(&scnn, &net, &cfg, &RunOptions::default())?;
 
     println!("Figure 14: condition ablation (ResNet18, SWAT 90%)\n");
     let variants: [(&str, AntConfig); 3] = [
@@ -44,7 +46,7 @@ fn main() {
     let mut both_speedup = None;
     for (label, config) in variants {
         let ant = AntAccelerator::new(config);
-        let a = simulate_network_parallel(&ant, &net, &cfg);
+        let a = try_simulate_network_parallel(&ant, &net, &cfg, &RunOptions::default())?;
         let sp = speedup(&s, &a);
         if label == "r only" {
             r_only_speedup = Some(sp);
@@ -67,4 +69,5 @@ fn main() {
         Ok(path) => println!("\ncsv: {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    Ok(())
 }

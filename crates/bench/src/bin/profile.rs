@@ -25,7 +25,7 @@
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
 use ant_bench::runner::{
-    pair_jobs, simulate_network_parallel, ExperimentConfig, NetworkResult, PairJob,
+    pair_jobs, try_simulate_network_parallel, ExperimentConfig, NetworkResult, PairJob, RunOptions,
 };
 use ant_obs::{timeline, Timeline, Value};
 use ant_sim::accum::AccumulatorBanks;
@@ -35,7 +35,7 @@ use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::intersection::IntersectionAccelerator;
 use ant_sim::scnn::ScnnPlus;
 use ant_sim::schedule::{schedule_lpt, Schedule};
-use ant_sim::{ConvSim, CycleBreakdown, CycleCause};
+use ant_sim::{AntError, ConvSim, CycleBreakdown, CycleCause};
 use ant_workloads::models;
 use ant_workloads::models::NetworkModel;
 
@@ -186,7 +186,8 @@ fn add_machine_tracks(
     }
 }
 
-fn main() {
+fn main() -> Result<(), AntError> {
+    let opts = RunOptions::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let workload_name = args.first().map(String::as_str).unwrap_or("resnet18");
     let Some(net) = workload(workload_name) else {
@@ -212,7 +213,7 @@ fn main() {
     let mut progress = exp.progress(machines.len());
 
     for (pid, (label, machine)) in machines.iter().enumerate() {
-        let result = simulate_network_parallel(machine.as_ref(), &net, &cfg);
+        let result = try_simulate_network_parallel(machine.as_ref(), &net, &cfg, &opts)?;
         let total = result.total.total_cycles();
         // The acceptance invariant, enforced in release builds too: every
         // cycle the machine billed is attributed to exactly one cause.
@@ -299,4 +300,5 @@ fn main() {
     exp.stat("machines", machines.len() as u64)
         .stat("timeline_events", timeline.len() as u64);
     exp.finish(&table);
+    Ok(())
 }

@@ -6,13 +6,14 @@
 //! faster than TensorDash.
 
 use ant_bench::report::{geomean, ratio, Table};
-use ant_bench::runner::{simulate_network_parallel, speedup, ExperimentConfig};
+use ant_bench::runner::{speedup, try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::scnn::ScnnPlus;
 use ant_workloads::models::figure9_networks;
 
-fn main() {
+fn main() -> Result<(), ant_sim::AntError> {
+    let opts = RunOptions::default();
     let cfg = ExperimentConfig::paper_default();
     let dense = DenseInnerProduct::paper_default();
     let tensordash = TensorDash::paper_default();
@@ -30,10 +31,10 @@ fn main() {
     let mut td_vs_dense = Vec::new();
     let mut ant_vs_td = Vec::new();
     for net in figure9_networks() {
-        let d = simulate_network_parallel(&dense, &net, &cfg);
-        let t = simulate_network_parallel(&tensordash, &net, &cfg);
-        let s = simulate_network_parallel(&scnn, &net, &cfg);
-        let a = simulate_network_parallel(&ant, &net, &cfg);
+        let d = try_simulate_network_parallel(&dense, &net, &cfg, &opts)?;
+        let t = try_simulate_network_parallel(&tensordash, &net, &cfg, &opts)?;
+        let s = try_simulate_network_parallel(&scnn, &net, &cfg, &opts)?;
+        let a = try_simulate_network_parallel(&ant, &net, &cfg, &opts)?;
         td_vs_dense.push(speedup(&d, &t));
         ant_vs_td.push(speedup(&t, &a));
         table.push_row(vec![
@@ -54,4 +55,5 @@ fn main() {
         Ok(path) => println!("\ncsv: {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    Ok(())
 }

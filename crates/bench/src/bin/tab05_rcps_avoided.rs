@@ -7,11 +7,11 @@
 use ant_bench::obs::Experiment;
 use ant_bench::redundancy::RedundancyLedger;
 use ant_bench::report::{percent, Table};
-use ant_bench::runner::{simulate_network_parallel, ExperimentConfig};
+use ant_bench::runner::{try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use ant_sim::ant::AntAccelerator;
 use ant_workloads::models::figure9_networks;
 
-fn main() {
+fn main() -> Result<(), ant_sim::AntError> {
     let cfg = ExperimentConfig::paper_default();
     let ant = AntAccelerator::paper_default();
     let mut exp = Experiment::start(
@@ -27,7 +27,7 @@ fn main() {
     let mut ledger = RedundancyLedger::new();
     let mut progress = exp.progress(nets.len());
     for (net, paper_pct) in nets.iter().zip(paper.iter()) {
-        let result = simulate_network_parallel(&ant, net, &cfg);
+        let result = try_simulate_network_parallel(&ant, net, &cfg, &RunOptions::default())?;
         ledger.add_network(&result, net);
         let avoided = result.total.rcps_avoided_fraction();
         sum += avoided;
@@ -57,4 +57,5 @@ fn main() {
         Err(err) => eprintln!("redundancy sidecar write failed: {err}"),
     }
     exp.finish(&table);
+    Ok(())
 }

@@ -42,10 +42,10 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use ant_obs::json::write_json_string;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::EnergyModel;
+use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::{figure9_networks, NetworkModel};
 
-use crate::runner::{simulate_network_parallel, ExperimentConfig};
+use crate::runner::{try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use crate::simcache;
 
 /// Schema tag written into (and required of) every ledger line.
@@ -740,21 +740,41 @@ impl WorkloadSet {
 /// deterministic cycle/energy metrics from the first repeat, min-of-K wall
 /// time with its relative spread as the noise floor, allocator traffic when
 /// the counting allocator is active (it is, in `ant-bench` binaries — this
-/// function enables counting), and an informational throughput rate.
-pub fn record(set: WorkloadSet, repeats: u32) -> HistoryEntry {
+/// function enables counting), and an informational throughput rate. Fails
+/// with the runner's error if a workload network cannot be simulated.
+pub fn record(set: WorkloadSet, repeats: u32) -> Result<HistoryEntry, AntError> {
     let repeats = repeats.max(1);
     ant_obs::alloc::enable();
-    let cfg = set.config();
-    let energy = EnergyModel::paper_7nm();
-    let scnn = ScnnPlus::paper_default();
-    let ant = AntAccelerator::paper_default();
     // Warm sets measure against a freshly-activated in-memory simulation
     // cache (no on-disk store, so the entry never depends on what an
     // earlier process left behind); the override is restored to the
-    // environment default before returning.
+    // environment default before returning, error or not.
     if set.warm_cache() {
         simcache::set_override(simcache::CacheOverride::On(simcache::SimCacheConfig::default()));
     }
+    let metrics = measure(set, repeats);
+    if set.warm_cache() {
+        simcache::set_override(simcache::CacheOverride::Env);
+    }
+    Ok(HistoryEntry {
+        label: set.label().to_string(),
+        git_revision: ant_obs::git_revision(),
+        timestamp_unix_ms: SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0),
+        repeats,
+        metrics: metrics?,
+    })
+}
+
+/// The metrics of one [`record`] pass over the workload set.
+fn measure(set: WorkloadSet, repeats: u32) -> Result<BTreeMap<String, f64>, AntError> {
+    let cfg = set.config();
+    let opts = RunOptions::default();
+    let energy = EnergyModel::paper_7nm();
+    let scnn = ScnnPlus::paper_default();
+    let ant = AntAccelerator::paper_default();
     let mut metrics = BTreeMap::new();
     for net in set.networks() {
         let mut walls: Vec<f64> = Vec::with_capacity(repeats as usize);
@@ -763,14 +783,14 @@ pub fn record(set: WorkloadSet, repeats: u32) -> HistoryEntry {
         let mut first = None;
         if set.warm_cache() {
             // Untimed populate pass: every timed repeat below is warm.
-            let _ = simulate_network_parallel(&scnn, &net, &cfg);
-            let _ = simulate_network_parallel(&ant, &net, &cfg);
+            try_simulate_network_parallel(&scnn, &net, &cfg, &opts)?;
+            try_simulate_network_parallel(&ant, &net, &cfg, &opts)?;
         }
         for _ in 0..repeats {
             let before = ant_obs::alloc::snapshot();
             let started = Instant::now();
-            let s = simulate_network_parallel(&scnn, &net, &cfg);
-            let a = simulate_network_parallel(&ant, &net, &cfg);
+            let s = try_simulate_network_parallel(&scnn, &net, &cfg, &opts)?;
+            let a = try_simulate_network_parallel(&ant, &net, &cfg, &opts)?;
             walls.push(started.elapsed().as_micros() as f64);
             let delta = ant_obs::alloc::snapshot().delta_from(&before);
             alloc_bytes.push(delta.allocated_bytes as f64);
@@ -813,19 +833,7 @@ pub fn record(set: WorkloadSet, repeats: u32) -> HistoryEntry {
             );
         }
     }
-    if set.warm_cache() {
-        simcache::set_override(simcache::CacheOverride::Env);
-    }
-    HistoryEntry {
-        label: set.label().to_string(),
-        git_revision: ant_obs::git_revision(),
-        timestamp_unix_ms: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0),
-        repeats,
-        metrics,
-    }
+    Ok(metrics)
 }
 
 #[cfg(test)]

@@ -6,6 +6,9 @@
 //! are synthesized at the target sparsities with channel sampling
 //! (`max_channels`), and the sampled counters are scaled linearly back to
 //! the full layer (and by the layer's multiplicity).
+//!
+//! [`try_simulate_network_parallel`] is the one entry point experiments
+//! use. [`simulate_network`] is the serial reference it is tested against.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,7 +20,7 @@ use ant_conv::efficiency::TrainingPhase;
 use ant_conv::ConvShape;
 use ant_nn::trace::ConvPair;
 use ant_sim::cache::{CacheKey, MODEL_VERSION};
-use ant_sim::chaos::{self, Fault};
+use ant_sim::chaos::{self, ChaosConfig, Fault};
 use ant_sim::{AntError, ConvSim, SimScratch, SimStats};
 use ant_sparse::CsrMatrix;
 use ant_workloads::models::NetworkModel;
@@ -55,14 +58,14 @@ impl ExperimentConfig {
     }
 }
 
-/// Tuning knobs for the hardened parallel runner. `Default` matches the
-/// legacy entry points: worker count from the available CPUs, pair wall
-/// budget from the `ANT_PAIR_BUDGET_US` environment variable (unset = no
-/// watchdog).
+/// Tuning knobs for [`try_simulate_network_parallel`]. `Default` sizes the
+/// pool to the available CPUs and takes the pair wall budget from the
+/// `ANT_PAIR_BUDGET_US` environment variable (unset = no watchdog).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Worker count. `None` (or `Some(0)`) sizes to the available CPUs;
-    /// a resolved count of 1 runs inline with no thread spawns.
+    /// a resolved count of 1 runs inline with no thread spawns unless the
+    /// watchdog or live progress needs a thread of its own.
     pub threads: Option<usize>,
     /// Wall-clock budget per pair job, in microseconds. When set, a
     /// watchdog thread flags in-flight jobs exceeding it (they are *not*
@@ -260,9 +263,9 @@ pub struct NetworkResult {
     pub failures: FailureReport,
     /// True when quarantined jobs left the stats incomplete.
     pub partial: bool,
-    /// Per-worker scheduler telemetry, populated by the parallel runners
+    /// Per-worker scheduler telemetry, populated by the parallel runner
     /// when [`RunOptions::telemetry`] (or `ANT_TELEMETRY`) is on; empty
-    /// otherwise (and always empty from the serial runner).
+    /// otherwise (and always empty from the serial reference).
     pub workers: Vec<WorkerTelemetry>,
     /// Layers whose finalized stats came from the simulation cache
     /// (`ANT_CACHE`); zero when the cache is off.
@@ -281,7 +284,7 @@ pub struct NetworkResult {
 }
 
 impl NetworkResult {
-    fn empty(network: &'static str, machine: &'static str) -> Self {
+    fn empty(network: &'static str, machine: &'static str, layers: usize) -> Self {
         NetworkResult {
             network,
             machine,
@@ -291,7 +294,7 @@ impl NetworkResult {
                 (TrainingPhase::Backward, SimStats::default()),
                 (TrainingPhase::Update, SimStats::default()),
             ],
-            per_layer: Vec::new(),
+            per_layer: Vec::with_capacity(layers),
             wall_cycles: 0,
             host_wall_us: 0,
             failures: FailureReport::default(),
@@ -309,6 +312,52 @@ impl NetworkResult {
     pub fn throughput(&self) -> ant_sim::Throughput {
         self.total.throughput(self.host_wall_us as f64 / 1e6)
     }
+
+    /// Appends one layer's finalized phases and adds them to the network
+    /// and per-phase totals.
+    fn push_layer(&mut self, index: usize, name: &str, phases: [SimStats; 3]) {
+        let mut stats = SimStats::default();
+        for (pi, phase) in phases.iter().enumerate() {
+            self.total.accumulate(phase);
+            self.per_phase[pi].1.accumulate(phase);
+            stats.accumulate(phase);
+        }
+        self.per_layer.push(LayerStats {
+            index,
+            name: name.to_string(),
+            stats,
+            phases,
+        });
+    }
+
+    /// Closes a run started at `started`: wall-clock cycles over `num_pes`,
+    /// host wall time and its registry metrics (snapshotted into manifests),
+    /// and the span's summary fields (`extra` goes after `layers`).
+    fn finish(
+        &mut self,
+        num_pes: usize,
+        started: Instant,
+        span: &mut ant_obs::Span,
+        extra: impl IntoIterator<Item = (&'static str, ant_obs::Value)>,
+    ) {
+        self.wall_cycles = self.total.total_cycles().div_ceil(num_pes as u64).max(1);
+        self.host_wall_us = started.elapsed().as_micros() as u64;
+        let registry = ant_obs::registry();
+        registry
+            .histogram("runner.network_wall_us")
+            .record(self.host_wall_us as f64);
+        for (name, value) in self.throughput().fields() {
+            registry.gauge(&format!("runner.{name}")).set(value);
+        }
+        if span.is_recording() {
+            span.record("layers", self.per_layer.len());
+            span.record_all(extra);
+            span.record("wall_cycles", self.wall_cycles);
+            span.record_all(stats_fields(&self.total));
+            span.record("host_wall_us", self.host_wall_us);
+            span.record_all(throughput_fields(&self.total, self.host_wall_us));
+        }
+    }
 }
 
 /// One layer's accumulated (scaled) counters across all three phases.
@@ -322,15 +371,18 @@ pub struct LayerStats {
     pub stats: SimStats,
     /// Finalized (scaled) counters of each training phase, in
     /// `[Forward, Backward, Update]` order. `stats` is exactly their sum;
-    /// both runners produce them through the shared [`finalize_phase`]
-    /// accounting, so serial and parallel runs stay bit-identical. The
-    /// redundancy observatory attributes per-(layer, phase) rows from
-    /// these.
+    /// the parallel runner and the serial reference both produce them
+    /// through the shared [`finalize_phase`] accounting, so they stay
+    /// bit-identical. The redundancy observatory attributes per-(layer,
+    /// phase) rows from these.
     pub phases: [SimStats; 3],
 }
 
 /// Simulates a full network (all layers, all three training phases) on one
-/// PE model.
+/// PE model, pair by pair on the calling thread: the reference the tests
+/// hold [`try_simulate_network_parallel`] to. It has no scheduler, layer
+/// cache, analytic tier, fault isolation or chaos injection, so a
+/// disagreement at any worker count points at the parallel runner.
 ///
 /// # Panics
 ///
@@ -344,25 +396,11 @@ pub fn simulate_network<S: ConvSim + ?Sized>(
     let started = Instant::now();
     let mut span = ant_obs::span("network");
     span.record("network", net.name).record("machine", pe.name());
-    let mut result = NetworkResult::empty(net.name, pe.name());
-    result.per_layer.reserve(net.layers.len());
+    let mut result = NetworkResult::empty(net.name, pe.name(), net.layers.len());
     for (li, layer) in net.layers.iter().enumerate() {
         accumulate_layer(pe, layer, li, cfg, &mut result);
     }
-    result.wall_cycles = result
-        .total
-        .total_cycles()
-        .div_ceil(cfg.num_pes as u64)
-        .max(1);
-    result.host_wall_us = started.elapsed().as_micros() as u64;
-    record_network_host_metrics(&result);
-    if span.is_recording() {
-        span.record("layers", net.layers.len());
-        span.record("wall_cycles", result.wall_cycles);
-        span.record_all(stats_fields(&result.total));
-        span.record("host_wall_us", result.host_wall_us);
-        span.record_all(throughput_fields(&result.total, result.host_wall_us));
-    }
+    result.finish(cfg.num_pes, started, &mut span, []);
     result
 }
 
@@ -388,42 +426,21 @@ fn throughput_fields(
         .map(|(name, value)| (name, ant_obs::Value::F64(value)))
 }
 
-/// Feeds one finished network run into the process-wide metrics registry:
-/// a wall-time histogram plus last-seen throughput gauges. Snapshotted into
-/// manifests by the experiment harness.
-fn record_network_host_metrics(result: &NetworkResult) {
-    let registry = ant_obs::registry();
-    registry
-        .histogram("runner.network_wall_us")
-        .record(result.host_wall_us as f64);
-    for (name, value) in result.throughput().fields() {
-        registry.gauge(&format!("runner.{name}")).set(value);
-    }
-}
-
-/// Parallel variant of [`simulate_network`]: pair-granularity jobs run on a
-/// work-stealing worker pool sized to the available CPUs (see
-/// [`try_simulate_network_parallel`]; results are bit-identical to the
-/// serial runner for any worker count).
+/// Simulates a full network on a work-stealing worker pool; the runner
+/// every experiment uses. Results are bit-identical to the reference
+/// [`simulate_network`] for any worker count.
 ///
-/// # Panics
+/// The configuration is validated up front, and every pair job runs behind
+/// `catch_unwind`: a failed job is retried once, then quarantined into
+/// [`NetworkResult::failures`] with the stats marked
+/// [`NetworkResult::partial`] and a warning on stderr. The worker count
+/// comes from [`RunOptions::threads`]; zero sizes the pool to the available
+/// CPUs, like `None`.
 ///
-/// Panics on an invalid configuration (zero PEs, malformed sparsity or
-/// layer spec); use [`try_simulate_network_parallel`] for typed errors.
-pub fn simulate_network_parallel<S: ConvSim + Sync + ?Sized>(
-    pe: &S,
-    net: &NetworkModel,
-    cfg: &ExperimentConfig,
-) -> NetworkResult {
-    try_simulate_network_parallel(pe, net, cfg, &RunOptions::default())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The hardened parallel entry point: validates the configuration up front,
-/// isolates every pair job behind `catch_unwind` (failed jobs are retried
-/// once, then quarantined into [`NetworkResult::failures`] with the stats
-/// marked [`NetworkResult::partial`]), and degrades zero-worker configs to
-/// an inline serial run instead of deadlocking.
+/// A run has four stages, each bit-identical to the reference: `synthesize`
+/// resolves every layer from the cache or synthesizes it, `deal` hands the
+/// remaining pair jobs to per-worker deques, `execute` runs them on the
+/// work-stealing pool, and `merge` finalizes the layers in order.
 ///
 /// # Errors
 ///
@@ -439,7 +456,59 @@ pub fn try_simulate_network_parallel<S: ConvSim + Sync + ?Sized>(
     cfg: &ExperimentConfig,
     opts: &RunOptions,
 ) -> Result<NetworkResult, AntError> {
-    run_network_parallel(pe, net, cfg, opts)
+    validate_experiment(net, cfg)?;
+    let run = RunFlags::resolve(pe, opts);
+    let mut span = ant_obs::span("network");
+    let slots = synthesize(net, cfg, run.threads, run.cache_identity.as_deref())?;
+    let pool = deal(pe, net, &run, slots);
+    span.record("network", net.name)
+        .record("machine", pe.name())
+        .record("threads", pool.deques.len())
+        .record("parallel", true)
+        .record("scheduler", "work-steal")
+        .record("jobs", pool.dealt.iter().sum::<u64>());
+    let outputs = execute(&pool)?;
+    let mut result = merge(&pool, &outputs);
+    let report = &result.failures;
+    let registry = ant_obs::registry();
+    registry.counter("runner.pair_failures").add(report.failures.len() as u64);
+    registry.counter("runner.pair_retries").add(report.retries);
+    if report.deadline_skipped > 0 {
+        registry.counter("runner.deadline_skipped").add(report.deadline_skipped);
+    }
+    if run.cache_identity.is_some() {
+        span.record("cache_hits", result.cache_hits)
+            .record("analytic_pairs", result.analytic_pairs);
+        // Registry counters only materialize on cache-enabled runs, so
+        // manifests of cache-off runs keep their existing key set.
+        registry.counter("runner.cache.hits").add(result.cache_hits);
+        registry.counter("runner.cache.misses").add(result.cache_misses);
+        registry
+            .counter("runner.cache.analytic_hits")
+            .add(result.analytic_pairs);
+    }
+    let jobs_stolen: u64 = outputs.iter().map(|o| o.telemetry.stolen).sum();
+    let span_extra = [
+        ("jobs_stolen", jobs_stolen.into()),
+        ("jobs_failed", result.failures.failures.len().into()),
+        ("job_retries", result.failures.retries.into()),
+        ("partial", result.partial.into()),
+    ];
+    result.finish(cfg.num_pes, run.started, &mut span, span_extra);
+    if run.telemetry {
+        result.workers = outputs.into_iter().map(|o| o.telemetry).collect();
+        record_worker_metrics(&result.workers);
+    }
+    if !result.failures.is_clean() {
+        eprintln!(
+            "ant-bench: warning: {}/{} completed with {} quarantined pair failure(s); \
+             stats are partial",
+            net.name,
+            pe.name(),
+            result.failures.failures.len()
+        );
+    }
+    Ok(result)
 }
 
 /// Rejects configurations the runners cannot execute, with structured
@@ -517,14 +586,83 @@ fn telemetry_from_env() -> bool {
     })
 }
 
-/// Shared counters behind live progress reporting. Workers only touch these
-/// when progress is enabled for the run; the reporter thread reads them
-/// relaxed — approximate mid-run snapshots are fine, the final publish
-/// happens after every worker has joined.
+/// One run's [`RunOptions`], resolved against the environment once. The
+/// workers capture plain values, so a disabled switch adds no atomic
+/// operation per pair job.
+struct RunFlags {
+    started: Instant,
+    threads: usize,
+    budget_us: Option<u64>,
+    deadline_us: Option<u64>,
+    telemetry: bool,
+    /// The stderr progress line was asked for.
+    progress_requested: bool,
+    /// Status snapshots publish: asked for, or the metrics exporter is up.
+    progress: bool,
+    /// Per-job Perfetto slices: only worth their memory when both the
+    /// telemetry flag and the profiler sidecar are on.
+    profile_slices: bool,
+    chaos: Option<ChaosConfig>,
+    /// The machine's identity when the layer cache and the analytic tier
+    /// are on for this run.
+    cache_identity: Option<String>,
+}
+
+impl RunFlags {
+    fn resolve<S: ConvSim + ?Sized>(pe: &S, opts: &RunOptions) -> Self {
+        let started = Instant::now();
+        let threads = opts
+            .threads
+            .filter(|&t| t > 0)
+            .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
+            .unwrap_or(1);
+        let telemetry = opts.telemetry.unwrap_or_else(telemetry_from_env);
+        // Status snapshots publish when explicitly requested (ANT_PROGRESS
+        // or `RunOptions::progress`) *or* when the embedded metrics exporter
+        // is up — `/status` should be live on any scrapeable run. The stderr
+        // progress line stays tied to the explicit request so the exporter
+        // alone never changes console output.
+        let progress_requested = opts.progress.unwrap_or_else(ant_obs::progress::status_enabled);
+        let chaos = chaos::active();
+        // The two-tier redundancy eliminator (docs/PERFORMANCE.md): both
+        // tiers are strictly opt-in (`ANT_CACHE` / `ANT_CACHE_DIR` or a test
+        // override) and stand down whenever chaos injection could taint
+        // results or detail tracing needs to observe every pair. A machine
+        // that returns no identity string is uncacheable and also keeps the
+        // analytic tier off, so one flag governs both. IO- and service-only
+        // chaos specs (torn writes, ENOSPC, job death) strike around the
+        // simulation and cannot taint counters, so only a result-perturbing
+        // spec stands the cache down.
+        let chaos_taints = chaos.is_some_and(|c| c.perturbs_results());
+        let cache_identity = (simcache::enabled() && !chaos_taints && !ant_obs::detail_enabled())
+            .then(|| pe.cache_identity())
+            .flatten();
+        RunFlags {
+            started,
+            threads,
+            budget_us: opts.pair_budget_us.or_else(budget_from_env),
+            deadline_us: opts.deadline_us,
+            telemetry,
+            progress_requested,
+            progress: progress_requested || ant_obs::export::active(),
+            profile_slices: telemetry && ant_obs::timeline::enabled(),
+            chaos,
+            cache_identity,
+        }
+    }
+}
+
+/// Live progress of one run: the status every snapshot starts from, plus
+/// shared counters. Workers only touch these when progress is enabled for
+/// the run; the reporter thread reads them relaxed — approximate mid-run
+/// snapshots are fine, the final publish happens after every worker has
+/// joined.
 #[derive(Default)]
 struct ProgressShared {
+    base: ant_obs::RunStatus,
+    /// Outstanding jobs per layer; a layer is done at zero.
+    remaining: Vec<AtomicU64>,
     pairs_done: AtomicU64,
-    layers_done: AtomicU64,
     retries: AtomicU64,
     failures: AtomicU64,
     slow: AtomicU64,
@@ -532,25 +670,23 @@ struct ProgressShared {
 
 /// The reporter thread: periodically snapshots [`ProgressShared`] into a
 /// [`ant_obs::RunStatus`] and lets the rate-limited reporter publish it.
-/// The final `"done"` status is published by the main thread after merge,
-/// not here, so the file always ends on post-join exact counts.
+/// The final `"done"` status is published by the calling thread once the
+/// workers joined, not here, so the file always ends on exact counts.
 fn progress_loop(
     stop: &AtomicBool,
     shared: &ProgressShared,
     reporter: &mut ant_obs::StatusReporter,
-    base: &ant_obs::RunStatus,
     run_start: &Instant,
 ) {
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(50));
-        reporter.maybe_publish(&snapshot_status(shared, base, run_start, "running"));
+        reporter.maybe_publish(&snapshot_status(shared, run_start, "running"));
     }
 }
 
 /// Builds one status snapshot from the shared counters.
 fn snapshot_status(
     shared: &ProgressShared,
-    base: &ant_obs::RunStatus,
     run_start: &Instant,
     state: &'static str,
 ) -> ant_obs::RunStatus {
@@ -561,7 +697,7 @@ fn snapshot_status(
     } else {
         0.0
     };
-    let remaining = base.pairs_total.saturating_sub(pairs_done);
+    let remaining = shared.base.pairs_total.saturating_sub(pairs_done);
     let eta_s = if state == "done" || remaining == 0 {
         0.0
     } else if pairs_per_sec > 0.0 {
@@ -571,7 +707,11 @@ fn snapshot_status(
     };
     ant_obs::RunStatus {
         state,
-        layers_done: shared.layers_done.load(Ordering::Relaxed),
+        layers_done: shared
+            .remaining
+            .iter()
+            .filter(|r| r.load(Ordering::Relaxed) == 0)
+            .count() as u64,
         pairs_done,
         elapsed_s,
         pairs_per_sec,
@@ -579,7 +719,7 @@ fn snapshot_status(
         quarantined: shared.failures.load(Ordering::Relaxed),
         retries: shared.retries.load(Ordering::Relaxed),
         watchdog_slow: shared.slow.load(Ordering::Relaxed),
-        ..base.clone()
+        ..shared.base.clone()
     }
 }
 
@@ -655,25 +795,112 @@ fn run_pair_job<S: ConvSim + Sync + ?Sized>(
     }
 }
 
-/// One worker's harvest: per-(layer, phase) partial sums plus everything
-/// the failure report needs.
-struct WorkerOutput {
-    partial: Vec<SimStats>,
-    executed: u64,
-    stolen: u64,
-    failures: Vec<PairFailure>,
-    slow: Vec<SlowJob>,
-    retried: Vec<PairRetry>,
-    retries: u64,
-    /// Jobs this worker drained unexecuted after the run deadline passed.
-    skipped: u64,
-    /// Scheduler telemetry; stays zeroed (and slice-free) when telemetry
-    /// is off for the run.
-    telemetry: WorkerTelemetry,
+/// Runs `body(worker)` on `workers` workers and returns their outputs in
+/// worker order. Each helper runs on a thread of its own beside the
+/// workers and sees its stop flag set once every worker has returned. One
+/// worker with no helpers runs inline on the calling thread: the thread
+/// round-trip dominates sub-millisecond workloads. A worker panic comes
+/// back as [`AntError::Panic`].
+fn run_pool<T: Send>(
+    workers: usize,
+    helpers: &[&(dyn Fn(&AtomicBool) + Sync)],
+    body: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, AntError> {
+    if workers == 1 && helpers.is_empty() {
+        return Ok(vec![body(0)]);
+    }
+    let stop = &AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for helper in helpers {
+            scope.spawn(move || helper(stop));
+        }
+        let body = &body;
+        let handles: Vec<_> = (0..workers)
+            .map(|me| scope.spawn(move || body(me)))
+            .collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        stop.store(true, Ordering::Release);
+        joined
+            .into_iter()
+            .map(|j| j.map_err(|payload| AntError::from_panic("pool worker", payload.as_ref())))
+            .collect()
+    })
+}
+
+/// One layer of a parallel run, from synthesis to merge.
+enum LayerSlot {
+    /// Finalized phases served by the layer cache.
+    Cached(Box<[SimStats; 3]>),
+    /// A synthesized layer still to simulate, with the memo and content
+    /// keys to record its result under when the cache is on.
+    Work(LayerWork, Option<(CacheKey, CacheKey)>),
+}
+
+/// Stage 1: resolves every layer to a [`LayerSlot`], served by the cache or
+/// synthesized on up to `threads` workers. Each layer's RNG seed derives
+/// from its index alone, so synthesis order is free.
+fn synthesize(
+    net: &NetworkModel,
+    cfg: &ExperimentConfig,
+    threads: usize,
+    cache_identity: Option<&str>,
+) -> Result<Vec<LayerSlot>, AntError> {
+    // Tier 1, pre-synthesis: resolve each layer's memo key against the
+    // cache. A hit skips synthesis, hashing, and simulation — the warm
+    // sweep's (and a resumed sweep's) fast path.
+    let (synth_keys, memo): (Vec<Option<CacheKey>>, Vec<Option<[SimStats; 3]>>) = net
+        .layers
+        .iter()
+        .enumerate()
+        .map(|(li, layer)| {
+            let key = cache_identity.map(|id| synth_cache_key(id, layer, li, cfg));
+            (key, key.as_ref().and_then(simcache::lookup_memo))
+        })
+        .unzip();
+    let pending = memo.iter().filter(|hit| hit.is_none()).count();
+    // Workers claim layer indices from a shared atomic and tag each result
+    // with its index; sorting restores layer order.
+    let next = AtomicUsize::new(0);
+    let claimed = run_pool(threads.clamp(1, pending.max(1)), &[], |_| {
+        let mut done = Vec::new();
+        loop {
+            let li = next.fetch_add(1, Ordering::Relaxed);
+            let Some(layer) = net.layers.get(li) else { break };
+            let slot = match memo[li] {
+                Some(phases) => Ok(LayerSlot::Cached(Box::new(phases))),
+                None => try_synthesize_layer_work(layer, li, cfg).map(|w| LayerSlot::Work(w, None)),
+            };
+            done.push((li, slot));
+        }
+        done
+    })?;
+    let mut claimed: Vec<_> = claimed.into_iter().flatten().collect();
+    claimed.sort_unstable_by_key(|(li, _)| *li);
+    let mut slots = claimed.into_iter().map(|(_, slot)| slot).collect::<Result<Vec<_>, _>>()?;
+
+    // Tier 1, post-synthesis: content-address the freshly synthesized
+    // layers. A hit here (e.g. a cache populated by a different config that
+    // synthesized identical planes) still skips every pair job; the
+    // association is recorded so the *next* run resolves pre-synthesis.
+    let Some(id) = cache_identity else {
+        return Ok(slots);
+    };
+    for (slot, synth_key) in slots.iter_mut().zip(synth_keys) {
+        let (LayerSlot::Work(work, keys), Some(skey)) = (&mut *slot, synth_key) else { continue };
+        let ckey = content_cache_key(id, work);
+        match simcache::lookup(&ckey) {
+            Some(phases) => {
+                simcache::record(skey, ckey, &phases);
+                *slot = LayerSlot::Cached(Box::new(phases));
+            }
+            None => *keys = Some((skey, ckey)),
+        }
+    }
+    Ok(slots)
 }
 
 /// One pair-granularity unit for the work-stealing scheduler: indices into
-/// the synthesized [`LayerWork`] table.
+/// the synthesized [`LayerWork`] of a slot.
 #[derive(Debug, Clone, Copy)]
 struct PairTask {
     layer: usize,
@@ -681,185 +908,49 @@ struct PairTask {
     pair: usize,
 }
 
-/// Work-stealing parallel runner with an explicit worker count. `threads`
-/// of 0 degrades to a single inline worker instead of deadlocking.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration (zero PEs, malformed sparsity or
-/// layer spec); use [`try_simulate_network_parallel`] for typed errors.
-pub fn simulate_network_parallel_with_threads<S: ConvSim + Sync + ?Sized>(
-    pe: &S,
-    net: &NetworkModel,
-    cfg: &ExperimentConfig,
-    threads: usize,
-) -> NetworkResult {
-    let opts = RunOptions {
-        threads: Some(threads),
-        ..RunOptions::default()
-    };
-    try_simulate_network_parallel(pe, net, cfg, &opts).unwrap_or_else(|e| panic!("{e}"))
+/// One run's layers and dealt jobs, plus the state its workers share.
+struct Pool<'a, S: ?Sized> {
+    pe: &'a S,
+    net: &'a NetworkModel,
+    run: &'a RunFlags,
+    slots: Vec<LayerSlot>,
+    /// One deque per worker, each holding a contiguous chunk of the jobs.
+    deques: Vec<Mutex<VecDeque<PairTask>>>,
+    /// Jobs dealt to each deque. Nothing is pushed after the deal, so this
+    /// is also the deque's high-water mark.
+    dealt: Vec<u64>,
+    /// Per-(layer, phase) sums of the pairs the analytic tier answered;
+    /// empty when the tier is off.
+    analytic: Vec<SimStats>,
+    analytic_pairs: u64,
+    watch: Vec<WatchSlot>,
+    progress: Option<ProgressShared>,
 }
 
-/// The work-stealing runner behind every parallel entry point.
-///
-/// Three stages, each bit-identical to [`simulate_network`]:
-///
-/// 1. **Synthesis** — layers are synthesized concurrently (each layer's RNG
-///    seed derives from its index alone, so synthesis order is free).
-///    Layers the cache resolves are skipped entirely.
-/// 2. **Simulation** — every (layer, phase, pair) becomes one job. Jobs are
-///    dealt to per-worker deques in contiguous chunks (a worker runs one
-///    layer's like-shaped pairs back to back, keeping its [`SimScratch`]
-///    warm); an idle worker steals from the *back* of a victim's deque —
-///    the work its owner is furthest from reaching. Each job runs behind
-///    `catch_unwind`: a failed job is retried once on a fresh scratch
-///    arena, then quarantined. Each worker folds raw pair counters into
-///    per-(layer, phase) partials; the counters are `u64` sums, so
-///    accumulation order cannot change the result.
-/// 3. **Merge** — partials are summed across workers, then clamped, scaled,
-///    and accumulated in exact serial layer order via the same
-///    [`finalize_phase`] the serial runner uses. Failures are sorted into
-///    deterministic `(layer, phase, pair)` order and reported.
-fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
-    pe: &S,
-    net: &NetworkModel,
-    cfg: &ExperimentConfig,
-    opts: &RunOptions,
-) -> Result<NetworkResult, AntError> {
-    validate_experiment(net, cfg)?;
-    let started = Instant::now();
-    let mut span = ant_obs::span("network");
-    let threads = opts
-        .threads
-        .filter(|&t| t > 0)
-        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
-        .unwrap_or(1);
-    let budget_us = opts.pair_budget_us.or_else(budget_from_env);
-    // Both observability switches resolve to plain bools here, once per
-    // run: the worker loop captures them by value, so the disabled path
-    // adds no atomic operations per pair job.
-    let telemetry = opts.telemetry.unwrap_or_else(telemetry_from_env);
-    // Status snapshots publish when explicitly requested (ANT_PROGRESS or
-    // `RunOptions::progress`) *or* when the embedded metrics exporter is up
-    // — `/status` should be live on any scrapeable run. The stderr progress
-    // line stays tied to the explicit request so the exporter alone never
-    // changes console output.
-    let progress_requested = opts.progress.unwrap_or_else(ant_obs::progress::status_enabled);
-    let progress = progress_requested || ant_obs::export::active();
-    let chaos_cfg = chaos::active();
-
-    // The two-tier redundancy eliminator (docs/PERFORMANCE.md): both tiers
-    // are strictly opt-in (`ANT_CACHE` / `ANT_CACHE_DIR` or a test
-    // override) and stand down whenever chaos injection could taint results
-    // or detail tracing needs to observe every pair. A machine that returns
-    // no identity string is uncacheable and also keeps the analytic tier
-    // off, so one flag governs both.
-    // IO- and service-only chaos specs (torn writes, ENOSPC, job death)
-    // strike around the simulation and cannot taint counters, so only a
-    // result-perturbing spec stands the cache down.
-    let chaos_taints = chaos_cfg.is_some_and(|c| c.perturbs_results());
-    let cache_identity: Option<String> =
-        if simcache::enabled() && !chaos_taints && !ant_obs::detail_enabled() {
-            pe.cache_identity()
-        } else {
-            None
-        };
-
-    // Tier 1, pre-synthesis: resolve each pending layer's memo key against
-    // the cache. A hit skips synthesis, hashing, and simulation — the warm
-    // sweep's (and a resumed sweep's) fast path.
-    let synth_keys: Vec<Option<CacheKey>> = net
-        .layers
-        .iter()
-        .enumerate()
-        .map(|(li, layer)| {
-            cache_identity
-                .as_deref()
-                .map(|id| synth_cache_key(id, layer, li, cfg))
-        })
-        .collect();
-    let mut cached: Vec<Option<[SimStats; 3]>> = vec![None; net.layers.len()];
-    for (li, skey) in synth_keys.iter().enumerate() {
-        if let Some(skey) = skey {
-            cached[li] = simcache::lookup_memo(skey);
-        }
-    }
-
-    // Stage 1: synthesize the pending layers, claiming indices from a
-    // shared atomic.
-    let pending: Vec<usize> = (0..net.layers.len())
-        .filter(|&li| cached[li].is_none())
-        .collect();
-    let slots: Vec<OnceLock<Result<LayerWork, AntError>>> =
-        (0..net.layers.len()).map(|_| OnceLock::new()).collect();
-    let next_pending = AtomicUsize::new(0);
-    let synth_workers = threads.clamp(1, pending.len().max(1));
-    let synth_loop = || loop {
-        let i = next_pending.fetch_add(1, Ordering::Relaxed);
-        let Some(&li) = pending.get(i) else { break };
-        let work = try_synthesize_layer_work(&net.layers[li], li, cfg);
-        let stored = slots[li].set(work);
-        debug_assert!(stored.is_ok(), "layer {li} synthesized twice");
-    };
-    if synth_workers == 1 {
-        // Single worker: run inline, skipping the thread-spawn overhead
-        // (which dominates sub-millisecond workloads).
-        synth_loop();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..synth_workers {
-                scope.spawn(synth_loop);
-            }
-        });
-    }
-    let mut layer_work: Vec<Option<LayerWork>> = Vec::with_capacity(net.layers.len());
-    for slot in slots {
-        match slot.into_inner() {
-            None => layer_work.push(None), // resolved by the cache
-            Some(Ok(work)) => layer_work.push(Some(work)),
-            Some(Err(e)) => return Err(e),
-        }
-    }
-
-    // Tier 1, post-synthesis: content-address the freshly synthesized
-    // layers. A hit here (e.g. a cache populated by a different config that
-    // synthesized identical planes) still skips every pair job; the
-    // association is recorded so the *next* run resolves pre-synthesis.
-    let mut content_keys: Vec<Option<CacheKey>> = vec![None; net.layers.len()];
-    if let Some(id) = cache_identity.as_deref() {
-        for (li, work) in layer_work.iter().enumerate() {
-            let Some(work) = work else { continue };
-            let ckey = content_cache_key(id, work);
-            if let Some(phases) = simcache::lookup(&ckey) {
-                if let Some(skey) = synth_keys[li] {
-                    simcache::record(skey, ckey, &phases);
-                }
-                cached[li] = Some(phases);
-            }
-            content_keys[li] = Some(ckey);
-        }
-    }
-    let cache_hits = cached.iter().filter(|c| c.is_some()).count() as u64;
-
-    // Pair-granularity job list, in serial simulation order. Tier 2: pairs
-    // whose machine provides a closed form (byte-identical by the golden
-    // proptests) are answered inline instead of dispatched.
-    let analytic_active = cache_identity.is_some();
-    let mut analytic_partial: Vec<SimStats> = Vec::new();
+/// Stage 2: turns every pair of the synthesized layers into one job, in
+/// serial simulation order, and deals the jobs to at most `run.threads`
+/// deques in contiguous chunks: a worker runs one layer's like-shaped pairs
+/// back to back, keeping its [`SimScratch`] warm. With the analytic tier
+/// on, pairs whose machine provides a closed form (byte-identical by the
+/// golden proptests) are answered here instead. Also sets up the watchdog
+/// slots and the live-progress state the workers share.
+fn deal<'a, S: ConvSim + ?Sized>(
+    pe: &'a S,
+    net: &'a NetworkModel,
+    run: &'a RunFlags,
+    slots: Vec<LayerSlot>,
+) -> Pool<'a, S> {
+    let analytic = run.cache_identity.is_some();
+    let analytic_len = if analytic { slots.len() * 3 } else { 0 };
+    let mut analytic_partial = vec![SimStats::default(); analytic_len];
     let mut analytic_pairs = 0u64;
-    if analytic_active {
-        analytic_partial.resize(net.layers.len() * 3, SimStats::default());
-    }
+    let mut per_layer = vec![0u64; slots.len()];
     let mut jobs: Vec<PairTask> = Vec::new();
-    for (li, work) in layer_work.iter().enumerate() {
-        let Some(work) = work else { continue };
-        if cached[li].is_some() {
-            continue;
-        }
+    for (li, slot) in slots.iter().enumerate() {
+        let LayerSlot::Work(work, _) = slot else { continue };
         for (pi, (_, pairs, _)) in work.phases.iter().enumerate() {
             for (pair_index, pair) in pairs.iter().enumerate() {
-                if analytic_active {
+                if analytic {
                     if let Some(stats) =
                         pe.analytic_conv_pair(&pair.kernel, &pair.image, &pair.shape)
                     {
@@ -868,6 +959,7 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
                         continue;
                     }
                 }
+                per_layer[li] += 1;
                 jobs.push(PairTask {
                     layer: li,
                     phase: pi,
@@ -876,323 +968,297 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
             }
         }
     }
-    let workers = threads.clamp(1, jobs.len().max(1));
-    span.record("network", net.name)
-        .record("machine", pe.name())
-        .record("threads", workers)
-        .record("parallel", true)
-        .record("scheduler", "work-steal")
-        .record("jobs", jobs.len());
-    if analytic_active {
-        span.record("cache_hits", cache_hits)
-            .record("analytic_pairs", analytic_pairs);
-    }
-
-    // Live-progress state: per-layer outstanding-job counters (a layer is
-    // "done" when its last pair lands) plus the run-wide shared counters
-    // the reporter thread snapshots.
-    let progress_shared = progress.then(ProgressShared::default);
-    let layer_remaining: Vec<AtomicU64> = (0..net.layers.len())
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    // Per-layer count of jobs skipped after the run deadline passed; a
-    // layer with any skipped job is incomplete and must not be recorded to
-    // the cache. Only touched on the (cold) cancellation path.
-    let deadline_us = opts.deadline_us;
-    let layer_skipped: Vec<AtomicU64> = (0..net.layers.len())
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    for task in &jobs {
-        layer_remaining[task.layer].fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(shared) = &progress_shared {
-        // Layers with no outstanding jobs — cache-resolved or fully
-        // answered by the analytic tier — count as done up front.
-        let upfront_done = layer_remaining
-            .iter()
-            .filter(|r| r.load(Ordering::Relaxed) == 0)
-            .count();
-        shared.layers_done.store(upfront_done as u64, Ordering::Relaxed);
-    }
-    let status_base = ant_obs::RunStatus {
-        name: net.name.to_string(),
-        network: net.name.to_string(),
-        machine: pe.name().to_string(),
-        state: "running",
-        threads: workers as u64,
-        layers_total: net.layers.len() as u64,
-        pairs_total: jobs.len() as u64,
-        // Build identity: resolved once per process, and only when a
-        // status will actually be published.
-        git_revision: if progress {
-            ant_obs::manifest::git_revision_cached()
-        } else {
-            None
-        },
-        ..ant_obs::RunStatus::default()
-    };
-    // Per-job Perfetto slices are only worth their memory when both the
-    // telemetry flag and the profiler sidecar are on.
-    let profile_slices = telemetry && ant_obs::timeline::enabled();
-
-    // Stage 2: deal contiguous chunks, then run the stealing loop.
+    let workers = run.threads.clamp(1, jobs.len().max(1));
     let chunk = jobs.len().div_ceil(workers).max(1);
-    let deques: Vec<Mutex<VecDeque<PairTask>>> = (0..workers)
-        .map(|w| {
-            let lo = (w * chunk).min(jobs.len());
-            let hi = ((w + 1) * chunk).min(jobs.len());
-            Mutex::new(jobs[lo..hi].iter().copied().collect())
-        })
-        .collect();
-    // Jobs are only ever dealt once (nothing is pushed later), so the
-    // initial deal is each deque's high-water mark.
-    let dealt: Vec<u64> = (0..workers)
-        .map(|w| {
-            let lo = (w * chunk).min(jobs.len());
-            let hi = ((w + 1) * chunk).min(jobs.len());
-            (hi - lo) as u64
-        })
-        .collect();
-    let watch: Vec<WatchSlot> = (0..workers).map(|_| WatchSlot::default()).collect();
-    let stop_helpers = AtomicBool::new(false);
-    let worker_body = |me: usize| -> WorkerOutput {
+    let chunk_of = |w: usize| &jobs[(w * chunk).min(jobs.len())..((w + 1) * chunk).min(jobs.len())];
+    let progress = run.progress.then(|| ProgressShared {
+        base: ant_obs::RunStatus {
+            name: net.name.to_string(),
+            network: net.name.to_string(),
+            machine: pe.name().to_string(),
+            state: "running",
+            threads: workers as u64,
+            layers_total: net.layers.len() as u64,
+            pairs_total: jobs.len() as u64,
+            // Build identity: resolved once per process, and only when a
+            // status will actually be published.
+            git_revision: ant_obs::manifest::git_revision_cached(),
+            ..ant_obs::RunStatus::default()
+        },
+        // Layers with no jobs — cache-resolved or fully answered by the
+        // analytic tier — count as done up front.
+        remaining: per_layer.into_iter().map(AtomicU64::new).collect(),
+        ..ProgressShared::default()
+    });
+    Pool {
+        pe,
+        net,
+        run,
+        deques: (0..workers)
+            .map(|w| Mutex::new(chunk_of(w).iter().copied().collect()))
+            .collect(),
+        dealt: (0..workers).map(|w| chunk_of(w).len() as u64).collect(),
+        analytic: analytic_partial,
+        analytic_pairs,
+        watch: (0..workers).map(|_| WatchSlot::default()).collect(),
+        progress,
+        slots,
+    }
+}
+
+/// One worker's harvest: per-(layer, phase) partial sums plus everything
+/// the failure report needs.
+#[derive(Default)]
+struct WorkerOutput {
+    partial: Vec<SimStats>,
+    failures: Vec<PairFailure>,
+    slow: Vec<SlowJob>,
+    retried: Vec<PairRetry>,
+    /// Layers of the jobs drained unexecuted after the run deadline passed.
+    skipped: Vec<usize>,
+    /// Scheduler telemetry. Job and steal counts are always kept; timing
+    /// and slices only when telemetry is on for the run.
+    telemetry: WorkerTelemetry,
+}
+
+/// Stage 3: runs the dealt jobs on the work-stealing pool, beside the
+/// watchdog and the live-progress reporter when they are on. An idle worker
+/// steals from the *back* of a victim's deque, the work its owner is
+/// furthest from reaching. Each worker folds raw pair counters into
+/// per-(layer, phase) partials; the counters are `u64` sums, so
+/// accumulation order cannot change the result.
+fn execute<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>) -> Result<Vec<WorkerOutput>, AntError> {
+    let run = pool.run;
+    let reporter = || {
+        let mut reporter = ant_obs::StatusReporter::new(ant_obs::progress::status_file());
+        reporter.set_console(run.progress_requested);
+        reporter
+    };
+    let watchdog = run.budget_us.map(|budget| {
+        move |stop: &AtomicBool| watchdog_loop(stop, &pool.watch, &run.started, budget)
+    });
+    let reporter_loop = |stop: &AtomicBool| {
+        if let Some(shared) = &pool.progress {
+            progress_loop(stop, shared, &mut reporter(), &run.started);
+        }
+    };
+    let mut helpers: Vec<&(dyn Fn(&AtomicBool) + Sync)> = Vec::new();
+    if let Some(watchdog) = &watchdog {
+        helpers.push(watchdog);
+    }
+    if pool.progress.is_some() {
+        helpers.push(&reporter_loop);
+    }
+    let outputs = run_pool(pool.deques.len(), &helpers, |me| pool.work(me))?;
+    if let Some(shared) = &pool.progress {
+        // Every worker has joined, so the shared counters are exact here
+        // (mid-run snapshots are relaxed approximations).
+        reporter().publish(&snapshot_status(shared, &run.started, "done"));
+    }
+    Ok(outputs)
+}
+
+impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
+    /// One work-stealing worker: drains its own deque front to back, then
+    /// steals, until every deque is empty.
+    fn work(&self, me: usize) -> WorkerOutput {
         let worker_started = Instant::now();
         let mut worker_span = ant_obs::span("steal_worker");
         worker_span.record("worker", me);
         let mut scratch = SimScratch::new();
         let mut out = WorkerOutput {
-            partial: vec![SimStats::default(); net.layers.len() * 3],
-            executed: 0,
-            stolen: 0,
-            failures: Vec::new(),
-            slow: Vec::new(),
-            retried: Vec::new(),
-            retries: 0,
-            skipped: 0,
+            partial: vec![SimStats::default(); self.net.layers.len() * 3],
             telemetry: WorkerTelemetry {
                 worker: me,
-                dealt: dealt[me],
+                dealt: self.dealt[me],
                 ..WorkerTelemetry::default()
             },
+            ..WorkerOutput::default()
         };
+        let deques = &self.deques;
         loop {
             // A worker that caught a panic may have poisoned a deque lock
             // mid-pop on older toolchains; the deque holds Copy tasks, so
             // recovering the guard is always safe.
-            let (task, own_len) = {
+            let (own, own_len) = {
                 let mut deque = deques[me].lock().unwrap_or_else(|p| p.into_inner());
                 (deque.pop_front(), deque.len() as u64)
             };
-            let mut was_stolen = false;
-            let task = task.or_else(|| {
-                (1..workers).find_map(|off| {
-                    let victim = (me + off) % workers;
+            let stolen = own.is_none();
+            let task = own.or_else(|| {
+                (1..deques.len()).find_map(|off| {
+                    let victim = (me + off) % deques.len();
                     let task = deques[victim]
                         .lock()
                         .unwrap_or_else(|p| p.into_inner())
                         .pop_back();
                     out.telemetry.steal_attempts += 1;
                     out.telemetry.failed_steals += u64::from(task.is_none());
-                    was_stolen = task.is_some();
-                    out.stolen += u64::from(task.is_some());
                     task
                 })
             });
-            // No new jobs are ever produced, so one full empty
-            // scan means the pool is drained for good.
+            // No new jobs are ever produced, so one full empty scan means
+            // the pool is drained for good.
             let Some(task) = task else { break };
+            out.telemetry.stolen += u64::from(stolen);
             // Job-level deadline: cancellation happens only at this
             // pair-job boundary (a running pair holds no cancellable
             // resources, same contract as the watchdog). Remaining jobs
             // drain unexecuted; their layers are left out of the cache so
             // a rerun re-simulates exactly them.
-            if deadline_us.is_some_and(|d| started.elapsed().as_micros() as u64 >= d) {
-                out.skipped += 1;
-                layer_skipped[task.layer].fetch_add(1, Ordering::Relaxed);
+            let deadline = self.run.deadline_us;
+            if deadline.is_some_and(|d| self.run.started.elapsed().as_micros() as u64 >= d) {
+                out.skipped.push(task.layer);
                 continue;
             }
-            let Some(work) = layer_work[task.layer].as_ref() else {
-                continue;
-            };
-            let (phase, pairs, _) = &work.phases[task.phase];
-            let pair = &pairs[task.pair];
-            let job_started = budget_us.map(|_| {
-                watch[me]
-                    .task
-                    .store(encode_task(task), Ordering::Relaxed);
-                watch[me]
-                    .start_us
-                    .store(started.elapsed().as_micros() as u64 + 1, Ordering::Release);
-                Instant::now()
-            });
-            // Telemetry timing is separate from the watchdog's so neither
-            // flag changes the other's behaviour.
-            let telemetry_started = telemetry.then(|| (started.elapsed(), Instant::now()));
-            let fault = |attempt| {
-                chaos_cfg.and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
-            };
-            let mut result = run_pair_job(pe, pair, fault(0), &mut scratch);
-            let mut attempts = 1u32;
-            if result.is_err() {
-                out.retries += 1;
-                if let Some(shared) = &progress_shared {
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
-                }
-                // The caught panic may have left the arena mid-mutation;
-                // retry on a fresh one (failure path only — the clean path
-                // stays allocation-free).
-                scratch = SimScratch::new();
-                result = run_pair_job(pe, pair, fault(1), &mut scratch);
-                attempts = 2;
-                if result.is_ok() {
-                    out.retried.push(PairRetry {
-                        layer_index: task.layer,
-                        phase: task.phase,
-                        pair: task.pair,
-                        attempts,
-                    });
-                }
-            }
-            if let Some((since_run_start, job_t0)) = telemetry_started {
-                let dur = job_t0.elapsed();
-                out.telemetry.busy_ns += dur.as_nanos() as u64;
-                if profile_slices {
-                    out.telemetry.slices.push(JobSlice {
-                        start_us: since_run_start.as_micros() as u64,
-                        dur_us: dur.as_micros() as u64,
-                        layer: task.layer,
-                        phase: task.phase,
-                        pair: task.pair,
-                        stolen: was_stolen,
-                        deque_len: if was_stolen { 0 } else { own_len },
-                    });
-                }
-            }
-            if let Some(job_started) = job_started {
-                watch[me].start_us.store(0, Ordering::Release);
-                let wall_us = job_started.elapsed().as_micros() as u64;
-                if wall_us > budget_us.unwrap_or(u64::MAX) {
-                    out.slow.push(SlowJob {
-                        layer_index: task.layer,
-                        phase: task.phase,
-                        pair: task.pair,
-                        wall_us,
-                    });
-                    if let Some(shared) = &progress_shared {
-                        shared.slow.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            match result {
-                Ok(stats) => out.partial[task.layer * 3 + task.phase].accumulate(&stats),
-                Err(error) => {
-                    out.failures.push(PairFailure {
-                        layer_index: task.layer,
-                        layer: net.layers[task.layer].name.clone(),
-                        phase: *phase,
-                        pair: task.pair,
-                        machine: pe.name(),
-                        error,
-                        attempts,
-                    });
-                    if let Some(shared) = &progress_shared {
-                        shared.failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            out.executed += 1;
-            if let Some(shared) = &progress_shared {
-                shared.pairs_done.fetch_add(1, Ordering::Relaxed);
-                if layer_remaining[task.layer].fetch_sub(1, Ordering::Relaxed) == 1 {
-                    shared.layers_done.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            self.run_job(me, task, own_len, stolen, &mut scratch, &mut out);
         }
-        if telemetry {
-            out.telemetry.executed = out.executed;
-            out.telemetry.stolen = out.stolen;
-            out.telemetry.wall_ns = worker_started.elapsed().as_nanos() as u64;
-            out.telemetry.idle_ns = out.telemetry.wall_ns.saturating_sub(out.telemetry.busy_ns);
+        let telemetry = &mut out.telemetry;
+        if self.run.telemetry {
+            telemetry.wall_ns = worker_started.elapsed().as_nanos() as u64;
+            telemetry.idle_ns = telemetry.wall_ns.saturating_sub(telemetry.busy_ns);
         }
         if worker_span.is_recording() {
-            worker_span.record("jobs_executed", out.executed);
-            worker_span.record("jobs_stolen", out.stolen);
+            worker_span.record("jobs_executed", telemetry.executed);
+            worker_span.record("jobs_stolen", telemetry.stolen);
             worker_span.record("jobs_failed", out.failures.len());
-            if telemetry {
-                worker_span.record("busy_ns", out.telemetry.busy_ns);
-                worker_span.record("idle_ns", out.telemetry.idle_ns);
-                worker_span.record("steal_attempts", out.telemetry.steal_attempts);
-                worker_span.record("failed_steals", out.telemetry.failed_steals);
+            if self.run.telemetry {
+                worker_span.record("busy_ns", telemetry.busy_ns);
+                worker_span.record("idle_ns", telemetry.idle_ns);
+                worker_span.record("steal_attempts", telemetry.steal_attempts);
+                worker_span.record("failed_steals", telemetry.failed_steals);
             }
         }
         out
-    };
-    let outputs: Vec<WorkerOutput> = if workers == 1 && budget_us.is_none() && !progress {
-        // Single worker, no watchdog, no live reporter: the deque drains
-        // front-to-back inline, identical to the spawned path minus the
-        // thread round-trip.
-        vec![worker_body(0)]
-    } else {
-        std::thread::scope(|scope| -> Result<Vec<WorkerOutput>, AntError> {
-            let worker_body = &worker_body;
-            if let Some(budget) = budget_us {
-                let watch = &watch;
-                let stop = &stop_helpers;
-                let run_start = &started;
-                scope.spawn(move || watchdog_loop(stop, watch, run_start, budget));
+    }
+
+    /// Simulates one job behind the isolation boundary — retried once on a
+    /// fresh scratch arena, then quarantined — and books its counters,
+    /// failure, watchdog and telemetry records into `out`.
+    fn run_job(
+        &self,
+        me: usize,
+        task: PairTask,
+        own_len: u64,
+        stolen: bool,
+        scratch: &mut SimScratch,
+        out: &mut WorkerOutput,
+    ) {
+        let LayerSlot::Work(work, _) = &self.slots[task.layer] else {
+            return;
+        };
+        let (phase, pairs, _) = &work.phases[task.phase];
+        let pair = &pairs[task.pair];
+        let run = self.run;
+        let shared = self.progress.as_ref();
+        let job_started = run.budget_us.map(|_| {
+            let slot = &self.watch[me];
+            slot.task.store(encode_task(task), Ordering::Relaxed);
+            slot.start_us
+                .store(run.started.elapsed().as_micros() as u64 + 1, Ordering::Release);
+            Instant::now()
+        });
+        // Telemetry timing is separate from the watchdog's so neither
+        // flag changes the other's behaviour.
+        let telemetry_started = run.telemetry.then(|| (run.started.elapsed(), Instant::now()));
+        let fault = |attempt| {
+            run.chaos.and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
+        };
+        let mut result = run_pair_job(self.pe, pair, fault(0), scratch);
+        let mut attempts = 1u32;
+        if result.is_err() {
+            if let Some(shared) = shared {
+                shared.retries.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(shared) = &progress_shared {
-                let stop = &stop_helpers;
-                let base = &status_base;
-                let run_start = &started;
-                scope.spawn(move || {
-                    let mut reporter = ant_obs::StatusReporter::new(
-                        ant_obs::progress::status_file(),
-                    );
-                    reporter.set_console(progress_requested);
-                    progress_loop(stop, shared, &mut reporter, base, run_start);
+            // The caught panic may have left the arena mid-mutation; retry
+            // on a fresh one (failure path only — the clean path stays
+            // allocation-free).
+            *scratch = SimScratch::new();
+            result = run_pair_job(self.pe, pair, fault(1), scratch);
+            attempts = 2;
+            if result.is_ok() {
+                out.retried.push(PairRetry {
+                    layer_index: task.layer,
+                    phase: task.phase,
+                    pair: task.pair,
+                    attempts,
                 });
             }
-            let handles: Vec<_> = (0..workers)
-                .map(|me| scope.spawn(move || worker_body(me)))
-                .collect();
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            stop_helpers.store(true, Ordering::Release);
-            joined
-                .into_iter()
-                .map(|j| {
-                    j.map_err(|payload| {
-                        AntError::from_panic("steal worker", payload.as_ref())
-                    })
-                })
-                .collect()
-        })?
-    };
+        }
+        if let Some((since_run_start, job_t0)) = telemetry_started {
+            let dur = job_t0.elapsed();
+            out.telemetry.busy_ns += dur.as_nanos() as u64;
+            if run.profile_slices {
+                out.telemetry.slices.push(JobSlice {
+                    start_us: since_run_start.as_micros() as u64,
+                    dur_us: dur.as_micros() as u64,
+                    layer: task.layer,
+                    phase: task.phase,
+                    pair: task.pair,
+                    stolen,
+                    deque_len: if stolen { 0 } else { own_len },
+                });
+            }
+        }
+        if let Some(job_started) = job_started {
+            self.watch[me].start_us.store(0, Ordering::Release);
+            let wall_us = job_started.elapsed().as_micros() as u64;
+            if wall_us > run.budget_us.unwrap_or(u64::MAX) {
+                out.slow.push(SlowJob {
+                    layer_index: task.layer,
+                    phase: task.phase,
+                    pair: task.pair,
+                    wall_us,
+                });
+                if let Some(shared) = shared {
+                    shared.slow.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        match result {
+            Ok(stats) => out.partial[task.layer * 3 + task.phase].accumulate(&stats),
+            Err(error) => {
+                out.failures.push(PairFailure {
+                    layer_index: task.layer,
+                    layer: self.net.layers[task.layer].name.clone(),
+                    phase: *phase,
+                    pair: task.pair,
+                    machine: self.pe.name(),
+                    error,
+                    attempts,
+                });
+                if let Some(shared) = shared {
+                    shared.failures.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        out.telemetry.executed += 1;
+        if let Some(shared) = shared {
+            shared.pairs_done.fetch_add(1, Ordering::Relaxed);
+            shared.remaining[task.layer].fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
 
-    // Deterministic failure report: worker attribution depends on steal
-    // order, but the set of failed jobs does not, so sorting by job
-    // coordinates makes the report reproducible for any thread count.
+/// Collects the workers' failures, slow jobs and retries into one report,
+/// sorted by job coordinates: worker attribution depends on steal order,
+/// but the set of jobs does not, so the report is the same for any worker
+/// count. Emits the trace events for it.
+fn failure_report(machine: &'static str, outputs: &[WorkerOutput]) -> FailureReport {
     let mut report = FailureReport::default();
-    for out in &outputs {
+    for out in outputs {
         report.failures.extend(out.failures.iter().cloned());
         report.slow.extend(out.slow.iter().copied());
         report.retried.extend(out.retried.iter().copied());
-        report.retries += out.retries;
-        report.deadline_skipped += out.skipped;
+        report.deadline_skipped += out.skipped.len() as u64;
     }
+    // Every quarantined job was retried first.
+    report.retries = (report.retried.len() + report.failures.len()) as u64;
     report
         .failures
         .sort_by_key(|f| (f.layer_index, f.phase as usize, f.pair));
     report.slow.sort_by_key(|s| (s.layer_index, s.phase, s.pair));
     report.retried.sort_by_key(|r| (r.layer_index, r.phase, r.pair));
-    let failed_layers: std::collections::BTreeSet<usize> =
-        report.failures.iter().map(|f| f.layer_index).collect();
-    let skipped_layers: std::collections::BTreeSet<usize> = layer_skipped
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.load(Ordering::Relaxed) > 0)
-        .map(|(li, _)| li)
-        .collect();
     if ant_obs::enabled() {
         for f in &report.failures {
             ant_obs::event(
@@ -1215,54 +1281,43 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
                     ("layer_index", (r.layer_index as u64).into()),
                     ("phase", (r.phase as u64).into()),
                     ("pair", (r.pair as u64).into()),
-                    ("machine", pe.name().into()),
+                    ("machine", machine.into()),
                     ("attempts", r.attempts.into()),
                 ],
             );
         }
     }
-    ant_obs::registry()
-        .counter("runner.pair_failures")
-        .add(report.failures.len() as u64);
-    ant_obs::registry()
-        .counter("runner.pair_retries")
-        .add(report.retries);
-    if report.deadline_skipped > 0 {
-        ant_obs::registry()
-            .counter("runner.deadline_skipped")
-            .add(report.deadline_skipped);
-    }
+    report
+}
 
-    // Stage 3: sum partials across workers, then finalize in serial layer
-    // order so every downstream aggregate matches the serial runner.
-    let mut merged = NetworkResult::empty(net.name, pe.name());
-    merged.per_layer.reserve(net.layers.len());
-    let mut cache_misses = 0u64;
-    for (li, layer) in net.layers.iter().enumerate() {
-        let mut layer_total = SimStats::default();
-        if let Some(stored) = &cached[li] {
-            // Cache-resolved layer: the stored phases are the finalized
-            // outputs of a byte-identical earlier simulation (same content
-            // key, same machine identity, same model version); nothing
-            // fresh is recorded.
-            for (pi, scaled) in stored.iter().enumerate() {
-                merged.total.accumulate(scaled);
-                merged.per_phase[pi].1.accumulate(scaled);
-                layer_total.accumulate(scaled);
+/// Stage 4: sums the workers' partials and finalizes every layer in layer
+/// order through the same [`finalize_phase`] as the reference, so every
+/// aggregate matches it. Records each fresh, clean layer to the cache.
+fn merge<S: ConvSim + ?Sized>(pool: &Pool<'_, S>, outputs: &[WorkerOutput]) -> NetworkResult {
+    let (pe, net) = (pool.pe, pool.net);
+    let report = failure_report(pe.name(), outputs);
+    // A layer is clean only when no pair was quarantined *and* none was
+    // skipped by deadline cancellation — either way its stats are
+    // incomplete and replaying them would poison every later run.
+    let dirty: std::collections::BTreeSet<usize> = report
+        .failures
+        .iter()
+        .map(|f| f.layer_index)
+        .chain(outputs.iter().flat_map(|o| o.skipped.iter().copied()))
+        .collect();
+    let mut merged = NetworkResult::empty(net.name, pe.name(), net.layers.len());
+    for (li, (layer, slot)) in net.layers.iter().zip(&pool.slots).enumerate() {
+        let (work, keys) = match slot {
+            // The stored phases are the finalized outputs of a
+            // byte-identical earlier simulation (same content key, same
+            // machine identity, same model version); nothing fresh is
+            // recorded.
+            LayerSlot::Cached(phases) => {
+                merged.cache_hits += 1;
+                merged.push_layer(li, &layer.name, **phases);
+                continue;
             }
-            merged.per_layer.push(LayerStats {
-                index: li,
-                name: layer.name.clone(),
-                stats: layer_total,
-                phases: *stored,
-            });
-            continue;
-        }
-        let Some(work) = &layer_work[li] else {
-            return Err(AntError::corrupt(
-                "runner",
-                format!("layer {li} neither synthesized nor cached"),
-            ));
+            LayerSlot::Work(work, keys) => (work, keys),
         };
         let mut layer_span = ant_obs::span("layer");
         layer_span
@@ -1271,26 +1326,22 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
             .record("network", net.name)
             .record("machine", pe.name())
             .record("channel_scale", work.channel_scale);
-        let mut scaled_phases = [
-            SimStats::default(),
-            SimStats::default(),
-            SimStats::default(),
-        ];
+        let mut phases = [SimStats::default(); 3];
         for (pi, (phase, pairs, distinct_images)) in work.phases.iter().enumerate() {
             let mut phase_stats = SimStats::default();
-            for out in &outputs {
+            for out in outputs {
                 phase_stats.accumulate(&out.partial[li * 3 + pi]);
             }
             // Pairs answered by the analytic tier fold in here; their stats
             // are byte-identical to the dispatched path and the counters
             // are u64 sums, so accumulation order cannot matter.
-            if let Some(partial) = analytic_partial.get(li * 3 + pi) {
+            if let Some(partial) = pool.analytic.get(li * 3 + pi) {
                 phase_stats.accumulate(partial);
             }
-            let scaled = finalize_phase(phase_stats, *distinct_images, work.scale);
-            // Same phase-delta contract as the serial runner's spans; the
-            // pairs ran interleaved across workers, so no per-phase host
-            // wall time is attributable here.
+            phases[pi] = finalize_phase(phase_stats, *distinct_images, work.scale);
+            // Same phase-delta contract as the reference's spans; the pairs
+            // ran interleaved across workers, so no per-phase host wall
+            // time is attributable here.
             let mut phase_span = ant_obs::span("phase");
             if phase_span.is_recording() {
                 phase_span
@@ -1299,84 +1350,22 @@ fn run_network_parallel<S: ConvSim + Sync + ?Sized>(
                     .record("machine", pe.name())
                     .record("layer", layer.name.as_str())
                     .record("pairs", pairs.len());
-                phase_span.record_all(stats_fields(&scaled));
-            }
-            merged.total.accumulate(&scaled);
-            debug_assert_eq!(merged.per_phase[pi].0, *phase);
-            merged.per_phase[pi].1.accumulate(&scaled);
-            layer_total.accumulate(&scaled);
-            scaled_phases[pi] = scaled;
-        }
-        // A layer is clean only when no pair was quarantined *and* none was
-        // skipped by deadline cancellation — either way its stats are
-        // incomplete and replaying them would poison every later run.
-        let clean = !failed_layers.contains(&li) && !skipped_layers.contains(&li);
-        if content_keys[li].is_some() {
-            cache_misses += 1;
-        }
-        if clean {
-            if let (Some(skey), Some(ckey)) = (synth_keys[li], content_keys[li]) {
-                simcache::record(skey, ckey, &scaled_phases);
+                phase_span.record_all(stats_fields(&phases[pi]));
             }
         }
-        merged.per_layer.push(LayerStats {
-            index: li,
-            name: layer.name.clone(),
-            stats: layer_total,
-            phases: scaled_phases,
-        });
+        if let Some((skey, ckey)) = *keys {
+            merged.cache_misses += 1;
+            if !dirty.contains(&li) {
+                simcache::record(skey, ckey, &phases);
+            }
+        }
+        merged.push_layer(li, &layer.name, phases);
     }
+    merged.analytic_pairs = pool.analytic_pairs;
     merged.deadline_exceeded = report.deadline_skipped > 0;
     merged.partial = !report.is_clean() || merged.deadline_exceeded;
     merged.failures = report;
-    if cache_identity.is_some() {
-        merged.cache_hits = cache_hits;
-        merged.cache_misses = cache_misses;
-        merged.analytic_pairs = analytic_pairs;
-        // Registry counters only materialize on cache-enabled runs, so
-        // manifests of cache-off runs keep their existing key set.
-        let registry = ant_obs::registry();
-        registry.counter("runner.cache.hits").add(cache_hits);
-        registry.counter("runner.cache.misses").add(cache_misses);
-        registry
-            .counter("runner.cache.analytic_hits")
-            .add(analytic_pairs);
-    }
-    merged.wall_cycles = merged
-        .total
-        .total_cycles()
-        .div_ceil(cfg.num_pes as u64)
-        .max(1);
-    merged.host_wall_us = started.elapsed().as_micros() as u64;
-    record_network_host_metrics(&merged);
-    let jobs_stolen: u64 = outputs.iter().map(|o| o.stolen).sum();
-    if telemetry {
-        merged.workers = outputs.into_iter().map(|o| o.telemetry).collect();
-        record_worker_metrics(&merged.workers);
-    }
-    if let Some(shared) = &progress_shared {
-        // The final publish happens after every worker joined, so its
-        // counts are exact (mid-run snapshots are relaxed approximations).
-        let mut status = snapshot_status(shared, &status_base, &started, "done");
-        status.quarantined = merged.failures.failures.len() as u64;
-        status.retries = merged.failures.retries;
-        status.watchdog_slow = merged.failures.slow.len() as u64;
-        let mut reporter = ant_obs::StatusReporter::new(ant_obs::progress::status_file());
-        reporter.set_console(progress_requested);
-        reporter.publish(&status);
-    }
-    if span.is_recording() {
-        span.record("layers", net.layers.len());
-        span.record("jobs_stolen", jobs_stolen);
-        span.record("jobs_failed", merged.failures.failures.len());
-        span.record("job_retries", merged.failures.retries);
-        span.record("partial", merged.partial);
-        span.record("wall_cycles", merged.wall_cycles);
-        span.record_all(stats_fields(&merged.total));
-        span.record("host_wall_us", merged.host_wall_us);
-        span.record_all(throughput_fields(&merged.total, merged.host_wall_us));
-    }
-    Ok(merged)
+    merged
 }
 
 /// Feeds one run's per-worker telemetry into the process-wide registry.
@@ -1444,7 +1433,7 @@ fn watchdog_loop(stop: &AtomicBool, watch: &[WatchSlot], run_start: &Instant, bu
 /// One layer's synthesized sample plus the constants needed to reproduce
 /// the serial accounting: the sampled pairs of each training phase with its
 /// image-stationary `distinct_images` clamp, and the counter scale factor.
-/// Built once per layer (by either runner) and consumed read-only.
+/// Built once per layer (by either path) and consumed read-only.
 #[derive(Debug)]
 struct LayerWork {
     /// `channel_scale * layer.count`: factor from sampled to full-layer
@@ -1605,6 +1594,8 @@ fn finalize_phase(mut phase_stats: SimStats, distinct_images: u64, scale: f64) -
     scaled
 }
 
+/// The reference's per-layer step: synthesizes the layer, simulates its
+/// pairs in order on the calling thread, and finalizes each phase.
 fn accumulate_layer<S: ConvSim + ?Sized>(
     pe: &S,
     layer: &ant_workloads::ConvLayerSpec,
@@ -1620,12 +1611,7 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
         .record("machine", pe.name());
     let work = synthesize_layer_work(layer, layer_index, cfg);
     layer_span.record("channel_scale", work.channel_scale);
-    let mut layer_total = SimStats::default();
-    let mut scaled_phases = [
-        SimStats::default(),
-        SimStats::default(),
-        SimStats::default(),
-    ];
+    let mut phases = [SimStats::default(); 3];
     for (pi, (phase, pairs, distinct_images)) in work.phases.iter().enumerate() {
         let phase_started = Instant::now();
         let mut phase_span = ant_obs::span("phase");
@@ -1639,31 +1625,22 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
         for pair in pairs {
             phase_stats.accumulate(&pe.simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape));
         }
-        let scaled = finalize_phase(phase_stats, *distinct_images, work.scale);
+        phases[pi] = finalize_phase(phase_stats, *distinct_images, work.scale);
         // The scaled stats are exactly this phase's contribution (delta)
         // to the network totals; attach them to the phase span, with the
         // host wall time this phase took to simulate and the derived
         // simulated-work-per-wall-second rates.
         if phase_span.is_recording() {
             let phase_wall_us = phase_started.elapsed().as_micros() as u64;
-            phase_span.record_all(stats_fields(&scaled));
+            phase_span.record_all(stats_fields(&phases[pi]));
             phase_span.record("host_wall_us", phase_wall_us);
-            phase_span.record_all(throughput_fields(&scaled, phase_wall_us));
+            phase_span.record_all(throughput_fields(&phases[pi], phase_wall_us));
         }
-        out.total.accumulate(&scaled);
         // `per_phase` is built in `[Forward, Backward, Update]` order, the
         // same order `LayerWork::phases` uses, so direct indexing holds.
         debug_assert_eq!(out.per_phase[pi].0, *phase);
-        out.per_phase[pi].1.accumulate(&scaled);
-        layer_total.accumulate(&scaled);
-        scaled_phases[pi] = scaled;
     }
-    out.per_layer.push(LayerStats {
-        index: layer_index,
-        name: layer.name.clone(),
-        stats: layer_total,
-        phases: scaled_phases,
-    });
+    out.push_layer(layer_index, &layer.name, phases);
 }
 
 /// One schedulable unit of work for profiling: the unscaled stats of a
@@ -1897,16 +1874,18 @@ mod tests {
                     assert_eq!(a.phases, b.phases, "{label} layer {}", a.name);
                 }
             };
-            // The work-stealing scheduler must be bit-identical for one
-            // worker, an even count, odd counts, and far more workers than
-            // layers (forcing heavy stealing and partial deques).
-            for threads in [1, 2, 3, 7, 64] {
-                let parallel =
-                    super::simulate_network_parallel_with_threads(pe, &net, &cfg, threads);
+            // The work-stealing scheduler must be bit-identical for the
+            // CPU-sized default (0), one worker, an even count, an odd
+            // count, and more workers than layers (forcing heavy stealing
+            // and partial deques).
+            for threads in [0, 1, 2, 3, 8] {
+                let opts = RunOptions {
+                    threads: Some(threads),
+                    ..RunOptions::default()
+                };
+                let parallel = try_simulate_network_parallel(pe, &net, &cfg, &opts).unwrap();
                 assert_matches(&parallel, &format!("{} threads={threads}", pe.name()));
             }
-            let default_entry = super::simulate_network_parallel(pe, &net, &cfg);
-            assert_matches(&default_entry, &format!("{} default", pe.name()));
         }
     }
 

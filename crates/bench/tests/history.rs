@@ -20,7 +20,7 @@ fn temp_ledger(name: &str) -> PathBuf {
 
 #[test]
 fn record_tiny_produces_complete_entry() {
-    let entry = history::record(WorkloadSet::Tiny, 2);
+    let entry = history::record(WorkloadSet::Tiny, 2).expect("tiny set records");
     assert_eq!(entry.label, "tiny");
     assert_eq!(entry.repeats, 2);
     for metric in [
@@ -49,8 +49,8 @@ fn record_tiny_produces_complete_entry() {
 
 #[test]
 fn record_is_deterministic_in_simulated_metrics() {
-    let a = history::record(WorkloadSet::Tiny, 1);
-    let b = history::record(WorkloadSet::Tiny, 1);
+    let a = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
+    let b = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
     for metric in [
         "tiny/scnn_cycles",
         "tiny/ant_cycles",
@@ -64,7 +64,7 @@ fn record_is_deterministic_in_simulated_metrics() {
 #[test]
 fn ledger_appends_and_loads_round_trip() {
     let path = temp_ledger("round-trip");
-    let first = history::record(WorkloadSet::Tiny, 1);
+    let first = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
     history::append(&path, &first).expect("append first");
     let mut second = first.clone();
     second.timestamp_unix_ms += 1;
@@ -97,7 +97,7 @@ fn lenient_load_skips_corrupt_lines_and_counts_them() {
     // A killed run can truncate the last line mid-write; the compare path
     // must still see every intact entry rather than refusing the ledger.
     let path = temp_ledger("lenient");
-    let good = history::record(WorkloadSet::Tiny, 1);
+    let good = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
     history::append(&path, &good).expect("append good");
     let mut text = std::fs::read_to_string(&path).expect("read back");
     text.push_str("not json at all\n");
@@ -115,7 +115,7 @@ fn lenient_load_skips_corrupt_lines_and_counts_them() {
 /// flagged at the default 5% threshold.
 #[test]
 fn self_compare_is_clean_and_injected_regression_is_flagged() {
-    let entry = history::record(WorkloadSet::Tiny, 1);
+    let entry = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
 
     let self_report = history::compare(&entry, &entry, DEFAULT_THRESHOLD);
     assert!(
@@ -144,7 +144,7 @@ fn self_compare_is_clean_and_injected_regression_is_flagged() {
 
 #[test]
 fn median_window_gates_like_a_single_baseline() {
-    let base = history::record(WorkloadSet::Tiny, 1);
+    let base = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
     let mut jitter = base.clone();
     // Wall-time noise across window entries must not leak into the median's
     // deterministic metrics.
@@ -165,7 +165,7 @@ fn median_window_gates_like_a_single_baseline() {
 fn baseline_snapshot_interoperates_with_recorded_entries() {
     // A synthetic old-format snapshot whose cycle counts match a recorded
     // run gates cleanly; inflating the recorded cycles trips it.
-    let entry = history::record(WorkloadSet::Tiny, 1);
+    let entry = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
     let snapshot_text = format!(
         r#"{{"source":"test","git_revision":"0000","workloads":{{"tiny":{{"scnn_cycles":{},"ant_cycles":{}}}}}}}"#,
         entry.metrics["tiny/scnn_cycles"], entry.metrics["tiny/ant_cycles"]

@@ -10,8 +10,8 @@ use ant_bench::history::{self, WorkloadSet};
 
 #[test]
 fn warm_record_is_byte_identical_to_cold_and_served_from_cache() {
-    let cold = history::record(WorkloadSet::Tiny, 1);
-    let warm = history::record(WorkloadSet::TinyWarm, 1);
+    let cold = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
+    let warm = history::record(WorkloadSet::TinyWarm, 1).expect("tiny set records");
     assert_eq!(cold.label, "tiny");
     assert_eq!(warm.label, "tiny-warm");
 
@@ -43,7 +43,7 @@ fn warm_record_is_byte_identical_to_cold_and_served_from_cache() {
 
     // record() restored the override: a following cold record sees no
     // cache (its metrics match the first cold entry's deterministic set).
-    let cold_again = history::record(WorkloadSet::Tiny, 1);
+    let cold_again = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
     assert_eq!(
         cold_again.metrics["tiny/ant_cycles"],
         cold.metrics["tiny/ant_cycles"]

@@ -1,10 +1,9 @@
 //! Degradation and recovery behaviour of the hardened runner: bad configs
-//! come back as typed errors, degenerate worker counts run inline, and a
+//! come back as typed errors, a zero worker count sizes to the CPUs, and a
 //! sweep resumes byte-identically from a persistent layer cache.
 
 use ant_bench::runner::{
-    simulate_network, simulate_network_parallel_with_threads, try_simulate_network_parallel,
-    ExperimentConfig, NetworkResult, RunOptions,
+    simulate_network, try_simulate_network_parallel, ExperimentConfig, NetworkResult, RunOptions,
 };
 use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_sim::scnn::ScnnPlus;
@@ -35,14 +34,24 @@ fn assert_same_result(a: &NetworkResult, b: &NetworkResult, label: &str) {
 }
 
 #[test]
-fn zero_threads_degrades_to_inline_serial() {
+fn zero_threads_sizes_the_pool_to_the_available_cpus() {
     let cfg = ExperimentConfig::paper_default();
     let net = tiny_net();
     let pe = ScnnPlus::paper_default();
     let serial = simulate_network(&pe, &net, &cfg);
-    let zero = simulate_network_parallel_with_threads(&pe, &net, &cfg, 0);
+    let opts = RunOptions {
+        threads: Some(0),
+        telemetry: Some(true),
+        ..RunOptions::default()
+    };
+    let zero = try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("zero threads run");
     assert_same_result(&serial, &zero, "threads=0");
     assert!(!zero.partial);
+    // Zero means "size to the CPUs", like `None`: one worker per available
+    // CPU, capped by the job count (2 layers x 3 phases x 4x2 and 4x4
+    // sampled pairs = 72 jobs).
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(zero.workers.len(), cpus.min(72), "threads=0 worker count");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! sequentially inside one test body.
 
 use ant_bench::runner::{
-    try_simulate_network_parallel, ExperimentConfig, NetworkResult, RunOptions,
+    simulate_network, try_simulate_network_parallel, ExperimentConfig, NetworkResult, RunOptions,
 };
 use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_sim::inner::DenseInnerProduct;
@@ -24,16 +24,19 @@ fn tiny_net() -> NetworkModel {
     }
 }
 
-fn run<S: ConvSim + Sync>(pe: &S, threads: usize) -> NetworkResult {
-    let cfg = ExperimentConfig {
+fn config() -> ExperimentConfig {
+    ExperimentConfig {
         max_channels: 2,
         ..ExperimentConfig::paper_default()
-    };
+    }
+}
+
+fn run<S: ConvSim + Sync>(pe: &S, threads: usize) -> NetworkResult {
     let opts = RunOptions {
         threads: Some(threads),
         ..RunOptions::default()
     };
-    try_simulate_network_parallel(pe, &tiny_net(), &cfg, &opts).expect("run succeeds")
+    try_simulate_network_parallel(pe, &tiny_net(), &config(), &opts).expect("run succeeds")
 }
 
 /// Byte-level equality of everything the figures consume.
@@ -137,20 +140,27 @@ fn cache_serves_warm_runs_byte_identically() {
     poisoned.push('9');
     poisoned.push_str(&victim[at..]);
     let tampered = format!("{keep}\nnot json at all\n{truncated}\n{stale}\n{poisoned}\n");
-    std::fs::write(&store, tampered).unwrap();
 
-    simcache::set_override(CacheOverride::On(SimCacheConfig {
-        dir: Some(dir.clone()),
-    }));
-    let salvaged = run(&scnn, 3);
-    assert_identical(&salvaged, &baseline, "salvaged store run");
-    let stats = simcache::stats().expect("cache active");
-    assert_eq!(stats.loaded, 1, "only the intact line survives");
-    assert_eq!(stats.skipped_corrupt, 2, "garbage + truncated");
-    assert_eq!(stats.skipped_stale, 1, "schema-bumped line");
-    assert_eq!(stats.skipped_poisoned, 1, "tampered counters fail the check");
-    assert_eq!(salvaged.cache_hits, 1, "intact layer served");
-    assert_eq!(salvaged.cache_misses, 1, "lost layer resimulated and re-recorded");
+    // The salvaged store mixes a cached and a fresh layer in one run; both
+    // must match the serial reference, at one worker and at several.
+    let reference = simulate_network(&scnn, &tiny_net(), &config());
+    for threads in [3, 1, 5] {
+        std::fs::write(&store, &tampered).unwrap();
+        simcache::set_override(CacheOverride::On(SimCacheConfig {
+            dir: Some(dir.clone()),
+        }));
+        let salvaged = run(&scnn, threads);
+        let what = format!("salvaged store run, threads={threads}");
+        assert_identical(&salvaged, &baseline, &what);
+        assert_identical(&salvaged, &reference, &what);
+        let stats = simcache::stats().expect("cache active");
+        assert_eq!(stats.loaded, 1, "only the intact line survives");
+        assert_eq!(stats.skipped_corrupt, 2, "garbage + truncated");
+        assert_eq!(stats.skipped_stale, 1, "schema-bumped line");
+        assert_eq!(stats.skipped_poisoned, 1, "tampered counters fail the check");
+        assert_eq!(salvaged.cache_hits, 1, "intact layer served");
+        assert_eq!(salvaged.cache_misses, 1, "lost layer resimulated and re-recorded");
+    }
 
     // The resimulated layer was appended back: a final activation serves
     // both layers again.

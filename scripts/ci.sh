@@ -425,14 +425,22 @@ cargo test --release -q -p ant-bench --test steady_state_alloc
 
 echo "== chaos smoke (seeded fault injection: sweep must complete and quarantine)"
 # The deterministic harness first (exact expected quarantine set), then the
-# env-gated path end to end: a full fig09 sweep under ANT_CHAOS must exit 0
-# with every injected failure isolated, never abort.
+# env-gated path end to end: a full fig09 sweep and the fig14 ablation under
+# ANT_CHAOS must exit 0 with every injected failure isolated, never abort,
+# and the runner must warn that their stats are partial — for every caller,
+# not just fig09.
 cargo test --release -q -p ant-bench --test chaos
-CHAOS_ERR="target/experiments/ci_chaos_smoke.err"
-ANT_CHAOS="seed=7,panic=0.02,truncate=0.01,shape=0.01" \
-  ./target/release/fig09_speedup_energy >/dev/null 2>"$CHAOS_ERR"
-echo "chaos smoke: fig09 sweep survived injection" \
-  "($(grep -c 'quarantined' "$CHAOS_ERR" || true) partial-run warning(s))"
+for bin in fig09_speedup_energy fig14_ablation; do
+  CHAOS_ERR="target/experiments/ci_chaos_smoke_$bin.err"
+  ANT_CHAOS="seed=7,panic=0.02,truncate=0.01,shape=0.01" \
+    "./target/release/$bin" >/dev/null 2>"$CHAOS_ERR"
+  WARNINGS=$(grep -c 'quarantined pair failure(s); stats are partial' "$CHAOS_ERR" || true)
+  echo "chaos smoke: $bin survived injection ($WARNINGS partial-run warning(s))"
+  if [ "$WARNINGS" -lt 1 ]; then
+    echo "chaos smoke: $bin printed no quarantine warning under injection" >&2
+    exit 1
+  fi
+done
 
 echo "== sweepd smoke (kill -9 mid-job, restart: recovery + byte-identical results, typed shedding)"
 # Three daemon phases over the same two-tenant job mix:
@@ -584,10 +592,10 @@ echo "== panic-site budget (non-test src/ lines with unwrap()/expect(/panic!)"
 # Robustness ratchet: the typed-error refactor drove non-test panic sites
 # down to this count; new code must not grow it. Lower the pin when you
 # remove sites; raising it needs a reviewed justification.
-# 105: +1 for the single intentional `panic!` in serve/daemon.rs that
-# injects a supervised job-worker death under seeded ANT_CHAOS — it is the
-# fault the catch_unwind supervision exists to absorb, not an error path.
-MAX_PANIC_SITES=105
+# Includes the single intentional `panic!` in serve/daemon.rs that injects
+# a supervised job-worker death under seeded ANT_CHAOS — it is the fault the
+# catch_unwind supervision exists to absorb, not an error path.
+MAX_PANIC_SITES=103
 PANIC_SITES=0
 for f in $(find crates -path '*/src/*.rs' | sort); do
   n=$(awk '/#\[cfg\(test\)\]/{exit} /unwrap\(\)|expect\(|panic!/{n++} END{print n+0}' "$f")
