@@ -1,27 +1,33 @@
 //! `bench_history`: record benchmark runs into the append-only ledger and
-//! compare entries with trend-aware regression gating.
+//! compare entries with trend-aware regression gating — the one front end
+//! over the repository's performance record.
 //!
 //! ```text
-//! bench_history record  [--label fig09|fig09-warm|tiny|tiny-warm] [--repeats K] [--file PATH]
+//! bench_history record  [--label LABEL] [--repeats K] [--file PATH]
 //! bench_history compare [--file PATH] [--threshold T] [--window N]
 //!                       [--self] [--report PATH] [--json PATH] [REF_A REF_B]
 //! bench_history list    [--file PATH] [--json]
 //! ```
 //!
-//! `record` reruns the workload set in-process (min-of-K wall repeats,
-//! allocation counting on) and appends one JSONL entry to the ledger
-//! (default `BENCH_history.jsonl` in the working directory).
+//! `record` measures one workload set and appends one JSONL entry, stamped
+//! with the host it ran on, to the ledger (default `BENCH_history.jsonl`
+//! in the working directory). Labels: `fig09`, `fig09-warm`, `tiny` and
+//! `tiny-warm` rerun networks in-process (min-of-K wall repeats, allocation
+//! counting on); `microbench` times the full kernel grid and
+//! `microbench-tiny` its one-point CI grid (`kernel/...` metrics).
 //!
 //! `compare` gates a candidate entry against a baseline and exits non-zero
 //! on regression. Refs are ledger indices (`0` oldest, negatives from the
 //! end), git-revision prefixes, or `HEAD` (the newest entry). With no refs:
-//! the newest entry against the rolling median of the previous `--window`
-//! entries with the same label; if the ledger has only one entry, the
-//! committed `BENCH_baseline.json` snapshot stands in; with nothing to
-//! compare against, it reports so and exits zero. `--self` compares the
-//! newest entry to itself (a CI smoke: must report zero regressions).
-//! `--json PATH` additionally writes the machine-readable report
-//! (schema `ant-bench-compare/1`) for CI steps to parse.
+//! the newest entry against the rolling-median baseline of
+//! `ant_bench::history::select` over the previous `--window` same-label
+//! entries; with no prior same-label entry, it reports that there is
+//! nothing to compare and exits zero. Host and kernel metrics gate only
+//! when both sides ran on the same known host; otherwise they are listed as
+//! `other host` with a warning. `--self` compares the newest entry to
+//! itself (a CI smoke: must report zero regressions). `--json PATH`
+//! additionally writes the machine-readable report (schema
+//! `ant-bench-compare/1`) for CI steps to parse.
 //!
 //! `list` prints one line per ledger entry; `--json` emits the
 //! machine-readable listing instead (schema `ant-bench-list/1`).
@@ -106,7 +112,7 @@ fn cmd_record(args: &[String]) -> ExitCode {
     }
     let Some(set) = WorkloadSet::from_label(&label) else {
         return fail(&format!(
-            "unknown label {label:?} (want fig09, fig09-warm, tiny, or tiny-warm)"
+            "unknown label {label:?} (want fig09, fig09-warm, tiny, tiny-warm, microbench, or microbench-tiny)"
         ));
     };
 
@@ -141,11 +147,8 @@ fn cmd_record(args: &[String]) -> ExitCode {
 /// Resolves a compare ref against the ledger: `HEAD`, an index (negatives
 /// count from the end), or a git-revision prefix.
 fn resolve_ref<'a>(entries: &'a [HistoryEntry], reference: &str) -> Result<&'a HistoryEntry, String> {
-    if entries.is_empty() {
-        return Err("ledger is empty".to_string());
-    }
     if reference == "HEAD" {
-        return Ok(entries.last().expect("non-empty"));
+        return entries.last().ok_or_else(|| "ledger is empty".to_string());
     }
     if let Ok(index) = reference.parse::<i64>() {
         let n = entries.len() as i64;
@@ -155,19 +158,16 @@ fn resolve_ref<'a>(entries: &'a [HistoryEntry], reference: &str) -> Result<&'a H
             .and_then(|i| entries.get(i))
             .ok_or_else(|| format!("index {reference} out of range (ledger has {n} entries)"));
     }
-    let matches: Vec<&HistoryEntry> = entries
+    // Newest run of that revision.
+    entries
         .iter()
-        .filter(|e| {
+        .rev()
+        .find(|e| {
             e.git_revision
                 .as_deref()
                 .is_some_and(|rev| rev.starts_with(reference))
         })
-        .collect();
-    match matches.len() {
-        0 => Err(format!("no entry with revision prefix {reference:?}")),
-        // Newest run of that revision.
-        _ => Ok(matches.last().expect("non-empty")),
-    }
+        .ok_or_else(|| format!("no entry with revision prefix {reference:?}"))
 }
 
 fn cmd_compare(args: &[String]) -> ExitCode {
@@ -228,29 +228,12 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         };
         (a, b)
     } else if args.is_empty() {
-        let Some(candidate) = entries.last().cloned() else {
-            println!("ledger {} is empty; nothing to compare", path.display());
-            return ExitCode::SUCCESS;
-        };
-        let prior: Vec<&HistoryEntry> = entries[..entries.len() - 1]
-            .iter()
-            .filter(|e| e.label == candidate.label)
-            .collect();
-        if !prior.is_empty() {
-            let window: Vec<&HistoryEntry> =
-                prior.iter().rev().take(window).copied().collect();
-            (history::median_of(&window), candidate)
-        } else if let Ok(text) = std::fs::read_to_string("BENCH_baseline.json") {
-            match history::from_bench_baseline(&text) {
-                Ok(snapshot) => {
-                    println!("(single ledger entry; gating against BENCH_baseline.json)");
-                    (snapshot, candidate)
-                }
-                Err(e) => return fail(&format!("BENCH_baseline.json: {e}")),
+        match history::select(&entries, None, window) {
+            Ok(selection) => (selection.baseline, selection.candidate.clone()),
+            Err(reason) => {
+                println!("{}: {reason}", path.display());
+                return ExitCode::SUCCESS;
             }
-        } else {
-            println!("only one {} entry and no BENCH_baseline.json; nothing to compare", candidate.label);
-            return ExitCode::SUCCESS;
         }
     } else {
         return fail("expected zero or two refs (or --self)");

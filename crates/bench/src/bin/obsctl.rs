@@ -149,8 +149,7 @@ fn cmd_ledger(args: &[String]) -> Result<(), String> {
     if skipped > 0 {
         eprintln!("obsctl: ignored {skipped} unusable line(s) in {}", path.display());
     }
-    let snapshot = std::fs::read_to_string("BENCH_baseline.json").ok();
-    match trend::analyze(&entries, snapshot.as_deref(), &opts) {
+    match trend::analyze(&entries, &opts) {
         trend::TrendOutcome::Report(report) => {
             if json {
                 println!("{}", report.to_json());

@@ -1,36 +1,47 @@
-//! Bench-history ledger: an append-only JSONL record of benchmark runs,
-//! plus trend-aware comparison between any two of them.
+//! Bench-history ledger: the repository's one performance record, an
+//! append-only JSONL file of benchmark runs, plus trend-aware comparison
+//! between any two of them.
 //!
 //! Each [`HistoryEntry`] is one line of `BENCH_history.jsonl` (kept at the
-//! repository root, next to `BENCH_baseline.json`), keyed by git revision
-//! and timestamp and carrying a flat metric map:
+//! repository root), keyed by git revision and timestamp, stamped with the
+//! [`Host`] it ran on, and carrying a flat metric map:
 //!
 //! ```json
 //! {"schema":"ant-bench-history/1","label":"fig09",
 //!  "git_revision":"abc123...","timestamp_unix_ms":1700000000000,
-//!  "repeats":3,"metrics":{"densenet121/ant_cycles":8123456.0,
+//!  "repeats":3,"host":{"nproc":2,"cpu_model":"...","arch":"x86_64"},
+//!  "metrics":{"densenet121/ant_cycles":8123456.0,
 //!  "densenet121/wall_us":901234.0,"densenet121/wall_us_spread":0.031}}
 //! ```
 //!
-//! Metric names are `<network>/<measure>`; the measure's suffix decides how
-//! [`compare`] treats it (see [`classify`]):
+//! Lines written before host stamping have no `host` key and load as host
+//! unknown. Metric names are `<network>/<measure>`; the measure's suffix
+//! decides how [`compare`] treats it (see [`classify`]):
 //!
-//! * `*_cycles` — deterministic simulator outputs, gated at the threshold.
+//! * `*_cycles` — deterministic simulator outputs, gated at the threshold
+//!   whichever hosts the two sides ran on.
 //! * `*wall_us` / `*alloc*` — host-noise metrics, gated at the largest of
 //!   the threshold, the recorded noise floor (`*_spread`, the relative
 //!   min-to-max spread over the entry's min-of-K repeats), and a static
 //!   floor ([`WALL_NOISE_FLOOR`] / [`ALLOC_NOISE_FLOOR`]).
 //! * `kernel/...` — per-kernel microbenchmark timings (the `microbench`
-//!   binary), gated like host metrics but with their own static floor
-//!   ([`KERNEL_NOISE_FLOOR`]): isolated nanosecond-scale loops are steadier
-//!   than whole-run wall time, so the gate can afford to be tighter.
+//!   and `microbench-tiny` labels, see [`crate::kernels`]), gated like host
+//!   metrics but with their own static floor ([`KERNEL_NOISE_FLOOR`]):
+//!   isolated nanosecond-scale loops are steadier than whole-run wall time,
+//!   so the gate can afford to be tighter.
 //! * `*_energy_uj` — reported but never gated (energy moves with cycles;
 //!   gating both double-counts one change).
 //! * `*_spread` / `*_per_sec` — informational only.
 //!
+//! Host and kernel metrics measure the machine as much as the code, so they
+//! are gated only when both sides carry the same known host; otherwise
+//! [`compare`] lists them with the status `other host` and a warning.
+//! [`select`] picks the candidate and its rolling-median baseline for both
+//! `bench_history compare` and `obsctl ledger trend`.
+//!
 //! Recording ([`record`]) reruns the fig09 workloads (or a tiny CI set)
 //! in-process with allocation counting on, taking min-of-K wall times so
-//! the ledger carries its own noise estimate.
+//! the ledger carries its own noise estimate, or times the kernel grid.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -45,6 +56,7 @@ use ant_sim::scnn::ScnnPlus;
 use ant_sim::{AntError, EnergyModel};
 use ant_workloads::models::{figure9_networks, NetworkModel};
 
+use crate::kernels::{self, Grid};
 use crate::runner::{try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use crate::simcache;
 
@@ -84,6 +96,78 @@ pub const WALL_NOISE_FLOOR: f64 = 0.35;
 /// scheduler noise.
 pub const KERNEL_NOISE_FLOOR: f64 = 0.25;
 
+/// The machine a ledger entry was recorded on. Two entries' host and kernel
+/// metrics are comparable only when their hosts are equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Host {
+    /// Logical CPUs available to the process.
+    pub nproc: u32,
+    /// CPU model name from `/proc/cpuinfo`, where the platform has one.
+    pub cpu_model: Option<String>,
+    /// Target architecture (`x86_64`, `aarch64`, ...).
+    pub arch: String,
+}
+
+impl Host {
+    /// The host this process runs on.
+    pub fn current() -> Host {
+        let cpu_model = fs::read_to_string("/proc/cpuinfo").ok().and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        });
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u32),
+            cpu_model,
+            arch: std::env::consts::ARCH.to_string(),
+        }
+    }
+
+    /// A short human identity: `2x <model> (<arch>)`.
+    pub fn describe(&self) -> String {
+        format!(
+            "{}x {} ({})",
+            self.nproc,
+            self.cpu_model.as_deref().unwrap_or("unknown CPU"),
+            self.arch
+        )
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"nproc\":{},\"cpu_model\":", self.nproc);
+        match &self.cpu_model {
+            Some(model) => write_json_string(model, out),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"arch\":");
+        write_json_string(&self.arch, out);
+        out.push('}');
+    }
+
+    fn parse(json: &ant_obs::json::Json) -> Result<Host, String> {
+        let nproc = json
+            .get("nproc")
+            .and_then(|n| n.as_u64())
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or("host missing nproc")?;
+        let arch = json
+            .get("arch")
+            .and_then(|s| s.as_str())
+            .ok_or("host missing arch")?
+            .to_string();
+        let cpu_model = json
+            .get("cpu_model")
+            .and_then(|s| s.as_str())
+            .map(str::to_string);
+        Ok(Host {
+            nproc,
+            cpu_model,
+            arch,
+        })
+    }
+}
+
 /// One benchmark run in the ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryEntry {
@@ -96,6 +180,9 @@ pub struct HistoryEntry {
     pub timestamp_unix_ms: u64,
     /// How many repeats the min-of-K wall times were taken over.
     pub repeats: u32,
+    /// The machine the run was taken on; `None` for unstamped entries and
+    /// for baselines that mix hosts.
+    pub host: Option<Host>,
     /// Flat metric map, names per the module docs.
     pub metrics: BTreeMap<String, f64>,
 }
@@ -115,9 +202,14 @@ impl HistoryEntry {
         }
         let _ = write!(
             out,
-            ",\"timestamp_unix_ms\":{},\"repeats\":{},\"metrics\":{{",
+            ",\"timestamp_unix_ms\":{},\"repeats\":{}",
             self.timestamp_unix_ms, self.repeats
         );
+        if let Some(host) = &self.host {
+            out.push_str(",\"host\":");
+            host.write_json(&mut out);
+        }
+        out.push_str(",\"metrics\":{");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -166,6 +258,10 @@ impl HistoryEntry {
             .get("repeats")
             .and_then(|n| n.as_u64())
             .ok_or("missing repeats")? as u32;
+        let host = match json.get("host") {
+            None | Some(ant_obs::json::Json::Null) => None,
+            Some(host) => Some(Host::parse(host)?),
+        };
         let mut metrics = BTreeMap::new();
         let map = json
             .get("metrics")
@@ -181,6 +277,7 @@ impl HistoryEntry {
             git_revision,
             timestamp_unix_ms,
             repeats,
+            host,
             metrics,
         })
     }
@@ -331,43 +428,102 @@ pub fn median_of(entries: &[&HistoryEntry]) -> HistoryEntry {
         git_revision: None,
         timestamp_unix_ms: entries.last().expect("non-empty").timestamp_unix_ms,
         repeats: entries.iter().map(|e| e.repeats).min().unwrap_or(1),
+        host: None,
         metrics,
     }
 }
 
-/// Converts a `BENCH_baseline.json` snapshot (the pre-ledger format:
-/// `{"workloads": {net: {scnn_cycles, ant_cycles, scnn_energy_uj,
-/// ant_energy_uj}}}`) into a comparable entry, so the first ledger run can
-/// still be gated against the committed baseline.
+/// The entry [`select`] picks to gate, and the baseline it is gated against.
+#[derive(Debug, Clone)]
+pub struct Selection<'a> {
+    /// The newest entry (of the requested label, when one was given).
+    pub candidate: &'a HistoryEntry,
+    /// The two-part rolling-median baseline (see [`select`]).
+    pub baseline: HistoryEntry,
+    /// The windowed prior same-label entries of every host, oldest first,
+    /// then the candidate.
+    pub series: Vec<&'a HistoryEntry>,
+}
+
+/// Picks the candidate and its baseline: the one selection rule behind
+/// `bench_history compare` with no refs and `obsctl ledger trend`.
+///
+/// The candidate is the newest entry, or the newest with `label` when one
+/// is given. The baseline is a metric-wise [`median_of`] in two parts:
+/// cycle, energy and info metrics over the `window` newest prior entries
+/// with the candidate's label, whichever host ran them; host and kernel
+/// metrics, with their `_spread` noise floors, over the `window` newest
+/// prior same-label entries from the candidate's host only. Without such an
+/// entry the baseline's host is unknown, and [`compare`] lists the host and
+/// kernel metrics as `other host` instead of gating them.
 ///
 /// # Errors
 ///
-/// Returns a one-line description when the snapshot does not parse.
-pub fn from_bench_baseline(text: &str) -> Result<HistoryEntry, String> {
-    let json = ant_obs::parse_json(text).map_err(|e| e.to_string())?;
-    let workloads = json
-        .get("workloads")
-        .and_then(|w| w.as_object())
-        .ok_or("missing workloads object")?;
-    let mut metrics = BTreeMap::new();
-    for (net, measures) in workloads {
-        let measures = measures.as_object().ok_or("workload is not an object")?;
-        for (measure, value) in measures {
-            if let Some(v) = value.as_f64() {
-                metrics.insert(format!("{net}/{measure}"), v);
-            }
-        }
+/// Returns why there is nothing to compare: an empty ledger, no entry with
+/// `label`, or no prior entry with the candidate's label.
+pub fn select<'a>(
+    entries: &'a [HistoryEntry],
+    label: Option<&str>,
+    window: usize,
+) -> Result<Selection<'a>, String> {
+    let window = window.max(1);
+    let position = match label {
+        Some(label) => entries.iter().rposition(|e| e.label == label),
+        None => entries.len().checked_sub(1),
+    };
+    let Some(position) = position else {
+        return Err(match label {
+            Some(label) => format!("no entries with label {label:?} in the ledger"),
+            None => "ledger is empty; nothing to compare".to_string(),
+        });
+    };
+    let candidate = &entries[position];
+    let prior: Vec<&HistoryEntry> = entries[..position]
+        .iter()
+        .filter(|e| e.label == candidate.label)
+        .collect();
+    if prior.is_empty() {
+        return Err(format!(
+            "only one {:?} entry; nothing to compare",
+            candidate.label
+        ));
     }
-    Ok(HistoryEntry {
-        label: "baseline-snapshot".to_string(),
-        git_revision: json
-            .get("git_revision")
-            .and_then(|s| s.as_str())
-            .map(str::to_string),
-        timestamp_unix_ms: 0,
-        repeats: 1,
-        metrics,
+    let mut series = prior[prior.len().saturating_sub(window)..].to_vec();
+    let mut baseline = median_of(&series);
+    let same_host: Vec<&HistoryEntry> = prior
+        .iter()
+        .rev()
+        .filter(|e| e.host.is_some() && e.host == candidate.host)
+        .take(window)
+        .copied()
+        .collect();
+    if !same_host.is_empty() {
+        let local = median_of(&same_host);
+        baseline.metrics.retain(|name, _| !host_bound(name));
+        baseline.metrics.extend(
+            local
+                .metrics
+                .into_iter()
+                .filter(|(name, _)| host_bound(name)),
+        );
+        baseline.label = format!("{}, same-host median({})", baseline.label, same_host.len());
+        baseline.host = candidate.host.clone();
+    }
+    series.push(candidate);
+    Ok(Selection {
+        candidate,
+        baseline,
+        series,
     })
+}
+
+/// Whether `name` measures the host rather than the model: a host or kernel
+/// metric, or the `_spread` noise floor recorded with one.
+fn host_bound(name: &str) -> bool {
+    matches!(
+        classify(name.strip_suffix("_spread").unwrap_or(name)),
+        MetricClass::Noisy | MetricClass::Kernel
+    )
 }
 
 /// How [`compare`] treats a metric.
@@ -437,6 +593,27 @@ pub struct MetricDelta {
     pub regressed: bool,
     /// Candidate better than baseline by more than the gate.
     pub improved: bool,
+    /// A host or kernel metric left ungated because the two sides do not
+    /// carry the same known host.
+    pub other_host: bool,
+}
+
+impl MetricDelta {
+    /// The verdict as reports print it: `regressed`, `improved`,
+    /// `other host`, `ungated` (classes that never gate) or `ok`.
+    pub fn status(&self) -> &'static str {
+        if self.regressed {
+            "regressed"
+        } else if self.improved {
+            "improved"
+        } else if self.other_host {
+            "other host"
+        } else if matches!(self.class, MetricClass::NoteOnly | MetricClass::InfoOnly) {
+            "ungated"
+        } else {
+            "ok"
+        }
+    }
 }
 
 /// The outcome of comparing two entries.
@@ -453,6 +630,9 @@ pub struct CompareReport {
     /// Metrics present in exactly one of the entries (never gated — a new
     /// metric is not a regression).
     pub missing: Vec<String>,
+    /// Set when host or kernel metrics went ungated because the sides ran
+    /// on different or unknown hosts: a one-line warning naming both.
+    pub host_warning: Option<String>,
 }
 
 impl CompareReport {
@@ -477,17 +657,16 @@ impl CompareReport {
             "- threshold: {:.1}% (cycles); host metrics widen to their noise floor\n",
             self.threshold * 100.0
         );
+        if let Some(warning) = &self.host_warning {
+            let _ = writeln!(out, "{warning}\n");
+        }
         let _ = writeln!(out, "| metric | class | baseline | candidate | change | status |");
         let _ = writeln!(out, "|---|---|---:|---:|---:|---|");
         for d in &self.deltas {
-            let status = if d.regressed {
-                "**REGRESSED**"
-            } else if d.improved {
-                "improved"
-            } else if matches!(d.class, MetricClass::NoteOnly | MetricClass::InfoOnly) {
-                "-"
-            } else {
-                "ok"
+            let status = match d.status() {
+                "regressed" => "**REGRESSED**",
+                "ungated" => "-",
+                status => status,
             };
             let _ = writeln!(
                 out,
@@ -549,24 +728,16 @@ impl CompareReport {
             }
             out.push_str("{\"name\":");
             write_json_string(&d.name, &mut out);
-            let status = if d.regressed {
-                "regressed"
-            } else if d.improved {
-                "improved"
-            } else if matches!(d.class, MetricClass::NoteOnly | MetricClass::InfoOnly) {
-                "ungated"
-            } else {
-                "ok"
-            };
             let num = |v: f64| if v.is_finite() { format!("{v}") } else { "null".to_string() };
             let _ = write!(
                 out,
-                ",\"class\":\"{}\",\"baseline\":{},\"candidate\":{},\"rel_change\":{},\"gate\":{},\"status\":\"{status}\"}}",
+                ",\"class\":\"{}\",\"baseline\":{},\"candidate\":{},\"rel_change\":{},\"gate\":{},\"status\":\"{}\"}}",
                 d.class.name(),
                 num(d.baseline),
                 num(d.candidate),
                 num(d.rel_change),
                 num(d.gate),
+                d.status(),
             );
         }
         out.push_str("],\"missing\":[");
@@ -595,8 +766,12 @@ fn fmt_value(v: f64) -> String {
 /// by more than `threshold`; host metrics widen the gate to the largest of
 /// `threshold`, both entries' recorded `<metric>_spread` noise floors, and
 /// a static floor ([`WALL_NOISE_FLOOR`] for wall times, [`ALLOC_NOISE_FLOOR`]
-/// for allocator metrics). All gated metrics are lower-is-better.
+/// for allocator metrics). All gated metrics are lower-is-better. Host and
+/// kernel metrics gate only when both entries carry the same known host;
+/// otherwise they are reported as `other host` and the report carries a
+/// [`CompareReport::host_warning`].
 pub fn compare(baseline: &HistoryEntry, candidate: &HistoryEntry, threshold: f64) -> CompareReport {
+    let same_host = baseline.host.is_some() && baseline.host == candidate.host;
     let mut deltas = Vec::new();
     let mut missing = Vec::new();
     for (name, &base) in &baseline.metrics {
@@ -633,10 +808,12 @@ pub fn compare(baseline: &HistoryEntry, candidate: &HistoryEntry, threshold: f64
             }
             MetricClass::NoteOnly | MetricClass::InfoOnly => 0.0,
         };
-        let gated = matches!(
-            class,
-            MetricClass::Deterministic | MetricClass::Noisy | MetricClass::Kernel
-        );
+        let other_host = matches!(class, MetricClass::Noisy | MetricClass::Kernel) && !same_host;
+        let gated = !other_host
+            && matches!(
+                class,
+                MetricClass::Deterministic | MetricClass::Noisy | MetricClass::Kernel
+            );
         deltas.push(MetricDelta {
             name: name.clone(),
             class,
@@ -646,6 +823,7 @@ pub fn compare(baseline: &HistoryEntry, candidate: &HistoryEntry, threshold: f64
             gate,
             regressed: gated && rel_change > gate,
             improved: gated && rel_change < -gate,
+            other_host,
         });
     }
     for name in candidate.metrics.keys() {
@@ -654,17 +832,31 @@ pub fn compare(baseline: &HistoryEntry, candidate: &HistoryEntry, threshold: f64
         }
     }
     missing.sort();
+    let ungated = deltas.iter().filter(|d| d.other_host).count();
+    let host_of = |e: &HistoryEntry| {
+        e.host
+            .as_ref()
+            .map_or("unknown".to_string(), Host::describe)
+    };
+    let host_warning = (ungated > 0).then(|| {
+        format!(
+            "warning: {ungated} host/kernel metric(s) not gated (other host): baseline host {}, candidate host {}",
+            host_of(baseline),
+            host_of(candidate)
+        )
+    });
     CompareReport {
         baseline: baseline.describe(),
         candidate: candidate.describe(),
         threshold,
         deltas,
         missing,
+        host_warning,
     }
 }
 
-/// Which networks a [`record`] run simulates, and whether the simulation
-/// cache serves them.
+/// What a [`record`] run measures: which networks it simulates and whether
+/// the simulation cache serves them, or which kernel grid it times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadSet {
     /// The five Figure-9 networks at paper-default config — the tracked
@@ -682,6 +874,12 @@ pub enum WorkloadSet {
     /// The tiny workload served warm from the simulation cache — the
     /// seconds-scale counterpart of [`WorkloadSet::Fig09Warm`].
     TinyWarm,
+    /// The full kernel grid ([`kernels::standard_benches`] at
+    /// [`Grid::Full`]): the per-kernel `kernel/...` gates.
+    Microbench,
+    /// The one-point kernel grid ([`Grid::Tiny`]) — a seconds-scale smoke
+    /// for CI, under its own label so it never blends into the full grid.
+    MicrobenchTiny,
 }
 
 impl WorkloadSet {
@@ -692,6 +890,8 @@ impl WorkloadSet {
             "fig09-warm" => Some(WorkloadSet::Fig09Warm),
             "tiny" => Some(WorkloadSet::Tiny),
             "tiny-warm" => Some(WorkloadSet::TinyWarm),
+            "microbench" => Some(WorkloadSet::Microbench),
+            "microbench-tiny" => Some(WorkloadSet::MicrobenchTiny),
             _ => None,
         }
     }
@@ -703,6 +903,8 @@ impl WorkloadSet {
             WorkloadSet::Fig09Warm => "fig09-warm",
             WorkloadSet::Tiny => "tiny",
             WorkloadSet::TinyWarm => "tiny-warm",
+            WorkloadSet::Microbench => "microbench",
+            WorkloadSet::MicrobenchTiny => "microbench-tiny",
         }
     }
 
@@ -712,9 +914,20 @@ impl WorkloadSet {
         matches!(self, WorkloadSet::Fig09Warm | WorkloadSet::TinyWarm)
     }
 
+    /// The kernel grid a microbench set times; `None` for network sets.
+    fn kernel_grid(self) -> Option<Grid> {
+        match self {
+            WorkloadSet::Microbench => Some(Grid::Full),
+            WorkloadSet::MicrobenchTiny => Some(Grid::Tiny),
+            _ => None,
+        }
+    }
+
     fn networks(self) -> Vec<NetworkModel> {
         match self {
             WorkloadSet::Fig09 | WorkloadSet::Fig09Warm => figure9_networks(),
+            // Kernel sets simulate no network: `record` times their grid.
+            WorkloadSet::Microbench | WorkloadSet::MicrobenchTiny => Vec::new(),
             WorkloadSet::Tiny | WorkloadSet::TinyWarm => vec![NetworkModel {
                 name: "tiny",
                 layers: vec![
@@ -727,35 +940,45 @@ impl WorkloadSet {
 
     fn config(self) -> ExperimentConfig {
         match self {
-            WorkloadSet::Fig09 | WorkloadSet::Fig09Warm => ExperimentConfig::paper_default(),
             WorkloadSet::Tiny | WorkloadSet::TinyWarm => ExperimentConfig {
                 max_channels: 2,
                 ..ExperimentConfig::paper_default()
             },
+            _ => ExperimentConfig::paper_default(),
         }
     }
 }
 
-/// Runs the workload set `repeats` times (min 1) and builds a ledger entry:
-/// deterministic cycle/energy metrics from the first repeat, min-of-K wall
-/// time with its relative spread as the noise floor, allocator traffic when
-/// the counting allocator is active (it is, in `ant-bench` binaries — this
-/// function enables counting), and an informational throughput rate. Fails
-/// with the runner's error if a workload network cannot be simulated.
+/// Runs the workload set `repeats` times (min 1) and builds a ledger entry
+/// stamped with the current [`Host`]. Network sets record deterministic
+/// cycle/energy metrics from the first repeat, min-of-K wall time with its
+/// relative spread as the noise floor, allocator traffic when the counting
+/// allocator is active (it is, in `ant-bench` binaries — this function
+/// enables counting), and an informational throughput rate. Kernel sets
+/// record [`kernels::record`]'s per-kernel timings, without allocation
+/// counting. Fails with the runner's error if a workload network cannot be
+/// simulated or a kernel input cannot be built.
 pub fn record(set: WorkloadSet, repeats: u32) -> Result<HistoryEntry, AntError> {
     let repeats = repeats.max(1);
-    ant_obs::alloc::enable();
-    // Warm sets measure against a freshly-activated in-memory simulation
-    // cache (no on-disk store, so the entry never depends on what an
-    // earlier process left behind); the override is restored to the
-    // environment default before returning, error or not.
-    if set.warm_cache() {
-        simcache::set_override(simcache::CacheOverride::On(simcache::SimCacheConfig::default()));
-    }
-    let metrics = measure(set, repeats);
-    if set.warm_cache() {
-        simcache::set_override(simcache::CacheOverride::Env);
-    }
+    let metrics = if let Some(grid) = set.kernel_grid() {
+        kernels::record(grid, repeats)
+    } else {
+        ant_obs::alloc::enable();
+        // Warm sets measure against a freshly-activated in-memory simulation
+        // cache (no on-disk store, so the entry never depends on what an
+        // earlier process left behind); the override is restored to the
+        // environment default before returning, error or not.
+        if set.warm_cache() {
+            simcache::set_override(simcache::CacheOverride::On(
+                simcache::SimCacheConfig::default(),
+            ));
+        }
+        let metrics = measure(set, repeats);
+        if set.warm_cache() {
+            simcache::set_override(simcache::CacheOverride::Env);
+        }
+        metrics
+    };
     Ok(HistoryEntry {
         label: set.label().to_string(),
         git_revision: ant_obs::git_revision(),
@@ -764,6 +987,7 @@ pub fn record(set: WorkloadSet, repeats: u32) -> Result<HistoryEntry, AntError> 
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0),
         repeats,
+        host: Some(Host::current()),
         metrics: metrics?,
     })
 }
@@ -846,6 +1070,7 @@ mod tests {
             git_revision: Some("deadbeef0123".to_string()),
             timestamp_unix_ms: 1_700_000_000_000,
             repeats: 3,
+            host: Some(Host::current()),
             metrics: metrics
                 .iter()
                 .map(|(k, v)| (k.to_string(), *v))
@@ -1083,17 +1308,5 @@ mod tests {
         let median = median_of(&refs);
         assert_eq!(median.metrics["vgg16/ant_cycles"], 101.0);
         assert!(median.label.contains("median(3)"));
-    }
-
-    #[test]
-    fn bench_baseline_snapshot_converts() {
-        let text = r#"{"source":"x","git_revision":"cafe","workloads":{
-            "vgg16":{"scnn_cycles":100,"ant_cycles":30,"scnn_energy_uj":9.0,"ant_energy_uj":2.0}}}"#;
-        let e = from_bench_baseline(text).expect("convert");
-        assert_eq!(e.metrics["vgg16/scnn_cycles"], 100.0);
-        assert_eq!(e.metrics["vgg16/ant_cycles"], 30.0);
-        assert_eq!(e.git_revision.as_deref(), Some("cafe"));
-        // Converted metrics classify the same as recorded ones.
-        assert_eq!(classify("vgg16/scnn_cycles"), MetricClass::Deterministic);
     }
 }

@@ -1,4 +1,6 @@
-//! Per-kernel microbenchmark harness (`microbench` binary).
+//! Per-kernel microbenchmark harness, recorded into the bench-history
+//! ledger by `bench_history record --label microbench` (the full grid) and
+//! `--label microbench-tiny` (one sparsity point, for CI).
 //!
 //! Whole-run wall time in the bench-history ledger answers "did the build
 //! get slower?" but not "*which kernel* got slower?". This module times the
@@ -19,6 +21,15 @@
 //! * `fingerprint` — once-per-layer content keying for the simulation
 //!   cache ([`KeyBuilder::write_csr`] over a ResNet-scale plane).
 //!
+//! The full grid adds fixed-geometry cases of the wider pipeline, each at
+//! one input point: FNIR selection by window width (`fnir_select`), range
+//! computation and the allocating kernel scan on the update-phase geometry,
+//! the whole anticipator (`anticipator_run_conv`), one channel pair on each
+//! inner-loop machine for the forward and update geometries
+//! (`simulate_pair/<geometry>/<machine>`), and the sparse substrate
+//! (`csr_from_dense`, `csr_rotate180`, `count_useful_products`,
+//! `image_nz_counter_build`, `sparse_conv_outer`).
+//!
 //! Each bench takes min-of-K batch timings (`std::hint::black_box` on every
 //! checksum so nothing folds away) and lands in the ledger as
 //! `kernel/<name>/<case>/ns_per_op` plus an informational `_spread`, which
@@ -30,52 +41,40 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::hint::black_box;
+use std::time::Instant;
 
-use ant_conv::rcp::IndexRange;
+use ant_conv::outer::sparse_conv_outer;
+use ant_conv::rcp::{count_useful_products, ImageNzCounter, IndexRange};
+use ant_conv::ConvShape;
+use ant_core::anticipator::{AntConfig, Anticipator};
 use ant_core::fnir::Fnir;
-use ant_core::range::GroupRanges;
-use ant_core::scan::{scan_kernel_into, KernelScan};
+use ant_core::range::{compute_ranges, GroupRanges};
+use ant_core::scan::{scan_kernel, scan_kernel_into, KernelScan};
 use ant_sim::accum::AccumulatorBanks;
+use ant_sim::ant::AntAccelerator;
+use ant_sim::inner::{DenseInnerProduct, TensorDash};
+use ant_sim::scnn::ScnnPlus;
+use ant_sim::{AntError, ConvSim};
 use ant_sparse::{sparsify, Bitmask, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fingerprint::KeyBuilder;
-use crate::history::HistoryEntry;
 
-/// Ledger label every microbench entry carries (the rolling-median baseline
-/// in `bench_history compare` only mixes entries with the same label, so
-/// kernel timings never blend with fig09 runs).
-pub const LABEL: &str = "microbench";
-
-/// Which sparsity points the standard benches synthesize inputs at.
+/// Which sparsity points the standard benches synthesize inputs at, and
+/// whether the fixed-geometry pipeline cases run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Grid {
-    /// The tracked grid: 50%, 90%, and 99% sparse inputs.
+    /// The tracked grid: 50%, 90%, and 99% sparse inputs, plus the
+    /// fixed-geometry pipeline cases.
     Full,
-    /// One point (90%) — a seconds-scale smoke grid for CI.
+    /// One point (90%) of the hot kernels only — a seconds-scale smoke grid
+    /// for CI.
     Tiny,
 }
 
 impl Grid {
-    /// Parses a CLI label.
-    pub fn from_label(label: &str) -> Option<Grid> {
-        match label {
-            "full" => Some(Grid::Full),
-            "tiny" => Some(Grid::Tiny),
-            _ => None,
-        }
-    }
-
-    /// The CLI label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Grid::Full => "full",
-            Grid::Tiny => "tiny",
-        }
-    }
-
     /// The sparsity points.
     pub fn sparsities(self) -> &'static [f64] {
         match self {
@@ -173,7 +172,7 @@ impl KernelBench {
         let mut batch = |checksum: &mut u64| {
             let started = Instant::now();
             for _ in 0..iters {
-                *checksum = checksum.wrapping_add(std::hint::black_box((self.runner)()));
+                *checksum = checksum.wrapping_add(black_box((self.runner)()));
             }
             started.elapsed().as_nanos() as f64 / f64::from(iters)
         };
@@ -213,8 +212,14 @@ fn seed_for(kernel: &str, sparsity: f64) -> u64 {
     h
 }
 
-/// The standard bench set: every hot kernel at every grid sparsity.
-pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
+/// The standard bench set: every hot kernel at every grid sparsity, plus the
+/// fixed-geometry pipeline cases on the full grid.
+///
+/// # Errors
+///
+/// Returns the error of an input that cannot be built (a convolution shape
+/// or FNIR block its constructor rejects).
+pub fn standard_benches(grid: Grid) -> Result<Vec<KernelBench>, AntError> {
     let mut benches = Vec::new();
     for &sparsity in grid.sparsities() {
         let case = case_label(sparsity);
@@ -260,7 +265,7 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
             s: IndexRange { min: 16, max: 47 },
             ops: Default::default(),
         };
-        let fnir = Fnir::new(4, 16).unwrap_or_else(|_| unreachable!("non-zero parameters"));
+        let fnir = Fnir::new(4, 16)?;
         let mut scan = KernelScan::default();
         benches.push(KernelBench::new(
             "fnir_scan",
@@ -318,10 +323,176 @@ pub fn standard_benches(grid: Grid) -> Vec<KernelBench> {
             }),
         ));
     }
-    benches
+    if grid == Grid::Full {
+        benches.extend(pipeline_benches()?);
+    }
+    Ok(benches)
 }
 
-/// Measures every bench (with an optional name filter applied first).
+/// A seeded kernel/image operand pair at `sparsity` for `shape`.
+fn sparse_pair(shape: &ConvShape, sparsity: f64, seed: u64) -> (CsrMatrix, CsrMatrix) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kernel =
+        sparsify::random_with_sparsity(shape.kernel_h(), shape.kernel_w(), sparsity, &mut rng);
+    let image =
+        sparsify::random_with_sparsity(shape.image_h(), shape.image_w(), sparsity, &mut rng);
+    (
+        CsrMatrix::from_dense(&kernel),
+        CsrMatrix::from_dense(&image),
+    )
+}
+
+/// The fixed-geometry cases of the full grid: the anticipation primitives,
+/// one channel pair per inner-loop machine, and the sparse substrate, each
+/// at 90% sparsity unless its case names another point. Batch sizes keep a
+/// timed batch near a millisecond.
+fn pipeline_benches() -> Result<Vec<KernelBench>, AntError> {
+    let mut benches = Vec::new();
+    let update = ConvShape::new(32, 32, 34, 34, 1)?;
+
+    for k in [8usize, 16, 32] {
+        let fnir = Fnir::new(4, k)?;
+        let window: Vec<i64> = (0..k as i64).map(|i| (i * 7) % 31).collect();
+        benches.push(KernelBench::new(
+            "fnir_select",
+            k.to_string(),
+            16_384,
+            Box::new(move || {
+                let out = fnir.select(black_box(5), black_box(20), &window);
+                out.comparator_ops() + out.positions().len() as u64
+            }),
+        ));
+    }
+
+    let coords = [(3, 7), (3, 20), (4, 1), (4, 29)];
+    benches.push(KernelBench::new(
+        "range_computation",
+        "32x32",
+        65_536,
+        Box::new(move || {
+            let ranges = compute_ranges(black_box(&update), black_box(&coords));
+            ranges.ops.comparisons + ranges.ops.additions
+        }),
+    ));
+
+    let (kernel, _) = sparse_pair(&update, 0.9, seed_for("kernel_scan_update_phase", 0.9));
+    let ranges = compute_ranges(&update, &[(10, 5), (10, 17), (11, 2), (11, 30)]);
+    let fnir = Fnir::new(4, 16)?;
+    benches.push(KernelBench::new(
+        "kernel_scan_update_phase",
+        case_label(0.9),
+        8_192,
+        Box::new(move || {
+            let scan = scan_kernel(&kernel, &ranges, &fnir);
+            scan.value_reads + scan.cycles
+        }),
+    ));
+
+    // The whole anticipator on the update-phase geometry, the hot path of
+    // every network experiment. One checked run up front turns a shape
+    // error into this function's error; the timed runs cannot fail.
+    for (sparsity, iters) in [(0.5, 16), (0.9, 128)] {
+        let (kernel, image) = sparse_pair(
+            &update,
+            sparsity,
+            seed_for("anticipator_run_conv", sparsity),
+        );
+        let ant = Anticipator::new(AntConfig::paper_default());
+        ant.run_conv(&kernel, &image, &update)?;
+        benches.push(KernelBench::new(
+            "anticipator_run_conv",
+            case_label(sparsity),
+            iters,
+            Box::new(move || {
+                ant.run_conv(&kernel, &image, &update)
+                    .map_or(0, |run| run.counters.multiplications)
+            }),
+        ));
+    }
+
+    for (geometry, shape) in [
+        ("forward_3x3", ConvShape::new(3, 3, 34, 34, 1)?),
+        ("update_32x32", update),
+    ] {
+        let (kernel, image) = sparse_pair(&shape, 0.9, seed_for("simulate_pair", 0.9));
+        let machines: [(&str, u32, Box<dyn ConvSim>); 4] = [
+            ("scnn_plus", 256, Box::new(ScnnPlus::paper_default())),
+            ("ant", 256, Box::new(AntAccelerator::paper_default())),
+            (
+                "dense_ip",
+                32_768,
+                Box::new(DenseInnerProduct::paper_default()),
+            ),
+            ("tensordash", 32_768, Box::new(TensorDash::paper_default())),
+        ];
+        for (machine, iters, sim) in machines {
+            let (kernel, image) = (kernel.clone(), image.clone());
+            benches.push(KernelBench::new(
+                "simulate_pair",
+                format!("{geometry}/{machine}"),
+                iters,
+                Box::new(move || {
+                    sim.simulate_conv_pair(&kernel, &image, &shape)
+                        .total_cycles()
+                }),
+            ));
+        }
+    }
+
+    for (size, iters) in [(64usize, 256), (128, 64)] {
+        let mut rng = StdRng::seed_from_u64(seed_for("csr_from_dense", 0.9));
+        let dense = sparsify::random_with_sparsity(size, size, 0.9, &mut rng);
+        benches.push(KernelBench::new(
+            "csr_from_dense",
+            size.to_string(),
+            iters,
+            Box::new(move || CsrMatrix::from_dense(&dense).nnz() as u64),
+        ));
+    }
+
+    let mut rng = StdRng::seed_from_u64(seed_for("csr_rotate180", 0.9));
+    let plane = CsrMatrix::from_dense(&sparsify::random_with_sparsity(112, 112, 0.9, &mut rng));
+    benches.push(KernelBench::new(
+        "csr_rotate180",
+        "112x112",
+        256,
+        Box::new(move || plane.rotate180().nnz() as u64),
+    ));
+
+    // The exact useful-product counter behind the ImageNet-scale Figure 1,
+    // and the prefix-sum table it builds per image.
+    let wide = ConvShape::new(112, 112, 114, 114, 1)?;
+    let (kernel, image) = sparse_pair(&wide, 0.9, seed_for("count_useful_products", 0.9));
+    let counter_image = image.clone();
+    benches.push(KernelBench::new(
+        "count_useful_products",
+        "112x112",
+        16,
+        Box::new(move || count_useful_products(&kernel, &image, &wide)),
+    ));
+    benches.push(KernelBench::new(
+        "image_nz_counter_build",
+        "114x114",
+        16,
+        Box::new(move || ImageNzCounter::new(&counter_image, &wide).count_valid(0, 0)),
+    ));
+
+    // The reference outer-product convolution on a small update phase.
+    let small = ConvShape::new(14, 14, 16, 16, 1)?;
+    let (kernel, image) = sparse_pair(&small, 0.9, seed_for("sparse_conv_outer", 0.9));
+    sparse_conv_outer(&kernel, &image, &small)?;
+    benches.push(KernelBench::new(
+        "sparse_conv_outer",
+        "update_phase",
+        512,
+        Box::new(move || {
+            sparse_conv_outer(&kernel, &image, &small).map_or(0, |result| result.useful)
+        }),
+    ));
+    Ok(benches)
+}
+
+/// Measures every bench.
 pub fn run_benches(benches: Vec<KernelBench>, repeats: u32) -> Vec<KernelResult> {
     benches
         .into_iter()
@@ -336,85 +507,108 @@ pub fn run_benches(benches: Vec<KernelBench>, repeats: u32) -> Vec<KernelResult>
         .collect()
 }
 
-/// Folds measured results into one ledger entry (label [`LABEL`]): a
-/// `.../ns_per_op` metric plus its informational `.../ns_per_op_spread`
-/// noise floor per bench.
-pub fn entry_from(results: &[KernelResult], repeats: u32) -> HistoryEntry {
+/// Folds measured results into ledger metrics: a `.../ns_per_op` metric
+/// plus its informational `.../ns_per_op_spread` noise floor per bench.
+fn metrics(results: &[KernelResult]) -> BTreeMap<String, f64> {
     let mut metrics = BTreeMap::new();
     for r in results {
         let name = r.metric_name();
         metrics.insert(format!("{name}_spread"), r.measurement.spread);
         metrics.insert(name, r.measurement.ns_per_op);
     }
-    HistoryEntry {
-        label: LABEL.to_string(),
-        git_revision: ant_obs::git_revision(),
-        timestamp_unix_ms: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0),
-        repeats: repeats.max(1),
-        metrics,
-    }
+    metrics
 }
 
-/// Runs the standard set at `grid` and builds its ledger entry — the
-/// `microbench` binary's record path.
-pub fn record(grid: Grid, repeats: u32) -> (Vec<KernelResult>, HistoryEntry) {
-    let results = run_benches(standard_benches(grid), repeats);
-    let entry = entry_from(&results, repeats);
-    (results, entry)
+/// Runs the standard set at `grid` and returns its ledger metrics — the
+/// record path of the `microbench` and `microbench-tiny` ledger labels
+/// ([`crate::history::record`]).
+///
+/// # Errors
+///
+/// As [`standard_benches`].
+pub fn record(grid: Grid, repeats: u32) -> Result<BTreeMap<String, f64>, AntError> {
+    Ok(metrics(&run_benches(standard_benches(grid)?, repeats)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{self, compare, MetricClass, DEFAULT_THRESHOLD};
+    use crate::history::{
+        self, compare, HistoryEntry, Host, MetricClass, WorkloadSet, DEFAULT_THRESHOLD,
+    };
+
+    const GRID_KERNELS: [&str; 6] = [
+        "bitmask_and_count",
+        "bitmask_and_assign",
+        "fnir_scan",
+        "accum_conflict",
+        "csr_compress",
+        "fingerprint",
+    ];
 
     #[test]
     fn standard_benches_cover_every_kernel_at_every_point() {
         for (grid, points) in [(Grid::Full, 3), (Grid::Tiny, 1)] {
-            let benches = standard_benches(grid);
-            assert_eq!(benches.len(), 6 * points);
+            let benches = standard_benches(grid).expect("bench inputs build");
             let names: std::collections::BTreeSet<String> = benches
                 .iter()
                 .map(|b| format!("{}/{}", b.kernel(), b.case()))
                 .collect();
             assert_eq!(names.len(), benches.len(), "bench names must be unique");
-            for kernel in [
-                "bitmask_and_count",
-                "bitmask_and_assign",
-                "fnir_scan",
-                "accum_conflict",
-                "csr_compress",
-                "fingerprint",
-            ] {
+            for kernel in GRID_KERNELS {
                 assert_eq!(
                     benches.iter().filter(|b| b.kernel() == kernel).count(),
                     points,
                     "{kernel} must appear once per grid point"
                 );
             }
+            // The fixed-geometry pipeline cases run on the full grid only,
+            // so the CI grid stays small.
+            let pipeline = [
+                "fnir_select/8",
+                "fnir_select/16",
+                "fnir_select/32",
+                "range_computation/32x32",
+                "kernel_scan_update_phase/s90",
+                "anticipator_run_conv/s50",
+                "anticipator_run_conv/s90",
+                "simulate_pair/forward_3x3/scnn_plus",
+                "simulate_pair/forward_3x3/ant",
+                "simulate_pair/forward_3x3/dense_ip",
+                "simulate_pair/forward_3x3/tensordash",
+                "simulate_pair/update_32x32/scnn_plus",
+                "simulate_pair/update_32x32/ant",
+                "simulate_pair/update_32x32/dense_ip",
+                "simulate_pair/update_32x32/tensordash",
+                "csr_from_dense/64",
+                "csr_from_dense/128",
+                "csr_rotate180/112x112",
+                "count_useful_products/112x112",
+                "image_nz_counter_build/114x114",
+                "sparse_conv_outer/update_phase",
+            ];
+            let full = grid == Grid::Full;
+            for name in pipeline {
+                assert_eq!(names.contains(name), full, "{name} on {grid:?}");
+            }
+            assert_eq!(benches.len(), 6 * points + if full { pipeline.len() } else { 0 });
         }
     }
 
     #[test]
     fn tiny_grid_measures_and_builds_a_ledger_entry() {
-        let (results, entry) = record(Grid::Tiny, 2);
-        assert_eq!(results.len(), 6);
-        for r in &results {
-            assert!(
-                r.measurement.ns_per_op > 0.0,
-                "{} must take measurable time",
-                r.metric_name()
-            );
-            assert!(r.measurement.spread >= 0.0);
-        }
-        assert_eq!(entry.label, LABEL);
+        let entry = history::record(WorkloadSet::MicrobenchTiny, 2).expect("tiny grid records");
+        assert_eq!(entry.label, "microbench-tiny");
+        assert_eq!(entry.repeats, 2);
+        assert_eq!(entry.host, Some(Host::current()));
         assert_eq!(entry.metrics.len(), 12); // ns_per_op + _spread per bench
-        for r in &results {
-            let name = r.metric_name();
-            assert_eq!(entry.metrics[&name], r.measurement.ns_per_op);
+        for kernel in GRID_KERNELS {
+            let name = format!("kernel/{kernel}/s90/ns_per_op");
+            assert!(
+                entry.metrics[&name] > 0.0,
+                "{name} must take measurable time"
+            );
+            assert!(entry.metrics[&format!("{name}_spread")] >= 0.0);
             assert_eq!(history::classify(&name), MetricClass::Kernel);
             assert_eq!(
                 history::classify(&format!("{name}_spread")),
@@ -429,7 +623,7 @@ mod tests {
     #[test]
     fn fixed_seed_inputs_give_identical_checksums() {
         let take = |grid| {
-            run_benches(standard_benches(grid), 1)
+            run_benches(standard_benches(grid).expect("bench inputs build"), 1)
                 .into_iter()
                 .map(|r| (r.metric_name(), r.measurement.checksum))
                 .collect::<Vec<_>>()
@@ -447,11 +641,23 @@ mod tests {
             Box::new(move || {
                 let mut acc = 0u64;
                 for i in 0..spin {
-                    acc = std::hint::black_box(acc.wrapping_add(i));
+                    acc = black_box(acc.wrapping_add(i));
                 }
                 acc
             }),
         )
+    }
+
+    /// A microbench ledger entry from this host over `bench`.
+    fn busy_entry(bench: KernelBench) -> HistoryEntry {
+        HistoryEntry {
+            label: "microbench".to_string(),
+            git_revision: None,
+            timestamp_unix_ms: 0,
+            repeats: 3,
+            host: Some(Host::current()),
+            metrics: metrics(&run_benches(vec![bench], 3)),
+        }
     }
 
     #[test]
@@ -464,8 +670,8 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let ledger = dir.join("ledger.jsonl");
 
-        let base = entry_from(&run_benches(vec![busy_bench(2_000)], 3), 3);
-        let slow = entry_from(&run_benches(vec![busy_bench(40_000)], 3), 3);
+        let base = busy_entry(busy_bench(2_000));
+        let slow = busy_entry(busy_bench(40_000));
         history::append(&ledger, &base).expect("append baseline");
         history::append(&ledger, &slow).expect("append candidate");
 

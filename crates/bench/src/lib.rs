@@ -18,12 +18,14 @@
 //!   the same `ANT_CACHE_DIR`, byte-identical to an uninterrupted one.
 //! * [`fingerprint`] — the stable hashing behind the cache keys.
 //! * [`history`] — the bench-history ledger (`BENCH_history.jsonl`):
-//!   append-only benchmark runs keyed by git revision, with trend-aware
-//!   regression comparison (`bench_history` binary, `scripts/bench_check.sh`).
-//! * [`kernels`] — the per-kernel microbenchmark harness (`microbench`
-//!   binary): hot kernels timed in isolation over the sparsity grid,
-//!   recorded as `kernel/...` ledger metrics with their own regression
-//!   gates, so a wall-time regression can be attributed to one kernel.
+//!   append-only benchmark runs keyed by git revision and stamped with
+//!   their host, with trend-aware regression comparison (`bench_history`
+//!   binary).
+//! * [`kernels`] — the per-kernel microbenchmark harness
+//!   (`bench_history record --label microbench`): hot kernels timed in
+//!   isolation over the sparsity grid, recorded as `kernel/...` ledger
+//!   metrics with their own regression gates, so a wall-time regression
+//!   can be attributed to one kernel.
 //! * [`telemetry`] — scheduler-telemetry export: per-worker Perfetto
 //!   tracks (host time) and the manifest `host`-section worker
 //!   utilization table, fed by the runner's `ANT_TELEMETRY` counters.

@@ -25,7 +25,8 @@
 //! Every subcommand is an *analysis* tool: it renders a report (markdown
 //! table or a stable JSON schema under `--json`) and exits zero unless the
 //! input itself is unusable. Gating stays with `bench_history compare`;
-//! `obsctl ledger trend` reuses the exact same comparison
+//! `obsctl ledger trend` reuses the exact same baseline selection
+//! ([`crate::history::select`]) and comparison
 //! ([`crate::history::compare`]), so its per-metric verdicts always match
 //! the gate's.
 

@@ -2,14 +2,12 @@
 //! ledger across revisions.
 //!
 //! The comparison half is deliberately *not* reimplemented: the candidate
-//! and baseline are chosen with exactly the semantics of
-//! `bench_history compare` with no refs (newest entry vs the rolling median
-//! of the previous `--window` same-label entries, falling back to the
-//! committed `BENCH_baseline.json` snapshot when the ledger has a single
-//! entry), and the per-metric verdicts come from [`crate::history::compare`]
-//! itself. What trend adds is the *history*: each metric's value sequence
-//! over the window, so a report shows not just "regressed vs baseline" but
-//! the shape of the drift that got it there.
+//! and baseline come from [`crate::history::select`], the same selection
+//! `bench_history compare` makes with no refs, and the per-metric verdicts
+//! come from [`crate::history::compare`] itself. What trend adds is the
+//! *history*: each metric's value sequence over the window, so a report
+//! shows not just "regressed vs baseline" but the shape of the drift that
+//! got it there.
 //!
 //! Unlike `bench_history compare`, trend is an analysis tool, not a gate —
 //! it always exits zero; the `regressed` flag in the JSON is informational.
@@ -18,7 +16,7 @@ use std::fmt::Write as _;
 
 use ant_obs::json::write_json_string;
 
-use crate::history::{self, CompareReport, HistoryEntry, MetricClass};
+use crate::history::{self, CompareReport, HistoryEntry};
 
 /// Schema tag of the machine-readable report (`--json`).
 pub const SCHEMA: &str = "ant-ledger-trend/1";
@@ -77,7 +75,7 @@ pub struct TrendReport {
 }
 
 /// A trend analysis either produces a report or a reason there is nothing
-/// to compare (empty ledger, unknown label, single entry with no snapshot).
+/// to compare (empty ledger, unknown label, single entry).
 #[derive(Debug, Clone)]
 pub enum TrendOutcome {
     /// A full report.
@@ -87,55 +85,19 @@ pub enum TrendOutcome {
 }
 
 /// Runs the analysis over `entries` (oldest first, as loaded from the
-/// ledger). `baseline_snapshot` is the text of `BENCH_baseline.json` when
-/// available — the same single-entry fallback `bench_history compare` uses.
-pub fn analyze(
-    entries: &[HistoryEntry],
-    baseline_snapshot: Option<&str>,
-    opts: &TrendOptions,
-) -> TrendOutcome {
-    // Candidate selection mirrors `bench_history compare` with no refs:
-    // the newest entry — of the requested label when one was given.
-    let candidate = match &opts.label {
-        Some(label) => entries.iter().rev().find(|e| &e.label == label),
-        None => entries.last(),
+/// ledger).
+pub fn analyze(entries: &[HistoryEntry], opts: &TrendOptions) -> TrendOutcome {
+    let selection = match history::select(entries, opts.label.as_deref(), opts.window) {
+        Ok(selection) => selection,
+        Err(reason) => return TrendOutcome::Nothing(reason),
     };
-    let Some(candidate) = candidate else {
-        return TrendOutcome::Nothing(match &opts.label {
-            Some(label) => format!("no entries with label {label:?} in the ledger"),
-            None => "ledger is empty; nothing to analyze".to_string(),
-        });
-    };
-    let label = candidate.label.clone();
-    // Same-label series, oldest first, candidate last. With --label the
-    // candidate may not be the globally newest entry; cut the series at it.
-    let mut series: Vec<&HistoryEntry> = entries.iter().filter(|e| e.label == label).collect();
-    if let Some(pos) = series.iter().rposition(|e| std::ptr::eq(*e, candidate)) {
-        series.truncate(pos + 1);
-    }
-    let prior = &series[..series.len().saturating_sub(1)];
-    let compare = if !prior.is_empty() {
-        let window: Vec<&HistoryEntry> = prior.iter().rev().take(opts.window).copied().collect();
-        history::compare(&history::median_of(&window), candidate, opts.threshold)
-    } else if let Some(text) = baseline_snapshot {
-        match history::from_bench_baseline(text) {
-            Ok(snapshot) => history::compare(&snapshot, candidate, opts.threshold),
-            Err(e) => return TrendOutcome::Nothing(format!("BENCH_baseline.json unusable: {e}")),
-        }
-    } else {
-        return TrendOutcome::Nothing(format!(
-            "only one {label:?} entry and no BENCH_baseline.json; nothing to compare"
-        ));
-    };
-
-    // History window: the last `window` prior entries plus the candidate.
-    let tail_start = prior.len().saturating_sub(opts.window);
-    let windowed: Vec<&HistoryEntry> = series[tail_start..].to_vec();
+    let compare = history::compare(&selection.baseline, selection.candidate, opts.threshold);
     let history = compare
         .deltas
         .iter()
         .map(|d| {
-            let points = windowed
+            let points = selection
+                .series
                 .iter()
                 .map(|e| TrendPoint {
                     revision: e.git_revision.clone(),
@@ -147,7 +109,7 @@ pub fn analyze(
         })
         .collect();
     TrendOutcome::Report(Box::new(TrendReport {
-        label,
+        label: selection.candidate.label.clone(),
         window: opts.window,
         compare,
         history,
@@ -160,18 +122,6 @@ impl TrendReport {
         self.metric_filter
             .as_deref()
             .is_none_or(|f| name.contains(f))
-    }
-
-    fn status_of(delta: &history::MetricDelta) -> &'static str {
-        if delta.regressed {
-            "regressed"
-        } else if delta.improved {
-            "improved"
-        } else if matches!(delta.class, MetricClass::NoteOnly | MetricClass::InfoOnly) {
-            "ungated"
-        } else {
-            "ok"
-        }
     }
 
     /// Renders the trend as markdown: identities, then one row per metric
@@ -188,6 +138,9 @@ impl TrendReport {
             if self.window == 1 { "y" } else { "ies" },
             self.compare.threshold * 100.0
         );
+        if let Some(warning) = &self.compare.host_warning {
+            let _ = writeln!(out, "{warning}\n");
+        }
         let _ = writeln!(out, "| metric | class | trend (old → new) | change | status |");
         let _ = writeln!(out, "|---|---|---|---:|---|");
         let mut hidden = 0usize;
@@ -211,7 +164,7 @@ impl TrendReport {
                 delta.class.name(),
                 sequence,
                 delta.rel_change * 100.0,
-                Self::status_of(delta)
+                delta.status()
             );
         }
         let regressed = self.compare.regressions().len();
@@ -288,7 +241,7 @@ impl TrendReport {
                 num(delta.candidate),
                 num(delta.rel_change),
                 num(delta.gate),
-                Self::status_of(delta)
+                delta.status()
             );
             for (i, p) in points.iter().enumerate() {
                 if i > 0 {
@@ -343,6 +296,11 @@ mod tests {
             git_revision: Some(rev.to_string()),
             timestamp_unix_ms: ts,
             repeats: 1,
+            host: Some(history::Host {
+                nproc: 2,
+                cpu_model: None,
+                arch: "x86_64".to_string(),
+            }),
             metrics: metrics
                 .iter()
                 .map(|(k, v)| (k.to_string(), *v))
@@ -362,20 +320,17 @@ mod tests {
     #[test]
     fn verdicts_match_bench_history_compare_defaults() {
         let entries = ledger();
-        let outcome = analyze(&entries, None, &TrendOptions::default());
+        let outcome = analyze(&entries, &TrendOptions::default());
         let TrendOutcome::Report(report) = outcome else {
             panic!("expected a report");
         };
-        // Same selection as `bench_history compare` with no refs: newest
+        // The selection `bench_history compare` makes with no refs: newest
         // entry (fig09 @ ddd4444) vs median of prior fig09 entries.
-        let prior: Vec<&HistoryEntry> = entries[..3]
-            .iter()
-            .filter(|e| e.label == "fig09")
-            .collect();
-        let window: Vec<&HistoryEntry> = prior.iter().rev().take(5).copied().collect();
+        let selection = history::select(&entries, None, 5).expect("something to compare");
+        assert!(std::ptr::eq(selection.candidate, &entries[3]));
         let expected = history::compare(
-            &history::median_of(&window),
-            &entries[3],
+            &selection.baseline,
+            selection.candidate,
             history::DEFAULT_THRESHOLD,
         );
         assert_eq!(report.compare.baseline, expected.baseline);
@@ -386,6 +341,7 @@ mod tests {
             assert_eq!(got.regressed, want.regressed);
             assert_eq!(got.improved, want.improved);
             assert_eq!(got.rel_change, want.rel_change);
+            assert_eq!(got.status(), want.status());
         }
         // +19% cycles over the 100.5 median regresses at the 5% gate...
         assert!(report.compare.has_regressions());
@@ -400,13 +356,12 @@ mod tests {
     fn label_filter_selects_that_series() {
         let outcome = analyze(
             &ledger(),
-            None,
             &TrendOptions {
                 label: Some("other".to_string()),
                 ..TrendOptions::default()
             },
         );
-        // Single "other" entry, no snapshot: nothing to compare.
+        // Single "other" entry: nothing to compare.
         let TrendOutcome::Nothing(reason) = outcome else {
             panic!("expected nothing-to-compare");
         };
@@ -414,35 +369,23 @@ mod tests {
     }
 
     #[test]
-    fn single_entry_falls_back_to_baseline_snapshot() {
-        let snapshot = r#"{"workloads":{"x":{"ant_cycles":4.0}}}"#;
-        let outcome = analyze(
-            &ledger(),
-            Some(snapshot),
-            &TrendOptions {
-                label: Some("other".to_string()),
-                ..TrendOptions::default()
-            },
-        );
-        let TrendOutcome::Report(report) = outcome else {
-            panic!("expected a report via snapshot fallback");
+    fn single_entry_is_nothing_to_compare() {
+        let outcome = analyze(&ledger()[..1], &TrendOptions::default());
+        let TrendOutcome::Nothing(reason) = outcome else {
+            panic!("expected nothing-to-compare");
         };
-        assert!(report.compare.baseline.contains("baseline-snapshot"));
-        assert_eq!(report.compare.deltas.len(), 1);
-        // 5.0 vs 4.0 = +25% cycles: regressed.
-        assert!(report.compare.has_regressions());
+        assert!(reason.contains("nothing to compare"), "{reason}");
     }
 
     #[test]
     fn empty_ledger_is_nothing_not_error() {
-        let outcome = analyze(&[], None, &TrendOptions::default());
+        let outcome = analyze(&[], &TrendOptions::default());
         assert!(matches!(outcome, TrendOutcome::Nothing(_)));
     }
 
     #[test]
     fn json_is_schema_tagged_with_history_and_statuses() {
-        let TrendOutcome::Report(report) = analyze(&ledger(), None, &TrendOptions::default())
-        else {
+        let TrendOutcome::Report(report) = analyze(&ledger(), &TrendOptions::default()) else {
             panic!("expected report");
         };
         let json = ant_obs::parse_json(&report.to_json()).expect("valid JSON");
@@ -483,7 +426,6 @@ mod tests {
         ];
         let TrendOutcome::Report(report) = analyze(
             &entries,
-            None,
             &TrendOptions {
                 metric: Some("wall".to_string()),
                 ..TrendOptions::default()

@@ -1,13 +1,13 @@
 //! End-to-end tests of the bench-history ledger: record a real (tiny)
 //! run, append/load round-trips through a file, and the regression gate's
 //! acceptance behavior (10% injected cycle regression flagged, self-compare
-//! clean).
+//! clean, host metrics gated only against the candidate's host).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ant_bench::history::{
-    self, HistoryEntry, WorkloadSet, DEFAULT_THRESHOLD,
+    self, HistoryEntry, Host, WorkloadSet, DEFAULT_THRESHOLD,
 };
 
 fn temp_ledger(name: &str) -> PathBuf {
@@ -161,24 +161,104 @@ fn median_window_gates_like_a_single_baseline() {
     assert!(!report.has_regressions(), "{:?}", report.regressions());
 }
 
-#[test]
-fn baseline_snapshot_interoperates_with_recorded_entries() {
-    // A synthetic old-format snapshot whose cycle counts match a recorded
-    // run gates cleanly; inflating the recorded cycles trips it.
-    let entry = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
-    let snapshot_text = format!(
-        r#"{{"source":"test","git_revision":"0000","workloads":{{"tiny":{{"scnn_cycles":{},"ant_cycles":{}}}}}}}"#,
-        entry.metrics["tiny/scnn_cycles"], entry.metrics["tiny/ant_cycles"]
-    );
-    let snapshot = history::from_bench_baseline(&snapshot_text).expect("parse snapshot");
-    assert!(!history::compare(&snapshot, &entry, DEFAULT_THRESHOLD).has_regressions());
+/// `entry` as if recorded on `host` with 10x the wall time.
+fn ten_times_slower(entry: &HistoryEntry, host: Option<Host>) -> HistoryEntry {
+    let mut slow = entry.clone();
+    slow.host = host;
+    let wall = slow.metrics["tiny/wall_us"];
+    slow.metrics.insert("tiny/wall_us".to_string(), wall * 10.0);
+    slow
+}
 
-    let mut worse = entry.clone();
+/// The compare `bench_history compare` runs with no refs over `ledger`.
+fn gate(ledger: &[HistoryEntry]) -> history::CompareReport {
+    let selection = history::select(ledger, None, 5).expect("something to compare");
+    history::compare(&selection.baseline, selection.candidate, DEFAULT_THRESHOLD)
+}
+
+fn status<'a>(report: &'a history::CompareReport, name: &str) -> &'a str {
+    report
+        .deltas
+        .iter()
+        .find(|d| d.name == name)
+        .map(|d| d.status())
+        .unwrap_or_else(|| panic!("{name} not compared"))
+}
+
+#[test]
+fn host_metrics_gate_only_against_the_candidates_host() {
+    let a = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
+    assert_eq!(a.host, Some(Host::current()));
+    let host_b = Some(Host {
+        nproc: a.host.as_ref().map_or(1, |h| h.nproc) + 62,
+        cpu_model: Some("another CPU".to_string()),
+        arch: "another-arch".to_string(),
+    });
+
+    // Host B runs 10x slower at equal cycles: its wall time is not gated
+    // against host A's median, and the report says why.
+    let on_b = ten_times_slower(&a, host_b.clone());
+    let report = gate(&[a.clone(), a.clone(), on_b.clone()]);
+    assert!(!report.has_regressions(), "{:?}", report.regressions());
+    assert_eq!(status(&report, "tiny/wall_us"), "other host");
+    assert_eq!(status(&report, "tiny/alloc_bytes"), "other host");
+    assert_eq!(status(&report, "tiny/ant_cycles"), "ok");
+    let warning = report.host_warning.as_deref().expect("cross-host warning");
+    assert!(warning.contains("another CPU"), "{warning}");
+    assert!(report.to_markdown().contains("other host"));
+    let json = ant_obs::parse_json(&report.to_json()).expect("valid JSON");
+    let metrics = json.get("metrics").and_then(|m| m.as_array()).expect("metrics");
+    assert!(metrics.iter().any(|m| {
+        m.get("name").and_then(|s| s.as_str()) == Some("tiny/wall_us")
+            && m.get("status").and_then(|s| s.as_str()) == Some("other host")
+    }));
+
+    // Cycles still gate across hosts: +20% on host B regresses.
+    let mut worse = on_b.clone();
     let cycles = worse.metrics["tiny/ant_cycles"];
-    worse
-        .metrics
-        .insert("tiny/ant_cycles".to_string(), cycles * 1.2);
-    assert!(history::compare(&snapshot, &worse, DEFAULT_THRESHOLD).has_regressions());
+    worse.metrics.insert("tiny/ant_cycles".to_string(), cycles * 1.2);
+    let report = gate(&[a.clone(), a.clone(), worse.clone()]);
+    let names: Vec<&str> = report.regressions().iter().map(|d| d.name.as_str()).collect();
+    assert_eq!(names, vec!["tiny/ant_cycles"]);
+    // An explicit pair follows the same rule.
+    let names: Vec<String> = history::compare(&a, &worse, DEFAULT_THRESHOLD)
+        .regressions()
+        .iter()
+        .map(|d| d.name.clone())
+        .collect();
+    assert_eq!(names, vec!["tiny/ant_cycles".to_string()]);
+
+    // The same 10x wall jump on one host regresses.
+    let report = gate(&[a.clone(), a.clone(), ten_times_slower(&a, a.host.clone())]);
+    assert_eq!(status(&report, "tiny/wall_us"), "regressed");
+    assert!(report.host_warning.is_none());
+
+    // A prior host-B entry becomes the candidate's host baseline, while
+    // cycles keep the median over both hosts.
+    let report = gate(&[a.clone(), on_b.clone(), on_b]);
+    assert!(!report.has_regressions(), "{:?}", report.regressions());
+    assert_eq!(status(&report, "tiny/wall_us"), "ok");
+    assert!(report.host_warning.is_none());
+}
+
+#[test]
+fn unstamped_and_stamped_lines_round_trip() {
+    let path = temp_ledger("host-stamps");
+    let stamped = history::record(WorkloadSet::Tiny, 1).expect("tiny set records");
+    let mut legacy = stamped.clone();
+    legacy.host = None;
+    assert!(!legacy.to_json_line().contains("\"host\""));
+    assert!(stamped.to_json_line().contains("\"host\":{\"nproc\":"));
+    history::append(&path, &legacy).expect("append legacy");
+    history::append(&path, &stamped).expect("append stamped");
+    assert_eq!(history::load(&path).expect("load"), vec![legacy, stamped]);
+    std::fs::remove_file(&path).ok();
+
+    // Every committed ledger line predates host stamps and still loads.
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.jsonl");
+    let (entries, skipped) = history::load_lenient(&committed).expect("committed ledger");
+    assert_eq!(skipped, 0);
+    assert!(!entries.is_empty());
 }
 
 #[test]
@@ -197,6 +277,17 @@ fn unknown_label_is_rejected_but_known_labels_parse() {
     assert!(!WorkloadSet::Fig09.warm_cache());
     assert_eq!(WorkloadSet::Fig09Warm.label(), "fig09-warm");
     assert_eq!(WorkloadSet::TinyWarm.label(), "tiny-warm");
+    assert_eq!(
+        WorkloadSet::from_label("microbench"),
+        Some(WorkloadSet::Microbench)
+    );
+    assert_eq!(
+        WorkloadSet::from_label("microbench-tiny"),
+        Some(WorkloadSet::MicrobenchTiny)
+    );
+    assert_eq!(WorkloadSet::Microbench.label(), "microbench");
+    assert_eq!(WorkloadSet::MicrobenchTiny.label(), "microbench-tiny");
+    assert!(!WorkloadSet::Microbench.warm_cache());
     assert_eq!(WorkloadSet::from_label("bogus"), None);
 }
 
@@ -213,6 +304,7 @@ fn entries_with_nonfinite_metrics_round_trip_as_absent() {
         git_revision: None,
         timestamp_unix_ms: 1,
         repeats: 1,
+        host: None,
         metrics,
     };
     let parsed = HistoryEntry::parse(&entry.to_json_line()).expect("parse");

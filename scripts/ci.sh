@@ -71,8 +71,8 @@ echo "== microbench smoke (tiny kernel grid record + clean self-compare --json)"
 MICRO_SMOKE="target/experiments/ci_microbench_smoke.jsonl"
 MICRO_JSON="target/experiments/ci_microbench_compare.json"
 rm -f "$MICRO_SMOKE" "$MICRO_JSON"
-cargo run --release -q -p ant-bench --bin microbench -- \
-  --grid tiny --repeats 2 --file "$MICRO_SMOKE"
+cargo run --release -q -p ant-bench --bin bench_history -- \
+  record --label microbench-tiny --repeats 2 --file "$MICRO_SMOKE"
 cargo run --release -q -p ant-bench --bin bench_history -- \
   compare --self --file "$MICRO_SMOKE" --json "$MICRO_JSON" \
   --report target/experiments/ci_microbench_compare.md
@@ -118,15 +118,19 @@ print(f"progress status: schema ok ({status['pairs_done']} pairs, "
 PY
 
 echo "== bench_history gate (HEAD tiny vs rolling median of the committed ledger)"
-# Record a fresh tiny entry on top of a copy of the committed ledger and
-# gate it against the rolling median of the previous same-label entries
-# (deterministic cycle metrics at the fixed threshold; host wall time and
-# allocations widened by each run's recorded noise floor). Working on a
-# copy keeps CI from dirtying the committed BENCH_history.jsonl.
+# Record two fresh tiny entries on top of a copy of the committed ledger
+# and gate the second against the rolling median of the previous
+# same-label entries: deterministic cycle metrics at the fixed threshold
+# against the committed history, whichever host recorded it; host wall
+# time and allocations, widened by each run's recorded noise floor,
+# against the first fresh entry, the only one known to share this host.
+# Working on a copy keeps CI from dirtying the committed BENCH_history.jsonl.
 HISTORY_GATE="target/experiments/ci_bench_history_gate.jsonl"
 cp BENCH_history.jsonl "$HISTORY_GATE"
-cargo run --release -q -p ant-bench --bin bench_history -- \
-  record --label tiny --repeats 3 --file "$HISTORY_GATE"
+for _ in 1 2; do
+  cargo run --release -q -p ant-bench --bin bench_history -- \
+    record --label tiny --repeats 3 --file "$HISTORY_GATE"
+done
 cargo run --release -q -p ant-bench --bin bench_history -- \
   compare --file "$HISTORY_GATE" \
   --report target/experiments/ci_bench_history_gate.md
@@ -266,6 +270,10 @@ assert trend["schema"] == "ant-ledger-trend/1", trend["schema"]
 cmp_status = {m["name"]: m["status"] for m in cmp_doc["metrics"]}
 trend_status = {m["name"]: m["status"] for m in trend["metrics"]}
 assert cmp_status == trend_status, (cmp_status, trend_status)
+# The gate held wall time and allocations to the same-host entry.
+host_gated = {n: s for n, s in cmp_status.items()
+              if n.endswith(("/wall_us", "/alloc_bytes", "/allocs"))}
+assert host_gated and "other host" not in host_gated.values(), host_gated
 assert trend["regressed"] == cmp_doc["regressed"]
 assert sorted(trend["missing"]) == sorted(cmp_doc["missing"])
 for m in trend["metrics"]:
@@ -595,7 +603,7 @@ echo "== panic-site budget (non-test src/ lines with unwrap()/expect(/panic!)"
 # Includes the single intentional `panic!` in serve/daemon.rs that injects
 # a supervised job-worker death under seeded ANT_CHAOS — it is the fault the
 # catch_unwind supervision exists to absorb, not an error path.
-MAX_PANIC_SITES=103
+MAX_PANIC_SITES=101
 PANIC_SITES=0
 for f in $(find crates -path '*/src/*.rs' | sort); do
   n=$(awk '/#\[cfg\(test\)\]/{exit} /unwrap\(\)|expect\(|panic!/{n++} END{print n+0}' "$f")
