@@ -11,9 +11,9 @@
 //!
 //! `record` measures one workload set and appends one JSONL entry, stamped
 //! with the host it ran on, to the ledger (default `BENCH_history.jsonl`
-//! in the working directory). Labels: `fig09`, `fig09-warm`, `tiny` and
-//! `tiny-warm` rerun networks in-process (min-of-K wall repeats, allocation
-//! counting on); `microbench` times the full kernel grid and
+//! in the working directory). Labels: `fig09`, `fig09@16` (channel sample
+//! 16), `fig09-warm`, `tiny` and `tiny-warm` rerun networks in-process
+//! (min-of-K wall repeats, allocation counting on); `microbench` times the full kernel grid and
 //! `microbench-tiny` its one-point CI grid (`kernel/...` metrics).
 //!
 //! `compare` gates a candidate entry against a baseline and exits non-zero
@@ -112,7 +112,7 @@ fn cmd_record(args: &[String]) -> ExitCode {
     }
     let Some(set) = WorkloadSet::from_label(&label) else {
         return fail(&format!(
-            "unknown label {label:?} (want fig09, fig09-warm, tiny, tiny-warm, microbench, or microbench-tiny)"
+            "unknown label {label:?} (want fig09, fig09@16, fig09-warm, tiny, tiny-warm, microbench, or microbench-tiny)"
         ));
     };
 

@@ -862,6 +862,10 @@ pub enum WorkloadSet {
     /// The five Figure-9 networks at paper-default config — the tracked
     /// benchmark.
     Fig09,
+    /// The Figure-9 networks cold at channel sample 16 (the `fig09-cold`
+    /// benchmark workload's fidelity): tracks what accuracy costs, under
+    /// its own `fig09@16` label so it never blends into sample-4 entries.
+    Fig09At16,
     /// The Figure-9 networks served warm from the simulation cache: an
     /// untimed populate pass per network, then every timed repeat hits the
     /// in-memory cache. Tracks the warm-sweep speed the cache exists for,
@@ -887,6 +891,7 @@ impl WorkloadSet {
     pub fn from_label(label: &str) -> Option<WorkloadSet> {
         match label {
             "fig09" => Some(WorkloadSet::Fig09),
+            "fig09@16" => Some(WorkloadSet::Fig09At16),
             "fig09-warm" => Some(WorkloadSet::Fig09Warm),
             "tiny" => Some(WorkloadSet::Tiny),
             "tiny-warm" => Some(WorkloadSet::TinyWarm),
@@ -900,6 +905,7 @@ impl WorkloadSet {
     pub fn label(self) -> &'static str {
         match self {
             WorkloadSet::Fig09 => "fig09",
+            WorkloadSet::Fig09At16 => "fig09@16",
             WorkloadSet::Fig09Warm => "fig09-warm",
             WorkloadSet::Tiny => "tiny",
             WorkloadSet::TinyWarm => "tiny-warm",
@@ -925,7 +931,9 @@ impl WorkloadSet {
 
     fn networks(self) -> Vec<NetworkModel> {
         match self {
-            WorkloadSet::Fig09 | WorkloadSet::Fig09Warm => figure9_networks(),
+            WorkloadSet::Fig09 | WorkloadSet::Fig09At16 | WorkloadSet::Fig09Warm => {
+                figure9_networks()
+            }
             // Kernel sets simulate no network: `record` times their grid.
             WorkloadSet::Microbench | WorkloadSet::MicrobenchTiny => Vec::new(),
             WorkloadSet::Tiny | WorkloadSet::TinyWarm => vec![NetworkModel {
@@ -942,6 +950,10 @@ impl WorkloadSet {
         match self {
             WorkloadSet::Tiny | WorkloadSet::TinyWarm => ExperimentConfig {
                 max_channels: 2,
+                ..ExperimentConfig::paper_default()
+            },
+            WorkloadSet::Fig09At16 => ExperimentConfig {
+                max_channels: 16,
                 ..ExperimentConfig::paper_default()
             },
             _ => ExperimentConfig::paper_default(),
@@ -1043,7 +1055,9 @@ fn measure(set: WorkloadSet, repeats: u32) -> Result<BTreeMap<String, f64>, AntE
             metrics.insert(key("alloc_bytes"), min(&alloc_bytes));
             metrics.insert(key("allocs"), min(&allocs));
         }
-        let combined = s.total.merge(&a.total);
+        // Informational host rate: the work actually simulated, not the
+        // channel-scaled work it represents.
+        let combined = s.simulated.merge(&a.simulated);
         metrics.insert(
             key("effectual_macs_per_sec"),
             combined.throughput(min_wall / 1e6).effectual_macs_per_sec,

@@ -26,7 +26,9 @@
 //! computation and the allocating kernel scan on the update-phase geometry,
 //! the whole anticipator (`anticipator_run_conv`), one channel pair on each
 //! inner-loop machine for the forward and update geometries
-//! (`simulate_pair/<geometry>/<machine>`), and the sparse substrate
+//! (`simulate_pair/<geometry>/<machine>`), one resident image with 16
+//! kernels streaming past it on SCNN+ and ANT, the runner's unit of work
+//! (`simulate_image_group/<geometry>/<machine>`), and the sparse substrate
 //! (`csr_from_dense`, `csr_rotate180`, `count_useful_products`,
 //! `image_nz_counter_build`, `sparse_conv_outer`).
 //!
@@ -55,7 +57,7 @@ use ant_sim::accum::AccumulatorBanks;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{AntError, ConvSim};
+use ant_sim::{AntError, ConvSim, ImageSession, SimScratch};
 use ant_sparse::{sparsify, Bitmask, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -439,6 +441,36 @@ fn pipeline_benches() -> Result<Vec<KernelBench>, AntError> {
         }
     }
 
+    // The runner's unit of work: one resident image prepared once, then 16
+    // kernels streamed past it on a warm worker arena. The operands are the
+    // `simulate_pair` case's, its kernel streamed 16 times, so
+    // `16 x simulate_pair - simulate_image_group` is exactly the per-image
+    // work a session hoists out of the pair loop.
+    for (geometry, shape) in [
+        ("forward_3x3", ConvShape::new(3, 3, 34, 34, 1)?),
+        ("update_32x32", update),
+    ] {
+        let (kernel, image) = sparse_pair(&shape, 0.9, seed_for("simulate_pair", 0.9));
+        let machines: [(&str, Box<dyn ConvSim>); 2] = [
+            ("scnn_plus", Box::new(ScnnPlus::paper_default())),
+            ("ant", Box::new(AntAccelerator::paper_default())),
+        ];
+        for (machine, sim) in machines {
+            let (kernel, image) = (kernel.clone(), image.clone());
+            let mut scratch = SimScratch::new();
+            benches.push(KernelBench::new(
+                "simulate_image_group",
+                format!("{geometry}/{machine}"),
+                16,
+                Box::new(move || {
+                    let mut session =
+                        ImageSession::open(sim.as_ref(), &image, &shape, &mut scratch);
+                    (0..16).map(|_| session.simulate(&kernel).total_cycles()).sum()
+                }),
+            ));
+        }
+    }
+
     for (size, iters) in [(64usize, 256), (128, 64)] {
         let mut rng = StdRng::seed_from_u64(seed_for("csr_from_dense", 0.9));
         let dense = sparsify::random_with_sparsity(size, size, 0.9, &mut rng);
@@ -580,6 +612,10 @@ mod tests {
                 "simulate_pair/update_32x32/ant",
                 "simulate_pair/update_32x32/dense_ip",
                 "simulate_pair/update_32x32/tensordash",
+                "simulate_image_group/forward_3x3/scnn_plus",
+                "simulate_image_group/forward_3x3/ant",
+                "simulate_image_group/update_32x32/scnn_plus",
+                "simulate_image_group/update_32x32/ant",
                 "csr_from_dense/64",
                 "csr_from_dense/128",
                 "csr_rotate180/112x112",

@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ant_conv::efficiency::TrainingPhase;
@@ -21,7 +21,7 @@ use ant_conv::ConvShape;
 use ant_nn::trace::ConvPair;
 use ant_sim::cache::{CacheKey, MODEL_VERSION};
 use ant_sim::chaos::{self, ChaosConfig, Fault};
-use ant_sim::{AntError, ConvSim, SimScratch, SimStats};
+use ant_sim::{validate_conv_pair, AntError, ConvSim, ImageSession, SimScratch, SimStats};
 use ant_sparse::CsrMatrix;
 use ant_workloads::models::NetworkModel;
 use ant_workloads::synth::{synthesize_layer, LayerSparsity};
@@ -92,7 +92,7 @@ pub struct RunOptions {
     /// Wall-clock budget for the *whole run*, in microseconds from run
     /// start — the job-level generalization of `pair_budget_us` used by the
     /// sweepd deadline scheduler. Once exceeded, workers cancel at the next
-    /// pair-job boundary: remaining jobs are skipped (counted in
+    /// pair boundary: remaining pairs are skipped (counted in
     /// [`FailureReport::deadline_skipped`]), the affected layers are left
     /// out of the layer cache (a rerun re-simulates exactly them), and the
     /// result is flagged
@@ -165,7 +165,7 @@ pub struct FailureReport {
     /// First-attempt failures that triggered a retry (including those whose
     /// retry then also failed): `retried.len() + failures.len()` as a `u64`.
     pub retries: u64,
-    /// Pair jobs skipped because the run exceeded its
+    /// Pairs skipped because the run exceeded its
     /// [`RunOptions::deadline_us`] budget; their layers are re-simulated by
     /// a rerun.
     pub deadline_skipped: u64,
@@ -186,7 +186,9 @@ impl FailureReport {
 pub struct WorkerTelemetry {
     /// Worker index (0-based, dense).
     pub worker: usize,
-    /// Pair jobs this worker completed (own deque + stolen).
+    /// Image jobs this worker completed (own deque + stolen). A job is
+    /// one resident image of one (layer, phase) with the kernels that
+    /// stream past it.
     pub executed: u64,
     /// Jobs this worker stole from other workers' deques.
     pub stolen: u64,
@@ -198,7 +200,7 @@ pub struct WorkerTelemetry {
     /// Jobs dealt to this worker's deque up front. Jobs are never pushed
     /// after dealing, so this is also the deque's high-water mark.
     pub dealt: u64,
-    /// Nanoseconds spent executing pair jobs (including retries).
+    /// Nanoseconds spent executing jobs (including retries).
     pub busy_ns: u64,
     /// Nanoseconds alive but not executing jobs: scheduling overhead, lock
     /// waits, and the tail wait after the pool drains.
@@ -221,7 +223,7 @@ impl WorkerTelemetry {
     }
 }
 
-/// One executed pair job's host wall-time extent, for the Perfetto
+/// One executed image job's host wall-time extent, for the Perfetto
 /// host-worker tracks (timestamps are microseconds since the run started).
 #[derive(Debug, Clone, Copy)]
 pub struct JobSlice {
@@ -233,7 +235,7 @@ pub struct JobSlice {
     pub layer: usize,
     /// Phase index (0 = forward, 1 = backward, 2 = update).
     pub phase: usize,
-    /// Pair index within the phase.
+    /// Index of the job's first pair within the phase.
     pub pair: usize,
     /// Whether the job was stolen from another worker's deque.
     pub stolen: bool,
@@ -250,6 +252,11 @@ pub struct NetworkResult {
     pub machine: &'static str,
     /// Accumulated (scaled) counters across all layers and phases.
     pub total: SimStats,
+    /// Raw counters of the pairs this run actually simulated: summed
+    /// before the start-up clamp and channel scaling, with cache-served
+    /// layers contributing nothing. The host rates
+    /// ([`NetworkResult::throughput`]) divide these, not `total`.
+    pub simulated: SimStats,
     /// Per-phase accumulated counters.
     pub per_phase: [(TrainingPhase, SimStats); 3],
     /// Per-layer accumulated (scaled) counters, in layer order.
@@ -276,7 +283,7 @@ pub struct NetworkResult {
     /// Pair jobs answered by the tier-2 analytic fast path instead of being
     /// dispatched to the worker pool; zero when the cache is off.
     pub analytic_pairs: u64,
-    /// True when the run was cancelled at a pair-job boundary because it
+    /// True when the run was cancelled at a pair boundary because it
     /// exceeded [`RunOptions::deadline_us`]. With the layer cache on, every
     /// completed layer is stored, so a rerun picks up where this one
     /// stopped.
@@ -289,6 +296,7 @@ impl NetworkResult {
             network,
             machine,
             total: SimStats::default(),
+            simulated: SimStats::default(),
             per_phase: [
                 (TrainingPhase::Forward, SimStats::default()),
                 (TrainingPhase::Backward, SimStats::default()),
@@ -307,10 +315,13 @@ impl NetworkResult {
         }
     }
 
-    /// Simulated-work-per-wall-second rates for this network's run
-    /// (see [`ant_sim::Throughput`]).
+    /// Host rates of this network's run: the work actually simulated
+    /// ([`NetworkResult::simulated`]) per second of host wall time (see
+    /// [`ant_sim::Throughput`]). The channel-scaled `total` is the work the
+    /// run *represents*; dividing it by host time would credit the host
+    /// with pairs it never simulated.
     pub fn throughput(&self) -> ant_sim::Throughput {
-        self.total.throughput(self.host_wall_us as f64 / 1e6)
+        self.simulated.throughput(self.host_wall_us as f64 / 1e6)
     }
 
     /// Appends one layer's finalized phases and adds them to the network
@@ -355,7 +366,7 @@ impl NetworkResult {
             span.record("wall_cycles", self.wall_cycles);
             span.record_all(stats_fields(&self.total));
             span.record("host_wall_us", self.host_wall_us);
-            span.record_all(throughput_fields(&self.total, self.host_wall_us));
+            span.record_all(throughput_fields(&self.simulated, self.host_wall_us));
         }
     }
 }
@@ -413,8 +424,8 @@ fn stats_fields(stats: &SimStats) -> impl Iterator<Item = (&'static str, ant_obs
 }
 
 /// Derived throughput rates (simulated work per wall second) as typed span
-/// fields, for a region whose counters are `stats` and whose host wall time
-/// was `wall_us`.
+/// fields, for a region whose raw, unscaled simulated counters are `stats`
+/// and whose host wall time was `wall_us`.
 fn throughput_fields(
     stats: &SimStats,
     wall_us: u64,
@@ -438,9 +449,10 @@ fn throughput_fields(
 /// CPUs, like `None`.
 ///
 /// A run has four stages, each bit-identical to the reference: `synthesize`
-/// resolves every layer from the cache or synthesizes it, `deal` hands the
-/// remaining pair jobs to per-worker deques, `execute` runs them on the
-/// work-stealing pool, and `merge` finalizes the layers in order.
+/// resolves every layer from the cache or synthesizes it, `deal` hands one
+/// job per resident image (the image plus the kernels that stream past it)
+/// to per-worker deques, `execute` runs them on the work-stealing pool, and
+/// `merge` finalizes the layers in order.
 ///
 /// # Errors
 ///
@@ -660,7 +672,7 @@ impl RunFlags {
 #[derive(Default)]
 struct ProgressShared {
     base: ant_obs::RunStatus,
-    /// Outstanding jobs per layer; a layer is done at zero.
+    /// Outstanding pairs per layer; a layer is done at zero.
     remaining: Vec<AtomicU64>,
     pairs_done: AtomicU64,
     retries: AtomicU64,
@@ -764,30 +776,60 @@ fn truncated_csr_error(kernel: &CsrMatrix) -> AntError {
     }
 }
 
-/// Simulates one pair behind the isolation boundary, applying an injected
-/// chaos fault if one is scheduled for this attempt.
+/// The error a chaos-corrupted shape produces: the shape disagrees with the
+/// operands, so either its construction fails (kernel outgrew the image) or
+/// the operand check does.
+fn corrupt_shape_error(machine: &'static str, pair: &ConvPair) -> AntError {
+    let shape = match ConvShape::new(
+        pair.shape.kernel_h() + 1,
+        pair.shape.kernel_w() + 1,
+        pair.shape.image_h(),
+        pair.shape.image_w(),
+        pair.shape.stride(),
+    ) {
+        Ok(shape) => shape,
+        Err(e) => return e.into(),
+    };
+    match validate_conv_pair(machine, &pair.kernel, &pair.image, &shape) {
+        Err(e) => e,
+        Ok(()) => AntError::corrupt("chaos", "corrupted shape unexpectedly validated"),
+    }
+}
+
+/// Opens the image session of one job behind the isolation boundary: a
+/// mismatched image or a panicking prepare comes back as the error every
+/// pair of the job then fails with.
+fn open_session<'s, S: ConvSim + Sync + ?Sized>(
+    pe: &'s S,
+    image: &'s CsrMatrix,
+    shape: &'s ConvShape,
+    scratch: &'s mut SimScratch,
+) -> Result<ImageSession<'s, S>, AntError> {
+    let open = move || {
+        let scratch = scratch; // moved, so the session may keep the borrow
+        ImageSession::try_open(pe, image, shape, scratch)
+    };
+    catch_unwind(AssertUnwindSafe(open))
+        .unwrap_or_else(|payload| Err(AntError::from_panic("image prepare", payload.as_ref())))
+}
+
+/// Simulates one pair of a job against its open image session, behind the
+/// isolation boundary, applying an injected chaos fault if one is scheduled
+/// for this attempt.
 fn run_pair_job<S: ConvSim + Sync + ?Sized>(
-    pe: &S,
+    machine: &'static str,
+    session: &mut Result<ImageSession<'_, S>, AntError>,
     pair: &ConvPair,
     fault: Option<Fault>,
-    scratch: &mut SimScratch,
 ) -> Result<SimStats, AntError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| match fault {
         Some(Fault::WorkerPanic) => panic!("chaos: injected worker panic"),
         Some(Fault::TruncatedCsr) => Err(truncated_csr_error(&pair.kernel)),
-        Some(Fault::CorruptShape) => {
-            // A shape that disagrees with the operands: either construction
-            // fails (kernel outgrew the image) or the operand check does.
-            let shape = ConvShape::new(
-                pair.shape.kernel_h() + 1,
-                pair.shape.kernel_w() + 1,
-                pair.shape.image_h(),
-                pair.shape.image_w(),
-                pair.shape.stride(),
-            )?;
-            pe.try_simulate_conv_pair(&pair.kernel, &pair.image, &shape, scratch)
-        }
-        None => pe.try_simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape, scratch),
+        Some(Fault::CorruptShape) => Err(corrupt_shape_error(machine, pair)),
+        None => match session {
+            Ok(session) => session.try_simulate(&pair.kernel),
+            Err(e) => Err(e.clone()),
+        },
     }));
     match outcome {
         Ok(result) => result,
@@ -833,7 +875,7 @@ enum LayerSlot {
     Cached(Box<[SimStats; 3]>),
     /// A synthesized layer still to simulate, with the memo and content
     /// keys to record its result under when the cache is on.
-    Work(LayerWork, Option<(CacheKey, CacheKey)>),
+    Work(Box<LayerWork>, Option<(CacheKey, CacheKey)>),
 }
 
 /// Stage 1: resolves every layer to a [`LayerSlot`], served by the cache or
@@ -868,7 +910,8 @@ fn synthesize(
             let Some(layer) = net.layers.get(li) else { break };
             let slot = match memo[li] {
                 Some(phases) => Ok(LayerSlot::Cached(Box::new(phases))),
-                None => try_synthesize_layer_work(layer, li, cfg).map(|w| LayerSlot::Work(w, None)),
+                None => try_synthesize_layer_work(layer, li, cfg)
+                    .map(|w| LayerSlot::Work(Box::new(w), None)),
             };
             done.push((li, slot));
         }
@@ -899,13 +942,25 @@ fn synthesize(
     Ok(slots)
 }
 
-/// One pair-granularity unit for the work-stealing scheduler: indices into
-/// the synthesized [`LayerWork`] of a slot.
+/// The coordinates of one pair: indices into the synthesized [`LayerWork`]
+/// of a slot. Chaos faults, quarantine records and the watchdog address
+/// pairs by them.
 #[derive(Debug, Clone, Copy)]
 struct PairTask {
     layer: usize,
     phase: usize,
     pair: usize,
+}
+
+/// One unit for the work-stealing scheduler: a resident image of one
+/// (layer, phase) and the pairs whose kernels stream past it, as the range
+/// `start..end` of [`Pool::job_pairs`].
+#[derive(Debug, Clone, Copy)]
+struct ImageJob {
+    layer: usize,
+    phase: usize,
+    start: usize,
+    end: usize,
 }
 
 /// One run's layers and dealt jobs, plus the state its workers share.
@@ -915,7 +970,9 @@ struct Pool<'a, S: ?Sized> {
     run: &'a RunFlags,
     slots: Vec<LayerSlot>,
     /// One deque per worker, each holding a contiguous chunk of the jobs.
-    deques: Vec<Mutex<VecDeque<PairTask>>>,
+    deques: Vec<Mutex<VecDeque<ImageJob>>>,
+    /// The pair indices of every job, job after job.
+    job_pairs: Vec<usize>,
     /// Jobs dealt to each deque. Nothing is pushed after the deal, so this
     /// is also the deque's high-water mark.
     dealt: Vec<u64>,
@@ -927,10 +984,11 @@ struct Pool<'a, S: ?Sized> {
     progress: Option<ProgressShared>,
 }
 
-/// Stage 2: turns every pair of the synthesized layers into one job, in
-/// serial simulation order, and deals the jobs to at most `run.threads`
-/// deques in contiguous chunks: a worker runs one layer's like-shaped pairs
-/// back to back, keeping its [`SimScratch`] warm. With the analytic tier
+/// Stage 2: turns every resident image of the synthesized layers into one
+/// job, in serial simulation order, and deals the jobs to at most
+/// `run.threads` deques in contiguous chunks: a worker prepares each image
+/// once and streams its kernels past it, then moves on to the layer's next
+/// like-shaped image with its [`SimScratch`] warm. With the analytic tier
 /// on, pairs whose machine provides a closed form (byte-identical by the
 /// golden proptests) are answered here instead. Also sets up the watchdog
 /// slots and the live-progress state the workers share.
@@ -945,26 +1003,36 @@ fn deal<'a, S: ConvSim + ?Sized>(
     let mut analytic_partial = vec![SimStats::default(); analytic_len];
     let mut analytic_pairs = 0u64;
     let mut per_layer = vec![0u64; slots.len()];
-    let mut jobs: Vec<PairTask> = Vec::new();
+    let mut jobs: Vec<ImageJob> = Vec::new();
+    let mut job_pairs: Vec<usize> = Vec::new();
     for (li, slot) in slots.iter().enumerate() {
         let LayerSlot::Work(work, _) = slot else { continue };
-        for (pi, (_, pairs, _)) in work.phases.iter().enumerate() {
-            for (pair_index, pair) in pairs.iter().enumerate() {
-                if analytic {
-                    if let Some(stats) =
-                        pe.analytic_conv_pair(&pair.kernel, &pair.image, &pair.shape)
-                    {
-                        analytic_partial[li * 3 + pi].accumulate(&stats);
-                        analytic_pairs += 1;
-                        continue;
+        for (pi, phase) in work.phases.iter().enumerate() {
+            for image in &phase.images {
+                let start = job_pairs.len();
+                for &pair_index in image {
+                    let pair = &phase.pairs[pair_index];
+                    if analytic {
+                        if let Some(stats) =
+                            pe.analytic_conv_pair(&pair.kernel, &pair.image, &pair.shape)
+                        {
+                            analytic_partial[li * 3 + pi].accumulate(&stats);
+                            analytic_pairs += 1;
+                            continue;
+                        }
                     }
+                    job_pairs.push(pair_index);
                 }
-                per_layer[li] += 1;
-                jobs.push(PairTask {
-                    layer: li,
-                    phase: pi,
-                    pair: pair_index,
-                });
+                let end = job_pairs.len();
+                if end > start {
+                    per_layer[li] += (end - start) as u64;
+                    jobs.push(ImageJob {
+                        layer: li,
+                        phase: pi,
+                        start,
+                        end,
+                    });
+                }
             }
         }
     }
@@ -979,14 +1047,14 @@ fn deal<'a, S: ConvSim + ?Sized>(
             state: "running",
             threads: workers as u64,
             layers_total: net.layers.len() as u64,
-            pairs_total: jobs.len() as u64,
+            pairs_total: job_pairs.len() as u64,
             // Build identity: resolved once per process, and only when a
             // status will actually be published.
             git_revision: ant_obs::manifest::git_revision_cached(),
             ..ant_obs::RunStatus::default()
         },
-        // Layers with no jobs — cache-resolved or fully answered by the
-        // analytic tier — count as done up front.
+        // Layers with no pairs to run — cache-resolved or fully answered
+        // by the analytic tier — count as done up front.
         remaining: per_layer.into_iter().map(AtomicU64::new).collect(),
         ..ProgressShared::default()
     });
@@ -998,6 +1066,7 @@ fn deal<'a, S: ConvSim + ?Sized>(
             .map(|w| Mutex::new(chunk_of(w).iter().copied().collect()))
             .collect(),
         dealt: (0..workers).map(|w| chunk_of(w).len() as u64).collect(),
+        job_pairs,
         analytic: analytic_partial,
         analytic_pairs,
         watch: (0..workers).map(|_| WatchSlot::default()).collect(),
@@ -1014,7 +1083,7 @@ struct WorkerOutput {
     failures: Vec<PairFailure>,
     slow: Vec<SlowJob>,
     retried: Vec<PairRetry>,
-    /// Layers of the jobs drained unexecuted after the run deadline passed.
+    /// Layers of the pairs drained unexecuted after the run deadline passed.
     skipped: Vec<usize>,
     /// Scheduler telemetry. Job and steal counts are always kept; timing
     /// and slices only when telemetry is on for the run.
@@ -1099,19 +1168,9 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
             });
             // No new jobs are ever produced, so one full empty scan means
             // the pool is drained for good.
-            let Some(task) = task else { break };
+            let Some(job) = task else { break };
             out.telemetry.stolen += u64::from(stolen);
-            // Job-level deadline: cancellation happens only at this
-            // pair-job boundary (a running pair holds no cancellable
-            // resources, same contract as the watchdog). Remaining jobs
-            // drain unexecuted; their layers are left out of the cache so
-            // a rerun re-simulates exactly them.
-            let deadline = self.run.deadline_us;
-            if deadline.is_some_and(|d| self.run.started.elapsed().as_micros() as u64 >= d) {
-                out.skipped.push(task.layer);
-                continue;
-            }
-            self.run_job(me, task, own_len, stolen, &mut scratch, &mut out);
+            self.run_job(me, job, own_len, stolen, &mut scratch, &mut out);
         }
         let telemetry = &mut out.telemetry;
         if self.run.telemetry {
@@ -1132,57 +1191,51 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
         out
     }
 
-    /// Simulates one job behind the isolation boundary — retried once on a
-    /// fresh scratch arena, then quarantined — and books its counters,
-    /// failure, watchdog and telemetry records into `out`.
+    /// Opens the job's image session once and simulates each of its pairs
+    /// behind the isolation boundary — a failed pair is retried once on a
+    /// fresh scratch arena (which re-prepares the image), then quarantined
+    /// — booking counters, failures, watchdog, progress and telemetry
+    /// records into `out`. Everything but the telemetry is kept per pair.
     fn run_job(
         &self,
         me: usize,
-        task: PairTask,
+        job: ImageJob,
         own_len: u64,
         stolen: bool,
         scratch: &mut SimScratch,
         out: &mut WorkerOutput,
     ) {
-        let LayerSlot::Work(work, _) = &self.slots[task.layer] else {
+        let LayerSlot::Work(work, _) = &self.slots[job.layer] else {
             return;
         };
-        let (phase, pairs, _) = &work.phases[task.phase];
-        let pair = &pairs[task.pair];
+        let phase = &work.phases[job.phase];
+        let pair_indices = &self.job_pairs[job.start..job.end];
         let run = self.run;
         let shared = self.progress.as_ref();
-        let job_started = run.budget_us.map(|_| {
-            let slot = &self.watch[me];
-            slot.task.store(encode_task(task), Ordering::Relaxed);
-            slot.start_us
-                .store(run.started.elapsed().as_micros() as u64 + 1, Ordering::Release);
-            Instant::now()
-        });
         // Telemetry timing is separate from the watchdog's so neither
         // flag changes the other's behaviour.
         let telemetry_started = run.telemetry.then(|| (run.started.elapsed(), Instant::now()));
-        let fault = |attempt| {
-            run.chaos.and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
-        };
-        let mut result = run_pair_job(self.pe, pair, fault(0), scratch);
-        let mut attempts = 1u32;
-        if result.is_err() {
-            if let Some(shared) = shared {
-                shared.retries.fetch_add(1, Ordering::Relaxed);
+        let resident = &phase.pairs[pair_indices[0]];
+        let mut session = open_session(self.pe, &resident.image, &resident.shape, scratch);
+        for &pair_index in pair_indices {
+            // Job-level deadline: cancellation happens only at a pair
+            // boundary (a running pair holds no cancellable resources, same
+            // contract as the watchdog). Remaining pairs drain unexecuted;
+            // their layers are left out of the cache so a rerun
+            // re-simulates exactly them.
+            if run.deadline_us.is_some_and(|d| run.started.elapsed().as_micros() as u64 >= d) {
+                out.skipped.push(job.layer);
+                continue;
             }
-            // The caught panic may have left the arena mid-mutation; retry
-            // on a fresh one (failure path only — the clean path stays
-            // allocation-free).
-            *scratch = SimScratch::new();
-            result = run_pair_job(self.pe, pair, fault(1), scratch);
-            attempts = 2;
-            if result.is_ok() {
-                out.retried.push(PairRetry {
-                    layer_index: task.layer,
-                    phase: task.phase,
-                    pair: task.pair,
-                    attempts,
-                });
+            let task = PairTask {
+                layer: job.layer,
+                phase: job.phase,
+                pair: pair_index,
+            };
+            self.run_pair(me, task, phase, &mut session, out);
+            if let Some(shared) = shared {
+                shared.pairs_done.fetch_add(1, Ordering::Relaxed);
+                shared.remaining[job.layer].fetch_sub(1, Ordering::Relaxed);
             }
         }
         if let Some((since_run_start, job_t0)) = telemetry_started {
@@ -1192,11 +1245,63 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
                 out.telemetry.slices.push(JobSlice {
                     start_us: since_run_start.as_micros() as u64,
                     dur_us: dur.as_micros() as u64,
-                    layer: task.layer,
-                    phase: task.phase,
-                    pair: task.pair,
+                    layer: job.layer,
+                    phase: job.phase,
+                    pair: pair_indices[0],
                     stolen,
                     deque_len: if stolen { 0 } else { own_len },
+                });
+            }
+        }
+        out.telemetry.executed += 1;
+    }
+
+    /// One pair of an image job: the first attempt, a retry on a fresh
+    /// arena if it failed, and the watchdog, counter and failure records.
+    fn run_pair(
+        &self,
+        me: usize,
+        task: PairTask,
+        phase: &PhaseWork,
+        session: &mut Result<ImageSession<'_, S>, AntError>,
+        out: &mut WorkerOutput,
+    ) {
+        let pair = &phase.pairs[task.pair];
+        let run = self.run;
+        let shared = self.progress.as_ref();
+        let machine = self.pe.name();
+        let job_started = run.budget_us.map(|_| {
+            let slot = &self.watch[me];
+            slot.task.store(encode_task(task), Ordering::Relaxed);
+            slot.start_us
+                .store(run.started.elapsed().as_micros() as u64 + 1, Ordering::Release);
+            Instant::now()
+        });
+        let fault = |attempt| {
+            run.chaos.and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
+        };
+        let mut result = run_pair_job(machine, session, pair, fault(0));
+        let mut attempts = 1u32;
+        if result.is_err() {
+            if let Some(shared) = shared {
+                shared.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            // The caught panic may have left the arena mid-mutation; retry
+            // on a fresh one, prepared again for the resident image
+            // (failure path only — the clean path stays allocation-free).
+            if let Ok(open) = session {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| open.reopen_fresh())) {
+                    *session = Err(AntError::from_panic("image prepare", payload.as_ref()));
+                }
+            }
+            result = run_pair_job(machine, session, pair, fault(1));
+            attempts = 2;
+            if result.is_ok() {
+                out.retried.push(PairRetry {
+                    layer_index: task.layer,
+                    phase: task.phase,
+                    pair: task.pair,
+                    attempts,
                 });
             }
         }
@@ -1221,9 +1326,9 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
                 out.failures.push(PairFailure {
                     layer_index: task.layer,
                     layer: self.net.layers[task.layer].name.clone(),
-                    phase: *phase,
+                    phase: phase.phase,
                     pair: task.pair,
-                    machine: self.pe.name(),
+                    machine,
                     error,
                     attempts,
                 });
@@ -1231,11 +1336,6 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
                     shared.failures.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-        out.telemetry.executed += 1;
-        if let Some(shared) = shared {
-            shared.pairs_done.fetch_add(1, Ordering::Relaxed);
-            shared.remaining[task.layer].fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -1327,7 +1427,7 @@ fn merge<S: ConvSim + ?Sized>(pool: &Pool<'_, S>, outputs: &[WorkerOutput]) -> N
             .record("machine", pe.name())
             .record("channel_scale", work.channel_scale);
         let mut phases = [SimStats::default(); 3];
-        for (pi, (phase, pairs, distinct_images)) in work.phases.iter().enumerate() {
+        for (pi, phase) in work.phases.iter().enumerate() {
             let mut phase_stats = SimStats::default();
             for out in outputs {
                 phase_stats.accumulate(&out.partial[li * 3 + pi]);
@@ -1338,18 +1438,19 @@ fn merge<S: ConvSim + ?Sized>(pool: &Pool<'_, S>, outputs: &[WorkerOutput]) -> N
             if let Some(partial) = pool.analytic.get(li * 3 + pi) {
                 phase_stats.accumulate(partial);
             }
-            phases[pi] = finalize_phase(phase_stats, *distinct_images, work.scale);
+            merged.simulated.accumulate(&phase_stats);
+            phases[pi] = finalize_phase(phase_stats, phase.distinct_images(), work.scale);
             // Same phase-delta contract as the reference's spans; the pairs
             // ran interleaved across workers, so no per-phase host wall
             // time is attributable here.
             let mut phase_span = ant_obs::span("phase");
             if phase_span.is_recording() {
                 phase_span
-                    .record("phase", phase.paper_name())
+                    .record("phase", phase.phase.paper_name())
                     .record("network", net.name)
                     .record("machine", pe.name())
                     .record("layer", layer.name.as_str())
-                    .record("pairs", pairs.len());
+                    .record("pairs", phase.pairs.len());
                 phase_span.record_all(stats_fields(&phases[pi]));
             }
         }
@@ -1431,9 +1532,8 @@ fn watchdog_loop(stop: &AtomicBool, watch: &[WatchSlot], run_start: &Instant, bu
 }
 
 /// One layer's synthesized sample plus the constants needed to reproduce
-/// the serial accounting: the sampled pairs of each training phase with its
-/// image-stationary `distinct_images` clamp, and the counter scale factor.
-/// Built once per layer (by either path) and consumed read-only.
+/// the serial accounting. Built once per layer (by either path) and
+/// consumed read-only.
 #[derive(Debug)]
 struct LayerWork {
     /// `channel_scale * layer.count`: factor from sampled to full-layer
@@ -1441,9 +1541,53 @@ struct LayerWork {
     scale: f64,
     /// Channel-sampling scale alone (for span parity with older traces).
     channel_scale: f64,
-    /// Per-phase sampled pairs and the distinct resident-image count that
-    /// bounds the start-up charge.
-    phases: [(TrainingPhase, Vec<ConvPair>, u64); 3],
+    /// The three training phases, in `[Forward, Backward, Update]` order.
+    phases: [PhaseWork; 3],
+}
+
+/// One training phase of a synthesized layer: its sampled pairs, grouped
+/// by resident image.
+#[derive(Debug)]
+struct PhaseWork {
+    phase: TrainingPhase,
+    pairs: Vec<ConvPair>,
+    /// Pair indices per resident image, in order of first appearance, each
+    /// group in pair order. Image-stationary reuse (paper Sections 2.3 and
+    /// 6.1): the resident image plane is held while every kernel streams
+    /// past it — an input-channel plane in the forward and update phases, a
+    /// gradient plane in the backward phase. The runner simulates one group
+    /// per job, and the group count bounds the start-up charge, paid once
+    /// per *image*, not once per (k, c) pair, on every machine alike.
+    images: Vec<Vec<usize>>,
+}
+
+impl PhaseWork {
+    /// Groups `pairs` by resident image: pairs sharing one image plane
+    /// (pointer-equal [`ConvPair::image`]) and shape.
+    fn new(phase: TrainingPhase, pairs: Vec<ConvPair>) -> Self {
+        let mut residents: Vec<(*const CsrMatrix, ConvShape)> = Vec::new();
+        let mut images: Vec<Vec<usize>> = Vec::new();
+        for (index, pair) in pairs.iter().enumerate() {
+            let key = (Arc::as_ptr(&pair.image), pair.shape);
+            match residents.iter().position(|resident| *resident == key) {
+                Some(group) => images[group].push(index),
+                None => {
+                    residents.push(key);
+                    images.push(vec![index]);
+                }
+            }
+        }
+        Self {
+            phase,
+            pairs,
+            images,
+        }
+    }
+
+    /// The distinct resident images, which bound the start-up charge.
+    fn distinct_images(&self) -> u64 {
+        self.images.len() as u64
+    }
 }
 
 /// The pre-synthesis memo key for one layer: hashes everything that
@@ -1493,11 +1637,11 @@ fn content_cache_key(machine_identity: &str, work: &LayerWork) -> CacheKey {
     key.write_u64(u64::from(MODEL_VERSION));
     key.write_str(machine_identity);
     key.write_f64(work.scale);
-    for (phase, pairs, distinct_images) in &work.phases {
-        key.write_str(phase.paper_name());
-        key.write_u64(*distinct_images);
-        key.write_usize(pairs.len());
-        for pair in pairs {
+    for phase in &work.phases {
+        key.write_str(phase.phase.paper_name());
+        key.write_u64(phase.distinct_images());
+        key.write_usize(phase.pairs.len());
+        for pair in &phase.pairs {
             for dim in [
                 pair.shape.kernel_h(),
                 pair.shape.kernel_w(),
@@ -1545,34 +1689,13 @@ fn try_synthesize_layer_work(
             format!("layer {layer_index} ({:?}): {inner}", layer.name),
         )
     })?;
-    // Image-stationary reuse (paper Sections 2.3 and 6.1): the resident
-    // image plane is held while every kernel matrix streams past, so the
-    // five-cycle pipeline start-up is paid once per *image*, not once per
-    // (k, c) pair. Forward/update phases keep an input-channel plane
-    // resident; the backward phase keeps a gradient plane (one per output
-    // channel) resident. All machines share the dataflow, so the
-    // amortization applies equally.
-    let in_images = synth.trace.in_channels() as u64;
-    let out_images = synth.trace.out_channels() as u64;
     Ok(LayerWork {
         scale: synth.channel_scale * layer.count as f64,
         channel_scale: synth.channel_scale,
         phases: [
-            (
-                TrainingPhase::Forward,
-                synth.trace.forward_pairs()?,
-                in_images,
-            ),
-            (
-                TrainingPhase::Backward,
-                synth.trace.backward_pairs()?,
-                out_images,
-            ),
-            (
-                TrainingPhase::Update,
-                synth.trace.update_pairs()?,
-                in_images,
-            ),
+            PhaseWork::new(TrainingPhase::Forward, synth.trace.forward_pairs()?),
+            PhaseWork::new(TrainingPhase::Backward, synth.trace.backward_pairs()?),
+            PhaseWork::new(TrainingPhase::Update, synth.trace.update_pairs()?),
         ],
     })
 }
@@ -1612,20 +1735,21 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
     let work = synthesize_layer_work(layer, layer_index, cfg);
     layer_span.record("channel_scale", work.channel_scale);
     let mut phases = [SimStats::default(); 3];
-    for (pi, (phase, pairs, distinct_images)) in work.phases.iter().enumerate() {
+    for (pi, phase) in work.phases.iter().enumerate() {
         let phase_started = Instant::now();
         let mut phase_span = ant_obs::span("phase");
         phase_span
-            .record("phase", phase.paper_name())
+            .record("phase", phase.phase.paper_name())
             .record("network", out.network)
             .record("machine", pe.name())
             .record("layer", layer.name.as_str())
-            .record("pairs", pairs.len());
+            .record("pairs", phase.pairs.len());
         let mut phase_stats = SimStats::default();
-        for pair in pairs {
+        for pair in &phase.pairs {
             phase_stats.accumulate(&pe.simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape));
         }
-        phases[pi] = finalize_phase(phase_stats, *distinct_images, work.scale);
+        out.simulated.accumulate(&phase_stats);
+        phases[pi] = finalize_phase(phase_stats, phase.distinct_images(), work.scale);
         // The scaled stats are exactly this phase's contribution (delta)
         // to the network totals; attach them to the phase span, with the
         // host wall time this phase took to simulate and the derived
@@ -1634,11 +1758,11 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
             let phase_wall_us = phase_started.elapsed().as_micros() as u64;
             phase_span.record_all(stats_fields(&phases[pi]));
             phase_span.record("host_wall_us", phase_wall_us);
-            phase_span.record_all(throughput_fields(&phases[pi], phase_wall_us));
+            phase_span.record_all(throughput_fields(&phase_stats, phase_wall_us));
         }
         // `per_phase` is built in `[Forward, Backward, Update]` order, the
         // same order `LayerWork::phases` uses, so direct indexing holds.
-        debug_assert_eq!(out.per_phase[pi].0, *phase);
+        debug_assert_eq!(out.per_phase[pi].0, phase.phase);
     }
     out.push_layer(layer_index, &layer.name, phases);
 }
@@ -1671,14 +1795,14 @@ pub fn pair_jobs<S: ConvSim + ?Sized>(
     let mut jobs = Vec::new();
     for (li, layer) in net.layers.iter().enumerate() {
         let work = synthesize_layer_work(layer, li, cfg);
-        for (phase, pairs, _) in &work.phases {
-            for pair in pairs {
+        for phase in &work.phases {
+            for pair in &phase.pairs {
                 let stats = pe.simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape);
                 stats.debug_assert_cycles_attributed("pair job");
                 jobs.push(PairJob {
                     layer_index: li,
                     layer: layer.name.clone(),
-                    phase: *phase,
+                    phase: phase.phase,
                     stats,
                 });
             }
@@ -1930,8 +2054,9 @@ mod tests {
             ..ExperimentConfig::paper_default()
         };
         let net = tiny_net();
-        // 2 layers x 3 phases x (2x2 sampled pairs) = 24 jobs.
-        let expected_jobs = 24u64;
+        // One job per resident image: 2 layers x 3 phases x 2 sampled
+        // images = 12 jobs, each streaming 2 kernels (24 pairs).
+        let expected_jobs = 12u64;
         for threads in [1usize, 3, 16] {
             let opts = RunOptions {
                 threads: Some(threads),
@@ -2052,16 +2177,37 @@ mod tests {
     fn host_wall_time_and_throughput_are_populated() {
         let cfg = ExperimentConfig::paper_default();
         let net = tiny_net();
-        let r = simulate_network(&ScnnPlus::paper_default(), &net, &cfg);
-        let t = r.throughput();
-        // A fast machine can finish the tiny net in under a microsecond;
-        // throughput then reports zero rates instead of dividing by zero.
-        if r.host_wall_us > 0 {
-            assert!(t.sim_cycles_per_sec > 0.0);
-            assert!(t.effectual_macs_per_sec > 0.0);
-            assert!(t.pairs_per_sec > 0.0);
-        } else {
-            assert_eq!(t, ant_sim::Throughput::default());
+        let pe = ScnnPlus::paper_default();
+        // The work actually simulated: every sampled pair's raw counters.
+        let mut unscaled = SimStats::default();
+        for job in pair_jobs(&pe, &net, &cfg) {
+            unscaled.accumulate(&job.stats);
+        }
+        let serial = simulate_network(&pe, &net, &cfg);
+        let opts = RunOptions {
+            threads: Some(2),
+            ..RunOptions::default()
+        };
+        let parallel = try_simulate_network_parallel(&pe, &net, &cfg, &opts).unwrap();
+        for r in [&serial, &parallel] {
+            assert_eq!(r.simulated, unscaled);
+            // Channel scaling makes the represented work larger than the
+            // simulated work; the host rates must not count it.
+            assert!(r.total.pairs_total > unscaled.pairs_total);
+            let t = r.throughput();
+            // A fast machine can finish the tiny net in under a
+            // microsecond; throughput then reports zero rates instead of
+            // dividing by zero.
+            if r.host_wall_us > 0 {
+                assert!(t.sim_cycles_per_sec > 0.0);
+                assert!(t.effectual_macs_per_sec > 0.0);
+                let secs = r.host_wall_us as f64 / 1e6;
+                let pairs = t.pairs_per_sec * secs;
+                let want = unscaled.pairs_total as f64;
+                assert!((pairs - want).abs() <= 1e-9 * want, "{pairs} vs {want}");
+            } else {
+                assert_eq!(t, ant_sim::Throughput::default());
+            }
         }
         // The run fed the host-metrics registry.
         assert!(ant_obs::registry().histogram("runner.network_wall_us").count() > 0);

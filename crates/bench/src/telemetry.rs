@@ -425,6 +425,7 @@ mod tests {
             network,
             machine,
             total: ant_sim::SimStats::default(),
+            simulated: ant_sim::SimStats::default(),
             per_phase: [
                 (TrainingPhase::Forward, ant_sim::SimStats::default()),
                 (TrainingPhase::Backward, ant_sim::SimStats::default()),

@@ -5,7 +5,9 @@
 //! the exact expected quarantine set up front, runs the sweep under
 //! injection, and asserts the [`FailureReport`] matches it — and that the
 //! layers the faults did *not* touch come out byte-identical to a clean
-//! run.
+//! run. The runner simulates one resident image per job; a fault on one
+//! pair must quarantine exactly that pair while the other pairs of its
+//! image job still count.
 //!
 //! Chaos state is process-global, so everything lives in one `#[test]` to
 //! keep activation windows from overlapping.
@@ -18,7 +20,8 @@ use ant_bench::runner::{
 };
 use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_conv::efficiency::TrainingPhase;
-use ant_sim::chaos::{self, ChaosConfig};
+use ant_sim::chaos::{self, ChaosConfig, Fault};
+use ant_sim::SimStats;
 use ant_sim::scnn::ScnnPlus;
 use ant_workloads::{ConvLayerSpec, NetworkModel};
 
@@ -41,9 +44,12 @@ fn chaos_net() -> NetworkModel {
     }
 }
 
-/// Every sampled `(layer, phase-index, pair)` coordinate of the network, in
-/// the exact order the runner enumerates jobs.
-fn job_coordinates(net: &NetworkModel, cfg: &ExperimentConfig) -> Vec<(usize, usize, usize)> {
+/// Every sampled `(layer, phase-index, pair)` coordinate of the network
+/// with the pair's raw counters, in serial simulation order.
+fn job_coordinates(
+    net: &NetworkModel,
+    cfg: &ExperimentConfig,
+) -> Vec<((usize, usize, usize), SimStats)> {
     let pe = ScnnPlus::paper_default();
     let mut next_pair: HashMap<(usize, usize), usize> = HashMap::new();
     pair_jobs(&pe, net, cfg)
@@ -54,7 +60,7 @@ fn job_coordinates(net: &NetworkModel, cfg: &ExperimentConfig) -> Vec<(usize, us
                 .or_insert(0);
             let coord = (job.layer_index, phase_index(job.phase), *slot);
             *slot += 1;
-            coord
+            (coord, job.stats)
         })
         .collect()
 }
@@ -64,7 +70,8 @@ fn seeded_chaos_quarantines_exactly_the_injected_failures() {
     let cfg = ExperimentConfig::paper_default();
     let net = chaos_net();
     let pe = ScnnPlus::paper_default();
-    let coords = job_coordinates(&net, &cfg);
+    let jobs = job_coordinates(&net, &cfg);
+    let coords: Vec<(usize, usize, usize)> = jobs.iter().map(|&(coord, _)| coord).collect();
     assert!(coords.len() > 50, "net too small to exercise chaos");
 
     // Find a seed whose pure fault schedule kills at least three pair jobs
@@ -130,13 +137,33 @@ fn seeded_chaos_quarantines_exactly_the_injected_failures() {
     for f in &run_a.failures.failures {
         assert_eq!(f.machine, "SCNN+");
         assert_eq!(f.layer, net.layers[f.layer_index].name);
+        assert_eq!(f.attempts, 2);
+        // The report carries the retry's fault, exactly as a per-pair job
+        // would: the image session changes nothing about a pair's error.
+        let retry_fault = config.fault_for(f.layer_index, phase_index(f.phase), f.pair, 1);
+        let kinds: &[&str] = match retry_fault.expect("quarantined pairs failed their retry") {
+            Fault::WorkerPanic => &["panic"],
+            Fault::TruncatedCsr => &["sparse"],
+            Fault::CorruptShape => &["shape", "operand"],
+        };
         assert!(
-            matches!(f.error.kind(), "panic" | "sparse" | "shape" | "operand"),
+            kinds.contains(&f.error.kind()),
             "unexpected failure kind {:?} ({})",
             f.error.kind(),
             f.error
         );
     }
+
+    // Exactly the quarantined pairs are missing: every other pair — the
+    // siblings sharing a faulted pair's image job included — is simulated
+    // and counted once.
+    let mut surviving = SimStats::default();
+    for (coord, stats) in &jobs {
+        if !expected.contains(coord) {
+            surviving.accumulate(stats);
+        }
+    }
+    assert_eq!(run_a.simulated, surviving, "siblings of a quarantined pair lost work");
 
     // Bit-identical across reruns under the same injection.
     assert_eq!(run_a.total, run_b.total);

@@ -264,6 +264,12 @@ fn unstamped_and_stamped_lines_round_trip() {
 #[test]
 fn unknown_label_is_rejected_but_known_labels_parse() {
     assert_eq!(WorkloadSet::from_label("fig09"), Some(WorkloadSet::Fig09));
+    assert_eq!(
+        WorkloadSet::from_label("fig09@16"),
+        Some(WorkloadSet::Fig09At16)
+    );
+    assert_eq!(WorkloadSet::Fig09At16.label(), "fig09@16");
+    assert!(!WorkloadSet::Fig09At16.warm_cache());
     assert_eq!(WorkloadSet::from_label("tiny"), Some(WorkloadSet::Tiny));
     assert_eq!(
         WorkloadSet::from_label("fig09-warm"),

@@ -4,8 +4,10 @@
 //! The scratch-arena contract (see `ant_sim::scratch`): after one warm-up
 //! pair has grown a worker's [`SimScratch`] buffers, simulating further
 //! pairs of the same shapes performs **zero** heap allocations, on every
-//! machine. A regression here means a `Vec`/`Box` crept back into the
-//! per-pair hot path.
+//! machine — and so does a second [`ImageSession`], the runner's unit of
+//! work, preparing its image and streaming several kernels past it. A
+//! regression here means a `Vec`/`Box` crept back into the per-pair or
+//! per-image hot path.
 //!
 //! This file deliberately holds a single `#[test]`: the allocator counters
 //! are process-global, and a sibling test thread allocating concurrently
@@ -19,7 +21,7 @@ use ant_sim::dst::DstAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::intersection::IntersectionAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, MatmulSim, SimScratch};
+use ant_sim::{ConvSim, ImageSession, MatmulSim, SimScratch};
 use ant_sparse::{sparsify, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,6 +58,7 @@ fn second_pair_on_a_warm_worker_allocates_nothing() {
     let shape = ConvShape::new(3, 3, 16, 16, 1).unwrap();
     let (k1, i1) = conv_pair(&shape, 0.9, 1);
     let (k2, i2) = conv_pair(&shape, 0.9, 2);
+    let streamed: Vec<CsrMatrix> = (3..7).map(|seed| conv_pair(&shape, 0.9, seed).0).collect();
 
     let mshape = MatmulShape::new(12, 16, 16, 8).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
@@ -101,6 +104,29 @@ fn second_pair_on_a_warm_worker_allocates_nothing() {
         );
         // Sanity: both runs did real work.
         assert!(warm.pairs_total > 0 && steady.pairs_total > 0);
+
+        // Image sessions: the first warms the per-image state, the second
+        // prepares another image and streams its kernels allocation-free.
+        let mut session = ImageSession::open(machine.as_ref(), &i1, &shape, &mut scratch);
+        for kernel in &streamed {
+            session.simulate(kernel);
+        }
+        let before = ant_obs::alloc::snapshot();
+        let mut session = ImageSession::open(machine.as_ref(), &i2, &shape, &mut scratch);
+        let mut pairs_total = 0;
+        for kernel in &streamed {
+            pairs_total += session.simulate(kernel).pairs_total;
+        }
+        let delta = ant_obs::alloc::snapshot().delta_from(&before);
+        assert_eq!(
+            delta.allocs,
+            0,
+            "{} image session allocated {} times ({} bytes) on a warm worker",
+            machine.name(),
+            delta.allocs,
+            delta.allocated_bytes
+        );
+        assert!(pairs_total > 0);
     }
 
     for (label, machine) in &matmul_machines {

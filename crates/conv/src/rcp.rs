@@ -247,13 +247,7 @@ impl ProductBreakdown {
 #[derive(Debug)]
 pub struct ImageNzCounter {
     shape: ConvShape,
-    // Flat storage of stride*stride planes, each `plane_len` long. Within
-    // plane (py, px), the 2-D inclusive prefix-sum over the indicator of
-    // non-zero image elements restricted to that stride phase, with a
-    // sentinel row/column of zeros at index 0.
-    prefix: Vec<u32>,
-    phase_cols: usize,
-    plane_len: usize,
+    planes: NzCounterScratch,
 }
 
 /// Fills `prefix` with the per-stride-phase 2-D prefix-sum planes for
@@ -287,35 +281,6 @@ fn fill_prefix(image: &CsrMatrix, shape: &ConvShape, prefix: &mut Vec<u32>) -> (
     (cols, plane_len)
 }
 
-/// [`ImageNzCounter::count_valid`] over borrowed prefix planes (shared by
-/// the owned counter and the scratch-reusing fast path).
-fn count_valid_in(
-    shape: &ConvShape,
-    prefix: &[u32],
-    phase_cols: usize,
-    plane_len: usize,
-    s: usize,
-    r: usize,
-) -> u64 {
-    let d = shape.dilation();
-    let stride = shape.stride();
-    let y0 = d * r;
-    let x0 = d * s;
-    if y0 >= shape.image_h() || x0 >= shape.image_w() {
-        return 0;
-    }
-    let y1 = (y0 + stride * (shape.out_h() - 1)).min(shape.image_h() - 1);
-    let x1 = (x0 + stride * (shape.out_w() - 1)).min(shape.image_w() - 1);
-    let phase = (y0 % stride) * stride + (x0 % stride);
-    let c = phase_cols;
-    let p = &prefix[phase * plane_len..(phase + 1) * plane_len];
-    let total = p[(y1 + 1) * c + (x1 + 1)] as i64
-        - p[y0 * c + (x1 + 1)] as i64
-        - p[(y1 + 1) * c + x0] as i64
-        + p[y0 * c + x0] as i64;
-    total as u64
-}
-
 impl ImageNzCounter {
     /// Builds the counter for a sparse image under the given shape.
     ///
@@ -323,36 +288,37 @@ impl ImageNzCounter {
     ///
     /// Panics if the image dimensions disagree with `shape`.
     pub fn new(image: &CsrMatrix, shape: &ConvShape) -> Self {
-        let mut prefix = Vec::new();
-        let (phase_cols, plane_len) = fill_prefix(image, shape, &mut prefix);
+        let mut planes = NzCounterScratch::new();
+        planes.prepare(image, shape);
         Self {
             shape: *shape,
-            prefix,
-            phase_cols,
-            plane_len,
+            planes,
         }
     }
 
     /// Number of non-zero image elements `(x, y)` for which the product with
     /// kernel element `(s, r)` is valid.
     pub fn count_valid(&self, s: usize, r: usize) -> u64 {
-        count_valid_in(
-            &self.shape,
-            &self.prefix,
-            self.phase_cols,
-            self.plane_len,
-            s,
-            r,
-        )
+        self.planes.count_valid(&self.shape, s, r)
     }
 }
 
-/// Reusable buffer for [`count_useful_products_with`]: the prefix-sum planes
-/// of [`ImageNzCounter`] without the per-call allocation. One scratch per
+/// Reusable prefix-sum planes of one image: the storage behind
+/// [`ImageNzCounter`] without its per-image allocation. One scratch per
 /// worker; it grows to the largest image seen and is then reused as-is.
+///
+/// [`NzCounterScratch::prepare`] builds the planes once per resident image;
+/// [`NzCounterScratch::count_useful`] then answers any number of kernels
+/// against that image in `O(nnz_kernel)` each.
 #[derive(Debug, Clone, Default)]
 pub struct NzCounterScratch {
+    // Flat storage of stride*stride planes, each `plane_len` long. Within
+    // plane (py, px), the 2-D inclusive prefix-sum over the indicator of
+    // non-zero image elements restricted to that stride phase, with a
+    // sentinel row/column of zeros at index 0.
     prefix: Vec<u32>,
+    phase_cols: usize,
+    plane_len: usize,
 }
 
 impl NzCounterScratch {
@@ -360,32 +326,59 @@ impl NzCounterScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Builds the prefix-sum planes of `image` under `shape`, replacing
+    /// whatever image was prepared before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image dimensions disagree with `shape`.
+    pub fn prepare(&mut self, image: &CsrMatrix, shape: &ConvShape) {
+        (self.phase_cols, self.plane_len) = fill_prefix(image, shape, &mut self.prefix);
+    }
+
+    /// The useful (valid, both-non-zero) products between `kernel` and the
+    /// image last passed to [`NzCounterScratch::prepare`] with the same
+    /// `shape`.
+    pub fn count_useful(&self, kernel: &CsrMatrix, shape: &ConvShape) -> u64 {
+        kernel
+            .iter()
+            .map(|(r, s, _)| self.count_valid(shape, s, r))
+            .sum()
+    }
+
+    /// [`ImageNzCounter::count_valid`] over the prepared planes.
+    fn count_valid(&self, shape: &ConvShape, s: usize, r: usize) -> u64 {
+        let d = shape.dilation();
+        let stride = shape.stride();
+        let y0 = d * r;
+        let x0 = d * s;
+        if y0 >= shape.image_h() || x0 >= shape.image_w() {
+            return 0;
+        }
+        let y1 = (y0 + stride * (shape.out_h() - 1)).min(shape.image_h() - 1);
+        let x1 = (x0 + stride * (shape.out_w() - 1)).min(shape.image_w() - 1);
+        let phase = (y0 % stride) * stride + (x0 % stride);
+        let c = self.phase_cols;
+        let p = &self.prefix[phase * self.plane_len..(phase + 1) * self.plane_len];
+        let total = p[(y1 + 1) * c + (x1 + 1)] as i64
+            - p[y0 * c + (x1 + 1)] as i64
+            - p[(y1 + 1) * c + x0] as i64
+            + p[y0 * c + x0] as i64;
+        total as u64
+    }
 }
 
 /// Counts the useful (valid, both-non-zero) products between a sparse kernel
-/// and sparse image, exactly, in `O(H*W*stride^2 + nnz_kernel)`.
-pub fn count_useful_products(kernel: &CsrMatrix, image: &CsrMatrix, shape: &ConvShape) -> u64 {
-    count_useful_products_with(kernel, image, shape, &mut NzCounterScratch::new())
-}
-
-/// [`count_useful_products`] with a caller-owned [`NzCounterScratch`] — the
-/// steady-state-allocation-free form used by the simulator machines. Returns
-/// exactly the same count.
+/// and sparse image, exactly, in `O(H*W*stride^2 + nnz_kernel)`. The
+/// simulator machines use the same counter through a caller-owned
+/// [`NzCounterScratch`], preparing each resident image once.
 ///
 /// # Panics
 ///
 /// Panics if the image dimensions disagree with `shape`.
-pub fn count_useful_products_with(
-    kernel: &CsrMatrix,
-    image: &CsrMatrix,
-    shape: &ConvShape,
-    scratch: &mut NzCounterScratch,
-) -> u64 {
-    let (phase_cols, plane_len) = fill_prefix(image, shape, &mut scratch.prefix);
-    kernel
-        .iter()
-        .map(|(r, s, _)| count_valid_in(shape, &scratch.prefix, phase_cols, plane_len, s, r))
-        .sum()
+pub fn count_useful_products(kernel: &CsrMatrix, image: &CsrMatrix, shape: &ConvShape) -> u64 {
+    ImageNzCounter::new(image, shape).planes.count_useful(kernel, shape)
 }
 
 /// Computes the full partial-product breakdown for a kernel/image pair.
@@ -689,7 +682,8 @@ mod tests {
     #[test]
     fn reused_counter_scratch_matches_fresh_counts() {
         // One scratch across images of different shapes and strides must
-        // reproduce the allocating count exactly.
+        // reproduce the allocating count exactly, for every kernel streamed
+        // past a prepared image.
         let mut rng = StdRng::seed_from_u64(17);
         let mut scratch = NzCounterScratch::new();
         for (shape, sparsity) in [
@@ -712,11 +706,15 @@ mod tests {
                 &mut rng,
             );
             let (kernel, image) = (CsrMatrix::from_dense(&kernel), CsrMatrix::from_dense(&image));
-            assert_eq!(
-                count_useful_products_with(&kernel, &image, &shape, &mut scratch),
-                count_useful_products(&kernel, &image, &shape),
-                "shape {shape}"
-            );
+            let rotated = kernel.rotate180();
+            scratch.prepare(&image, &shape);
+            for kernel in [&kernel, &rotated] {
+                assert_eq!(
+                    scratch.count_useful(kernel, &shape),
+                    count_useful_products(kernel, &image, &shape),
+                    "shape {shape}"
+                );
+            }
         }
     }
 

@@ -205,14 +205,21 @@ pub struct AntRun {
 /// The scratch may be shared across anticipator configurations and operand
 /// shapes — every run fully re-initializes the state it reads. Results are
 /// bit-identical to the allocating entry points.
+///
+/// The one exception is the resident-image state written by
+/// [`Anticipator::prepare_conv_image`] (entries, range table, range
+/// operation count): [`Anticipator::scan_conv_kernel`] reads it, so it
+/// stays valid only until the next prepare or run on this scratch.
 #[derive(Debug, Clone)]
 pub struct AntScratch {
     /// The scanned operand's non-zeros, in group order.
     entries: Vec<(usize, usize, f32)>,
     /// Coordinate view of the current group (range-computation input).
     coords: Vec<(usize, usize)>,
-    /// Per-group range table, precomputed once per pair.
+    /// Per-group range table, precomputed once per resident image.
     ranges: Vec<GroupRanges>,
+    /// Range-computation operations spent building `ranges`.
+    range_ops: u64,
     /// Kernel-scan result buffer.
     scan: KernelScan,
     /// Flat output indices of the current multiplier cycle's valid products.
@@ -228,6 +235,7 @@ impl AntScratch {
             entries: Vec::new(),
             coords: Vec::new(),
             ranges: Vec::new(),
+            range_ops: 0,
             scan: KernelScan::default(),
             cycle_outputs: Vec::new(),
             output: DenseMatrix::zeros(1, 1),
@@ -336,10 +344,8 @@ impl Anticipator {
     /// ([`AntScratch::output`]); counters and output are bit-identical to
     /// [`Anticipator::run_conv_observed`].
     ///
-    /// The per-group [`GroupRanges`] table is precomputed once per pair
-    /// (with the Fig. 14 ablation overrides already applied) before the
-    /// kernel scans start, mirroring how the hardware's range stage runs
-    /// ahead of the FNIR scan.
+    /// Equivalent to [`Anticipator::prepare_conv_image`] followed by one
+    /// [`Anticipator::scan_conv_kernel`].
     ///
     /// # Errors
     ///
@@ -351,23 +357,42 @@ impl Anticipator {
         image: &CsrMatrix,
         shape: &ConvShape,
         scratch: &mut AntScratch,
-        mut observer: impl FnMut(&[usize]),
+        observer: impl FnMut(&[usize]),
     ) -> Result<AntCounters, ConvError> {
         check_conv_shapes(kernel, image, shape)?;
-        scratch.output.reset_zeroed(shape.out_h(), shape.out_w());
-        let mut counters = AntCounters {
-            pairs_total: kernel.nnz() as u64 * image.nnz() as u64,
-            ..AntCounters::default()
-        };
+        self.prepare_conv_image(image, shape, scratch)?;
+        self.scan_conv_kernel(kernel, shape, scratch, observer)
+    }
+
+    /// The image-stationary range prepass (paper Fig. 6): groups the
+    /// resident image's non-zeros and precomputes one [`GroupRanges`] table
+    /// entry per group (with the Fig. 14 ablation overrides already
+    /// applied), mirroring how the hardware's range stage runs ahead of the
+    /// FNIR scan. The table depends only on the image, the shape and this
+    /// configuration, so it is built once per resident image and read by
+    /// every [`Anticipator::scan_conv_kernel`] that streams a kernel past
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvError::OperandShapeMismatch`] when the image disagrees
+    /// with `shape`.
+    pub fn prepare_conv_image(
+        &self,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut AntScratch,
+    ) -> Result<(), ConvError> {
+        check_operand("image", image, (shape.image_h(), shape.image_w()))?;
         scratch.entries.clear();
         scratch.entries.extend(image.iter());
-        // Range prepass: one table entry per image group.
         scratch.ranges.clear();
+        scratch.range_ops = 0;
         for group in scratch.entries.chunks(self.config.n) {
             scratch.coords.clear();
             scratch.coords.extend(group.iter().map(|&(y, x, _)| (y, x)));
             let mut ranges = compute_ranges(shape, &scratch.coords);
-            counters.range_ops += ranges.ops.comparisons + ranges.ops.additions;
+            scratch.range_ops += ranges.ops.comparisons + ranges.ops.additions;
             if !self.config.use_r {
                 ranges.r = IndexRange {
                     min: 0,
@@ -382,6 +407,33 @@ impl Anticipator {
             }
             scratch.ranges.push(ranges);
         }
+        Ok(())
+    }
+
+    /// Streams one kernel past the image last prepared on `scratch` by
+    /// [`Anticipator::prepare_conv_image`] (same configuration, same
+    /// `shape`), invoking `observer` as [`Anticipator::run_conv_observed`]
+    /// does. The counters are those of a full run on the pair; the range
+    /// operations of the shared prepass are charged to every kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvError::OperandShapeMismatch`] when the kernel
+    /// disagrees with `shape`.
+    pub fn scan_conv_kernel(
+        &self,
+        kernel: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut AntScratch,
+        mut observer: impl FnMut(&[usize]),
+    ) -> Result<AntCounters, ConvError> {
+        check_operand("kernel", kernel, (shape.kernel_h(), shape.kernel_w()))?;
+        scratch.output.reset_zeroed(shape.out_h(), shape.out_w());
+        let mut counters = AntCounters {
+            pairs_total: kernel.nnz() as u64 * scratch.entries.len() as u64,
+            range_ops: scratch.range_ops,
+            ..AntCounters::default()
+        };
         for (gi, group) in scratch.entries.chunks(self.config.n).enumerate() {
             counters.groups += 1;
             counters.image_reads += 2 * group.len() as u64; // value + index
@@ -688,18 +740,20 @@ fn check_conv_shapes(
     image: &CsrMatrix,
     shape: &ConvShape,
 ) -> Result<(), ConvError> {
-    if kernel.shape() != (shape.kernel_h(), shape.kernel_w()) {
+    check_operand("kernel", kernel, (shape.kernel_h(), shape.kernel_w()))?;
+    check_operand("image", image, (shape.image_h(), shape.image_w()))
+}
+
+fn check_operand(
+    operand: &'static str,
+    matrix: &CsrMatrix,
+    expected: (usize, usize),
+) -> Result<(), ConvError> {
+    if matrix.shape() != expected {
         return Err(ConvError::OperandShapeMismatch {
-            operand: "kernel",
-            expected: (shape.kernel_h(), shape.kernel_w()),
-            actual: kernel.shape(),
-        });
-    }
-    if image.shape() != (shape.image_h(), shape.image_w()) {
-        return Err(ConvError::OperandShapeMismatch {
-            operand: "image",
-            expected: (shape.image_h(), shape.image_w()),
-            actual: image.shape(),
+            operand,
+            expected,
+            actual: matrix.shape(),
         });
     }
     Ok(())
@@ -710,21 +764,8 @@ fn check_matmul_shapes(
     kernel: &CsrMatrix,
     shape: &MatmulShape,
 ) -> Result<(), ConvError> {
-    if image.shape() != (shape.image_h(), shape.image_w()) {
-        return Err(ConvError::OperandShapeMismatch {
-            operand: "image",
-            expected: (shape.image_h(), shape.image_w()),
-            actual: image.shape(),
-        });
-    }
-    if kernel.shape() != (shape.kernel_r(), shape.kernel_s()) {
-        return Err(ConvError::OperandShapeMismatch {
-            operand: "kernel",
-            expected: (shape.kernel_r(), shape.kernel_s()),
-            actual: kernel.shape(),
-        });
-    }
-    Ok(())
+    check_operand("image", image, (shape.image_h(), shape.image_w()))?;
+    check_operand("kernel", kernel, (shape.kernel_r(), shape.kernel_s()))
 }
 
 #[cfg(test)]
@@ -1092,6 +1133,33 @@ mod tests {
             .unwrap();
         assert_eq!(counters, reference.counters);
         assert_eq!(*scratch.output(), reference.output);
+    }
+
+    #[test]
+    fn one_prepared_image_serves_many_kernels() {
+        // The prepare/scan split: one range prepass, then several kernels,
+        // each bit-identical to a full run on its pair — range operations
+        // included, charged to every kernel.
+        let shape = ConvShape::new(5, 5, 12, 12, 1).unwrap();
+        let (_, image) = random_pair(&shape, 0.7, 46);
+        let ant = Anticipator::new(AntConfig::paper_default());
+        let mut scratch = AntScratch::new();
+        ant.prepare_conv_image(&image, &shape, &mut scratch).unwrap();
+        for seed in 47..51 {
+            let (kernel, _) = random_pair(&shape, 0.7, seed);
+            let reference = ant.run_conv(&kernel, &image, &shape).unwrap();
+            let counters = ant
+                .scan_conv_kernel(&kernel, &shape, &mut scratch, |_| {})
+                .unwrap();
+            assert_eq!(counters, reference.counters, "seed {seed}");
+            assert!(counters.range_ops > 0);
+            assert_eq!(*scratch.output(), reference.output, "seed {seed}");
+        }
+        let wrong = CsrMatrix::empty(4, 4);
+        assert!(ant.prepare_conv_image(&wrong, &shape, &mut scratch).is_err());
+        assert!(ant
+            .scan_conv_kernel(&wrong, &shape, &mut scratch, |_| {})
+            .is_err());
     }
 
     #[test]

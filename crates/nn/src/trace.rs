@@ -7,6 +7,8 @@
 //! decomposes into per-channel-pair 2-D convolutions; [`ConvTrace`] stores
 //! the per-channel planes and materializes those pairs.
 
+use std::sync::Arc;
+
 use ant_conv::dense as cdense;
 use ant_conv::{ConvError, ConvShape};
 use ant_core::AntError;
@@ -16,13 +18,17 @@ use crate::layers::Conv2d;
 use crate::tensor::Tensor4;
 
 /// One simulator work unit: a sparse kernel, a sparse image, and the
-/// convolution shape connecting them.
+/// convolution shape connecting them. Operand planes are shared, never
+/// copied: each is compressed once per phase.
 #[derive(Debug, Clone)]
 pub struct ConvPair {
-    /// The convolution kernel (CSR).
-    pub kernel: CsrMatrix,
-    /// The convolution image (CSR).
-    pub image: CsrMatrix,
+    /// The convolution kernel (CSR). The update phase shares `G_A[k]`
+    /// across the pairs of output channel `k`.
+    pub kernel: Arc<CsrMatrix>,
+    /// The convolution image (CSR), shared by every pair of the phase that
+    /// keeps this plane resident; pairs with pointer-equal images belong to
+    /// one resident image.
+    pub image: Arc<CsrMatrix>,
     /// Dimension bookkeeping for RCP detection.
     pub shape: ConvShape,
 }
@@ -230,16 +236,15 @@ impl ConvTrace {
     pub fn forward_pairs(&self) -> Result<Vec<ConvPair>, ConvError> {
         let mut span = self.pairs_span("forward");
         let shape = self.forward_shape()?;
-        // Convert each resident image plane once; every output channel
-        // reuses the same compressed form (cloning a CSR copies nnz-sized
-        // arrays, vs re-scanning the whole dense plane per pair).
-        let images: Vec<CsrMatrix> = self.activations.iter().map(CsrMatrix::from_dense).collect();
+        // Compress each resident image plane once; every output channel
+        // shares it.
+        let images = self.compressed_activations();
         let mut pairs = Vec::with_capacity(self.out_channels() * self.in_channels());
         for k in 0..self.out_channels() {
             for (c, image) in images.iter().enumerate() {
                 pairs.push(ConvPair {
-                    kernel: CsrMatrix::from_dense(&self.weights[k][c]),
-                    image: image.clone(),
+                    kernel: Arc::new(CsrMatrix::from_dense(&self.weights[k][c])),
+                    image: Arc::clone(image),
                     shape,
                 });
             }
@@ -259,14 +264,14 @@ impl ConvTrace {
         let shape = self.update_shape()?;
         // Same plane-level reuse as `forward_pairs`: each operand plane is
         // compressed exactly once.
-        let images: Vec<CsrMatrix> = self.activations.iter().map(CsrMatrix::from_dense).collect();
+        let images = self.compressed_activations();
         let mut pairs = Vec::with_capacity(self.out_channels() * self.in_channels());
         for k in 0..self.out_channels() {
-            let kernel = CsrMatrix::from_dense(&self.grad_out[k]);
+            let kernel = Arc::new(CsrMatrix::from_dense(&self.grad_out[k]));
             for image in &images {
                 pairs.push(ConvPair {
-                    kernel: kernel.clone(),
-                    image: image.clone(),
+                    kernel: Arc::clone(&kernel),
+                    image: Arc::clone(image),
                     shape,
                 });
             }
@@ -288,18 +293,26 @@ impl ConvTrace {
         for k in 0..self.out_channels() {
             let dilated = cdense::dilate(&self.grad_out[k], self.stride);
             let padded = cdense::pad(&dilated, w0.rows() - 1, w0.cols() - 1);
-            let image = CsrMatrix::from_dense(&padded);
+            let image = Arc::new(CsrMatrix::from_dense(&padded));
             let shape = ConvShape::new(w0.rows(), w0.cols(), padded.rows(), padded.cols(), 1)?;
             for c in 0..self.in_channels() {
                 pairs.push(ConvPair {
-                    kernel: CsrMatrix::from_dense(&self.weights[k][c].rotate180()),
-                    image: image.clone(),
+                    kernel: Arc::new(CsrMatrix::from_dense(&self.weights[k][c].rotate180())),
+                    image: Arc::clone(&image),
                     shape,
                 });
             }
         }
         span.record("pairs", pairs.len() as u64);
         Ok(pairs)
+    }
+
+    /// The activation planes, each compressed once for sharing.
+    fn compressed_activations(&self) -> Vec<Arc<CsrMatrix>> {
+        self.activations
+            .iter()
+            .map(|plane| Arc::new(CsrMatrix::from_dense(plane)))
+            .collect()
     }
 
     /// Opens the span under which one phase's pairs are materialized.
@@ -397,6 +410,28 @@ mod tests {
             (pairs[0].shape.out_h(), pairs[0].shape.out_w()),
             (input.h() + 2, input.w() + 2)
         );
+    }
+
+    #[test]
+    fn pairs_share_one_image_per_resident_plane() {
+        let (conv, _input, out) = traced_layer();
+        let trace = ConvTrace::from_layer("conv", &conv, &out, 0);
+        let (k_n, c_n) = (trace.out_channels(), trace.in_channels());
+        let forward = trace.forward_pairs().unwrap();
+        let update = trace.update_pairs().unwrap();
+        let backward = trace.backward_pairs().unwrap();
+        for k in 0..k_n {
+            for c in 0..c_n {
+                let i = k * c_n + c;
+                // Forward and update keep activation plane c resident.
+                assert!(Arc::ptr_eq(&forward[i].image, &forward[c].image));
+                assert!(Arc::ptr_eq(&update[i].image, &update[c].image));
+                // Backward keeps gradient plane k resident.
+                assert!(Arc::ptr_eq(&backward[i].image, &backward[k * c_n].image));
+            }
+        }
+        assert!(!Arc::ptr_eq(&forward[0].image, &forward[1].image));
+        assert!(!Arc::ptr_eq(&backward[0].image, &backward[c_n].image));
     }
 
     /// The decomposed per-channel pairs must reproduce the layer's own

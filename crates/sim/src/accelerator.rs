@@ -47,23 +47,8 @@ pub fn validate_conv_pair(
     image: &CsrMatrix,
     shape: &ConvShape,
 ) -> Result<(), AntError> {
-    let want = (shape.kernel_h(), shape.kernel_w());
-    if kernel.shape() != want {
-        return Err(AntError::invalid_operand(
-            machine,
-            "kernel",
-            format!("is {:?} but shape wants {want:?}", kernel.shape()),
-        ));
-    }
-    let want = (shape.image_h(), shape.image_w());
-    if image.shape() != want {
-        return Err(AntError::invalid_operand(
-            machine,
-            "image",
-            format!("is {:?} but shape wants {want:?}", image.shape()),
-        ));
-    }
-    Ok(())
+    check_operand(machine, "kernel", kernel, (shape.kernel_h(), shape.kernel_w()))?;
+    check_operand(machine, "image", image, (shape.image_h(), shape.image_w()))
 }
 
 /// Checks that a matmul pair's operands agree with its shape. O(1); see
@@ -74,20 +59,21 @@ pub fn validate_matmul_pair(
     kernel: &CsrMatrix,
     shape: &MatmulShape,
 ) -> Result<(), AntError> {
-    let want = (shape.image_h(), shape.image_w());
-    if image.shape() != want {
+    check_operand(machine, "image", image, (shape.image_h(), shape.image_w()))?;
+    check_operand(machine, "kernel", kernel, (shape.kernel_r(), shape.kernel_s()))
+}
+
+fn check_operand(
+    machine: &'static str,
+    operand: &'static str,
+    matrix: &CsrMatrix,
+    want: (usize, usize),
+) -> Result<(), AntError> {
+    if matrix.shape() != want {
         return Err(AntError::invalid_operand(
             machine,
-            "image",
-            format!("is {:?} but shape wants {want:?}", image.shape()),
-        ));
-    }
-    let want = (shape.kernel_r(), shape.kernel_s());
-    if kernel.shape() != want {
-        return Err(AntError::invalid_operand(
-            machine,
-            "kernel",
-            format!("is {:?} but shape wants {want:?}", kernel.shape()),
+            operand,
+            format!("is {:?} but shape wants {want:?}", matrix.shape()),
         ));
     }
     Ok(())
@@ -98,6 +84,14 @@ pub fn validate_matmul_pair(
 /// A "pair" is one 2-D kernel against one 2-D image plane — the granularity
 /// at which SCNN-style PEs receive work; multi-channel layers decompose into
 /// many pairs (one per input-channel/output-channel combination).
+///
+/// The dataflow is image-stationary (paper Section 6.1): one image plane
+/// stays resident while every kernel streams past it. An [`ImageSession`]
+/// mirrors that on the host — [`ConvSim::prepare_image`] builds the state
+/// that depends only on the image and shape once, then
+/// [`ConvSim::simulate_prepared_kernel`] simulates each kernel against it.
+/// Machines with such state implement their pair entry point as a
+/// one-kernel session, so each keeps exactly one simulation body.
 pub trait ConvSim {
     /// Short machine name for reports.
     fn name(&self) -> &'static str;
@@ -128,6 +122,31 @@ pub trait ConvSim {
     ) -> SimStats {
         let _ = scratch;
         self.simulate_conv_pair(kernel, image, shape)
+    }
+
+    /// Builds, in `scratch`, the per-image state that
+    /// [`ConvSim::simulate_prepared_kernel`] reads for every kernel of an
+    /// [`ImageSession`]. The default prepares nothing. Callers go through
+    /// [`ImageSession`], which pairs each prepare with the kernels it
+    /// serves.
+    fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
+        let _ = (image, shape, scratch);
+    }
+
+    /// Simulates `kernel` against the image that the last
+    /// [`ConvSim::prepare_image`] on `scratch` prepared with this `image`
+    /// and `shape`. Results MUST be bit-identical to
+    /// [`ConvSim::simulate_conv_pair`] on the same pair (pinned by the
+    /// golden proptests). The default simply forwards to
+    /// [`ConvSim::simulate_conv_pair_scratch`].
+    fn simulate_prepared_kernel(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut SimScratch,
+    ) -> SimStats {
+        self.simulate_conv_pair_scratch(kernel, image, shape, scratch)
     }
 
     /// A stable identity string covering the machine's name and every
@@ -178,6 +197,114 @@ pub trait ConvSim {
     ) -> Result<SimStats, AntError> {
         validate_conv_pair(self.name(), kernel, image, shape)?;
         Ok(self.simulate_conv_pair_scratch(kernel, image, shape, scratch))
+    }
+}
+
+/// One resident image plane on one machine: the image-stationary unit of
+/// work. Opening the session prepares the image once
+/// ([`ConvSim::prepare_image`]); each kernel then streams past it. It
+/// borrows the worker's [`SimScratch`] for its lifetime, so the prepared
+/// state lives exactly as long as the session and never across calls.
+///
+/// ```
+/// use ant_conv::ConvShape;
+/// use ant_sim::{ConvSim, ImageSession, SimScratch};
+/// use ant_sim::scnn::ScnnPlus;
+/// use ant_sparse::{CsrMatrix, DenseMatrix};
+///
+/// let shape = ConvShape::new(2, 2, 5, 5, 1)?;
+/// let image = CsrMatrix::from_dense(&DenseMatrix::from_fn(5, 5, |r, c| ((r + c) % 2) as f32));
+/// let kernels = [
+///     CsrMatrix::from_dense(&DenseMatrix::from_fn(2, 2, |r, _| r as f32)),
+///     CsrMatrix::from_dense(&DenseMatrix::from_fn(2, 2, |_, c| c as f32)),
+/// ];
+/// let scnn = ScnnPlus::paper_default();
+/// let mut scratch = SimScratch::new();
+/// let mut session = ImageSession::open(&scnn, &image, &shape, &mut scratch);
+/// for kernel in &kernels {
+///     assert_eq!(session.simulate(kernel), scnn.simulate_conv_pair(kernel, &image, &shape));
+/// }
+/// # Ok::<(), ant_conv::ConvError>(())
+/// ```
+pub struct ImageSession<'a, S: ConvSim + ?Sized> {
+    pe: &'a S,
+    image: &'a CsrMatrix,
+    shape: &'a ConvShape,
+    scratch: &'a mut SimScratch,
+}
+
+impl<'a, S: ConvSim + ?Sized> ImageSession<'a, S> {
+    /// Opens a session on `image`, preparing it in `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// A machine may panic when the image disagrees with `shape`, as its
+    /// pair entry point would; [`ImageSession::try_open`] checks first.
+    pub fn open(
+        pe: &'a S,
+        image: &'a CsrMatrix,
+        shape: &'a ConvShape,
+        scratch: &'a mut SimScratch,
+    ) -> Self {
+        pe.prepare_image(image, shape, scratch);
+        Self {
+            pe,
+            image,
+            shape,
+            scratch,
+        }
+    }
+
+    /// Validated [`ImageSession::open`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AntError::InvalidOperand`] when the image disagrees with
+    /// `shape`.
+    pub fn try_open(
+        pe: &'a S,
+        image: &'a CsrMatrix,
+        shape: &'a ConvShape,
+        scratch: &'a mut SimScratch,
+    ) -> Result<Self, AntError> {
+        check_operand(pe.name(), "image", image, (shape.image_h(), shape.image_w()))?;
+        Ok(Self::open(pe, image, shape, scratch))
+    }
+
+    /// Simulates one kernel against the resident image: bit-identical to
+    /// [`ConvSim::simulate_conv_pair`] on the pair.
+    pub fn simulate(&mut self, kernel: &CsrMatrix) -> SimStats {
+        self.pe
+            .simulate_prepared_kernel(kernel, self.image, self.shape, self.scratch)
+    }
+
+    /// Validated [`ImageSession::simulate`]: the same checks, in the same
+    /// order, as [`ConvSim::try_simulate_conv_pair`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AntError::InvalidOperand`] naming the offending operand.
+    pub fn try_simulate(&mut self, kernel: &CsrMatrix) -> Result<SimStats, AntError> {
+        validate_conv_pair(self.pe.name(), kernel, self.image, self.shape)?;
+        Ok(self.simulate(kernel))
+    }
+
+    /// Swaps in a fresh arena and prepares the image again: the retry path
+    /// after a failed kernel, whose panic may have left the arena
+    /// mid-mutation. Allocates; the clean path never calls it.
+    pub fn reopen_fresh(&mut self) {
+        *self.scratch = SimScratch::new();
+        self.pe.prepare_image(self.image, self.shape, self.scratch);
+    }
+}
+
+impl<S: ConvSim + ?Sized> std::fmt::Debug for ImageSession<'_, S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ImageSession")
+            .field("machine", &self.pe.name())
+            .field("image", &self.image.shape())
+            .field("shape", self.shape)
+            .finish_non_exhaustive()
     }
 }
 

@@ -12,7 +12,7 @@ use ant_conv::ConvShape;
 use ant_core::anticipator::{AntConfig, AntCounters, Anticipator};
 use ant_sparse::CsrMatrix;
 
-use crate::accelerator::{ConvSim, MatmulSim};
+use crate::accelerator::{ConvSim, ImageSession, MatmulSim};
 use crate::accum::AccumulatorBanks;
 use crate::breakdown::CycleBreakdown;
 use crate::scratch::{with_thread_scratch, SimScratch};
@@ -126,6 +126,24 @@ impl ConvSim for AntAccelerator {
         shape: &ConvShape,
         scratch: &mut SimScratch,
     ) -> SimStats {
+        ImageSession::open(self, image, shape, scratch).simulate(kernel)
+    }
+
+    /// The range prepass over the resident image: group entries and their
+    /// range table, built once per image and read by every kernel's scan.
+    fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
+        self.anticipator
+            .prepare_conv_image(image, shape, &mut scratch.ant)
+            .expect("operands validated by caller");
+    }
+
+    fn simulate_prepared_kernel(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut SimScratch,
+    ) -> SimStats {
         if kernel.nnz() == 0 || image.nnz() == 0 {
             return SimStats::default();
         }
@@ -135,18 +153,14 @@ impl ConvSim for AntAccelerator {
         let SimScratch {
             ant, bank_counts, ..
         } = scratch;
-        let counters = match self.accum_banks {
-            Some(banks) => self
-                .anticipator
-                .run_conv_with(kernel, image, shape, ant, |cycle_outputs| {
+        let counters = self
+            .anticipator
+            .scan_conv_kernel(kernel, shape, ant, |cycle_outputs| {
+                if let Some(banks) = self.accum_banks {
                     accum_conflicts += banks.conflict_cycles_with(cycle_outputs, bank_counts);
-                })
-                .expect("operands validated by caller"),
-            None => self
-                .anticipator
-                .run_conv_with(kernel, image, shape, ant, |_| {})
-                .expect("operands validated by caller"),
-        };
+                }
+            })
+            .expect("operands validated by caller");
         let stats = self.map_counters(&counters, accum_conflicts);
         crate::accelerator::trace_pair(ConvSim::name(self), "conv", kernel, image, &stats);
         stats

@@ -14,11 +14,10 @@
 
 use ant_conv::im2col::duplication_factor;
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::count_useful_products_with;
 use ant_conv::ConvShape;
 use ant_sparse::CsrMatrix;
 
-use crate::accelerator::{ConvSim, MatmulSim, STARTUP_CYCLES};
+use crate::accelerator::{ConvSim, ImageSession, MatmulSim, STARTUP_CYCLES};
 use crate::breakdown::CycleBreakdown;
 use crate::scratch::{with_thread_scratch, SimScratch};
 use crate::stats::SimStats;
@@ -125,10 +124,24 @@ impl ConvSim for DstAccelerator {
         shape: &ConvShape,
         scratch: &mut SimScratch,
     ) -> SimStats {
+        ImageSession::open(self, image, shape, scratch).simulate(kernel)
+    }
+
+    fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
+        scratch.nz_counter.prepare(image, shape);
+    }
+
+    fn simulate_prepared_kernel(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut SimScratch,
+    ) -> SimStats {
         if kernel.nnz() == 0 || image.nnz() == 0 {
             return SimStats::default();
         }
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
+        let useful = scratch.nz_counter.count_useful(kernel, shape);
         self.simulate(
             useful,
             duplication_factor(shape),

@@ -19,11 +19,10 @@
 //! granularity.
 
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::count_useful_products_with;
 use ant_conv::ConvShape;
 use ant_sparse::{Bitmask, CsrMatrix};
 
-use crate::accelerator::{ConvSim, MatmulSim, STARTUP_CYCLES};
+use crate::accelerator::{ConvSim, ImageSession, MatmulSim, STARTUP_CYCLES};
 use crate::breakdown::CycleBreakdown;
 use crate::scratch::{with_thread_scratch, SimScratch};
 use crate::stats::SimStats;
@@ -154,7 +153,21 @@ impl ConvSim for IntersectionAccelerator {
         shape: &ConvShape,
         scratch: &mut SimScratch,
     ) -> SimStats {
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
+        ImageSession::open(self, image, shape, scratch).simulate(kernel)
+    }
+
+    fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
+        scratch.nz_counter.prepare(image, shape);
+    }
+
+    fn simulate_prepared_kernel(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut SimScratch,
+    ) -> SimStats {
+        let useful = scratch.nz_counter.count_useful(kernel, shape);
         self.simulate(
             kernel,
             image.nnz(),

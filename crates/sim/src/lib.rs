@@ -73,7 +73,7 @@ pub mod stats;
 pub mod tiling;
 
 pub use accelerator::{
-    validate_conv_pair, validate_matmul_pair, Accelerator, ConvSim, MatmulSim,
+    validate_conv_pair, validate_matmul_pair, Accelerator, ConvSim, ImageSession, MatmulSim,
 };
 pub use ant_core::AntError;
 pub use breakdown::{CycleBreakdown, CycleCause};

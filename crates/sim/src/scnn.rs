@@ -9,15 +9,16 @@
 //!
 //! The model is analytic (no per-product loop): multiplications are
 //! `nnz(kernel) * nnz(image)` by construction and the useful subset comes
-//! from the exact [`ant_conv::rcp::count_useful_products`] counter, so
-//! ImageNet-scale layers simulate in microseconds.
+//! from the exact [`ant_conv::rcp::count_useful_products`] counter. The
+//! counter's prefix-sum planes depend only on the resident image, so an
+//! [`ImageSession`](crate::ImageSession) builds them once per image and
+//! each kernel then costs `O(nnz(kernel))`.
 
 use ant_conv::matmul::MatmulShape;
-use ant_conv::rcp::count_useful_products_with;
 use ant_conv::ConvShape;
 use ant_sparse::CsrMatrix;
 
-use crate::accelerator::{ConvSim, MatmulSim};
+use crate::accelerator::{ConvSim, ImageSession, MatmulSim};
 use crate::analytic;
 use crate::scratch::{with_thread_scratch, SimScratch};
 use crate::stats::SimStats;
@@ -81,9 +82,23 @@ impl ConvSim for ScnnPlus {
         shape: &ConvShape,
         scratch: &mut SimScratch,
     ) -> SimStats {
+        ImageSession::open(self, image, shape, scratch).simulate(kernel)
+    }
+
+    fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
+        scratch.nz_counter.prepare(image, shape);
+    }
+
+    fn simulate_prepared_kernel(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut SimScratch,
+    ) -> SimStats {
         debug_assert_eq!(kernel.shape(), (shape.kernel_h(), shape.kernel_w()));
         debug_assert_eq!(image.shape(), (shape.image_h(), shape.image_w()));
-        let useful = count_useful_products_with(kernel, image, shape, &mut scratch.nz_counter);
+        let useful = scratch.nz_counter.count_useful(kernel, shape);
         let stats = self.simulate_products(kernel.nnz(), image.nnz(), kernel.rows(), useful);
         crate::accelerator::trace_pair(ConvSim::name(self), "conv", kernel, image, &stats);
         stats

@@ -6,16 +6,22 @@
 //! structure from pair to pair, so one [`SimScratch`] per worker amortizes
 //! every allocation: after the first pair warms the buffers up to the
 //! largest shapes seen, the steady state performs **zero** heap allocations
-//! (asserted by the alloc-regression tests in `ant-bench` via the PR 3
+//! (asserted by the alloc-regression tests in `ant-bench` via the
 //! counting allocator).
 //!
 //! # Ownership rules (for machine authors)
 //!
 //! * The scratch is owned by the *worker* (thread or scheduler slot), never
-//!   by a machine: machines receive `&mut SimScratch` per call and must not
-//!   stash state in it across calls. Every run must fully re-initialize
-//!   whatever scratch state it reads (`clear()` + `extend`, `reset_zeroed`,
-//!   `resize(_, 0)` — never assume prior contents).
+//!   by a machine: machines receive `&mut SimScratch` per call.
+//! * State may live for one image session and never across calls. What
+//!   [`ConvSim::prepare_image`](crate::ConvSim::prepare_image) builds for
+//!   the resident image (prefix-sum planes, anticipator group entries and
+//!   range table) is read by the kernels of that one
+//!   [`ImageSession`](crate::ImageSession), which borrows the scratch for
+//!   its lifetime; the next session or pair call rebuilds it. Everything
+//!   else must be fully re-initialized by the run that reads it
+//!   (`clear()` + `extend`, `reset_zeroed`, `resize(_, 0)` — never assume
+//!   prior contents).
 //! * Results must be bit-identical with and without the scratch: the
 //!   non-scratch trait methods are the semantic definition, and the golden
 //!   proptests in `ant-sim/tests` compare the two paths exactly.

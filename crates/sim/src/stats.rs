@@ -52,6 +52,14 @@ impl EnergyBreakdown {
 /// host spent producing it: simulated work per second of real time. These
 /// measure the *simulator's* speed (for bench history and regression
 /// tracking), not the modeled accelerator's.
+///
+/// The rates are only honest over the counters the host actually
+/// simulated: raw per-pair sums, before channel-sample scaling. Scaled
+/// counters are the work a run *represents* (the full layer), an
+/// informational figure; divided by host time they would credit the host
+/// with pairs it never simulated (one sampled fig09 run reported 4.7e11
+/// pairs/s on 2 cores that way). The runner reports rates over its raw
+/// counters (`NetworkResult::simulated` in `ant-bench`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Throughput {
     /// Non-zero kernel/image pairs simulated per wall-clock second.

@@ -4,21 +4,24 @@
 //! ways — the plain entry point, a fresh [`SimScratch`], and one scratch
 //! reused across all machines and pairs — and every way must produce
 //! byte-identical [`ant_sim::SimStats`] (which embeds the full
-//! `CycleBreakdown`). The useful-product counts are additionally pinned to a
-//! retained brute-force reference implementation, so the optimized
+//! `CycleBreakdown`). An [`ImageSession`] streaming several kernels past one
+//! prepared image must match per-pair simulation the same way. The
+//! useful-product counts are additionally pinned to a retained brute-force
+//! reference implementation, so the optimized
 //! prefix-sum / word-parallel kernels cannot drift from the semantic
 //! definition.
 
 use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
 use ant_core::anticipator::{AntConfig, Anticipator};
+use ant_sim::accum::AccumulatorBanks;
 use ant_sim::analytic;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::dst::DstAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::intersection::IntersectionAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, MatmulSim, SimScratch, SimStats};
+use ant_sim::{ConvSim, ImageSession, MatmulSim, SimScratch, SimStats};
 use ant_sparse::{sparsify, CsrMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -65,6 +68,27 @@ fn conv_machines() -> Vec<Box<dyn ConvSim>> {
         Box::new(IntersectionAccelerator::training_default()),
         Box::new(IntersectionAccelerator::inference_default()),
     ]
+}
+
+/// Every conv machine plus the ANT variants whose per-image state differs:
+/// banked accumulators and the Fig. 14 `use_r` / `use_s` ablations.
+fn session_machines() -> Vec<Box<dyn ConvSim>> {
+    let mut machines = conv_machines();
+    let banks = AccumulatorBanks::scnn_provisioned(4);
+    machines.push(Box::new(AntAccelerator::paper_default().with_accumulator_banks(banks)));
+    for config in [
+        AntConfig {
+            use_r: false,
+            ..AntConfig::paper_default()
+        },
+        AntConfig {
+            use_s: false,
+            ..AntConfig::paper_default()
+        },
+    ] {
+        machines.push(Box::new(AntAccelerator::new(config)));
+    }
+    machines
 }
 
 type MatmulMachine = (&'static str, Box<dyn MatmulSim>);
@@ -160,6 +184,48 @@ proptest! {
         prop_assert_eq!(scnn.useful_mults, useful, "SCNN+ useful");
         prop_assert_eq!(dst.useful_mults, useful, "DST useful");
         prop_assert_eq!(isect.useful_mults, useful, "GoSPA useful");
+    }
+
+    /// One image session streaming several kernels is bit-identical to
+    /// per-pair simulation on every conv machine, on one dirty arena that
+    /// every machine and an unrelated pair shape used before, and across
+    /// the runner's retry path (a fresh arena, the image prepared again).
+    #[test]
+    fn image_session_is_bit_identical_to_per_pair_simulation(
+        (shape, sparsity, seed) in conv_case(),
+        kernel_count in 1usize..6,
+    ) {
+        let (_, image) = conv_operands(&shape, sparsity, seed);
+        let kernels: Vec<CsrMatrix> = (1..=kernel_count as u64)
+            .map(|k| conv_operands(&shape, sparsity, seed.wrapping_add(k)).0)
+            .collect();
+        let machines = session_machines();
+        let mut dirty = SimScratch::new();
+        let other = ConvShape::with_dilation(3, 2, 9, 11, 2, 1).expect("valid shape");
+        let (other_kernel, other_image) = conv_operands(&other, 0.5, seed ^ 0x5eed);
+        for machine in &machines {
+            machine.simulate_conv_pair_scratch(&other_kernel, &other_image, &other, &mut dirty);
+        }
+        for machine in &machines {
+            let mut session = ImageSession::open(machine.as_ref(), &image, &shape, &mut dirty);
+            for (k, kernel) in kernels.iter().enumerate() {
+                if k == kernel_count / 2 {
+                    session.reopen_fresh();
+                }
+                let streamed = session.simulate(kernel);
+                let pair = machine.simulate_conv_pair(kernel, &image, &shape);
+                prop_assert_eq!(&streamed, &pair, "kernel {} diverged on {}", k, machine.name());
+                let validated = session.try_simulate(kernel).expect("operands match the shape");
+                prop_assert_eq!(&validated, &pair, "validated kernel {} on {}", k, machine.name());
+            }
+        }
+        // The shared useful count stays exact for every streamed kernel.
+        let scnn = ScnnPlus::paper_default();
+        let mut session = ImageSession::open(&scnn, &image, &shape, &mut dirty);
+        for kernel in &kernels {
+            let useful = reference::conv_useful_products(kernel, &image, &shape);
+            prop_assert_eq!(session.simulate(kernel).useful_mults, useful);
+        }
     }
 
     /// The matmul paths, same contract.

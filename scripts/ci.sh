@@ -12,6 +12,13 @@ cargo test -q
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "== antbench build + self-test (its own workspace: tier-1 never compiles it)"
+# The benchmark replays the runner's stages through the public pair API
+# (ConvTrace::*_pairs, try_simulate_conv_pair) and checks the replay equals
+# the runner, so it must build and pass against every change to them.
+cargo build --release --offline --manifest-path antbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path antbench/Cargo.toml -- --self-test
+
 echo "== profile smoke (tiny workload + Perfetto JSON validation, telemetry on)"
 # ANT_TELEMETRY + ANT_PROFILE also exercises the per-worker host tracks
 # (pair/steal spans and deque-depth counters) in the same sidecar.

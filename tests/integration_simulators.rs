@@ -87,7 +87,7 @@ fn perfect_load_balance_scaling() {
     let pairs = synth.trace.update_pairs().unwrap();
     let acc1 = Accelerator::new(ScnnPlus::paper_default(), 1);
     let acc64 = Accelerator::new(ScnnPlus::paper_default(), 64);
-    let stats = acc1.simulate_conv_pairs(pairs.iter().map(|p| (&p.kernel, &p.image, p.shape)));
+    let stats = acc1.simulate_conv_pairs(pairs.iter().map(|p| (&*p.kernel, &*p.image, p.shape)));
     assert_eq!(acc1.wall_cycles(&stats), stats.total_cycles());
     assert_eq!(acc64.wall_cycles(&stats), stats.total_cycles().div_ceil(64));
 }
