@@ -116,7 +116,10 @@ fn cmd_record(args: &[String]) -> ExitCode {
         ));
     };
 
-    let mut exp = Experiment::start("bench_history", "Bench history: record");
+    let mut exp = match Experiment::start("bench_history", "Bench history: record") {
+        Ok(exp) => exp,
+        Err(e) => return fail(&e.to_string()),
+    };
     exp.config("label", label.as_str())
         .config("repeats", repeats as u64)
         .config("ledger", path.display().to_string());

@@ -15,8 +15,8 @@ use ant_workloads::models::ConvLayerSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let mut exp = Experiment::start("extra_load_balance", "Extra: tiling load balance and halo traffic (8x8 PE grid)");
+fn main() -> Result<(), ant_sim::AntError> {
+    let mut exp = Experiment::start("extra_load_balance", "Extra: tiling load balance and halo traffic (8x8 PE grid)")?;
     exp.config("pe_grid", "8x8").config("seed", 0x10adu64);
     println!();
     let mut table = Table::new(&[
@@ -64,4 +64,5 @@ fn main() {
          (and DESIGN.md) call load balancing out as the key future-work lever."
     );
     exp.finish(&table);
+    Ok(())
 }

@@ -20,8 +20,8 @@ use ant_workloads::synth::{synthesize_layer, LayerSparsity};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let mut exp = Experiment::start("extra_minimum_mults", "Extra: executed multiplications vs the useful-products floor");
+fn main() -> Result<(), ant_sim::AntError> {
+    let mut exp = Experiment::start("extra_minimum_mults", "Extra: executed multiplications vs the useful-products floor")?;
     exp.config("sparsity", 0.9).config("seed", 0x313u64);
     println!();
     let spec = ConvLayerSpec::new("3x3/32x32", 4, 4, 3, 32, 1, 1, 1);
@@ -74,4 +74,5 @@ fn main() {
          test (Algorithm 2 vs Algorithm 1); the dense machine pays for zeros."
     );
     exp.finish(&table);
+    Ok(())
 }

@@ -68,8 +68,8 @@ fn run_mode(label: &str, mut mode: SparseMode, table: &mut Table) {
     ]);
 }
 
-fn main() {
-    let mut exp = Experiment::start("extra_real_traces", "Extra: real backprop traces through SCNN+ and ANT");
+fn main() -> Result<(), ant_sim::AntError> {
+    let mut exp = Experiment::start("extra_real_traces", "Extra: real backprop traces through SCNN+ and ANT")?;
     exp.config("train_steps", 20u64).config("batch", 8u64);
     println!();
     let mut table = Table::new(&[
@@ -98,4 +98,5 @@ fn main() {
     progress.finish();
     print!("{}", table.render());
     exp.finish(&table);
+    Ok(())
 }

@@ -28,7 +28,7 @@ fn simulate(machine: &impl ConvSim, trace: &ant_nn::ConvTrace) -> SimStats {
     total
 }
 
-fn main() {
+fn main() -> Result<(), ant_sim::AntError> {
     let mut ds = SyntheticDataset::new(1, 16, 4, 0.08, 2026);
     let mut net = ResNetLite::new(1, 16, 4, 31);
     // Train to let BN statistics and ReLU sparsity patterns settle.
@@ -41,7 +41,7 @@ fn main() {
     let mut traces = Vec::new();
     let _ = net.train_step(&batch, 0.03, Some(&mut traces));
 
-    let mut exp = Experiment::start("extra_resnet_traces", &format!("Extra: residual-network (conv-BN-ReLU + skip) traces, loss@25 = {last_loss:.3}"));
+    let mut exp = Experiment::start("extra_resnet_traces", &format!("Extra: residual-network (conv-BN-ReLU + skip) traces, loss@25 = {last_loss:.3}"))?;
     exp.config("train_steps", 25u64)
         .config("seed", 2026u64)
         .config("final_loss", last_loss);
@@ -73,4 +73,5 @@ fn main() {
          to win on every layer."
     );
     exp.finish(&table);
+    Ok(())
 }

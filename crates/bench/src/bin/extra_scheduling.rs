@@ -18,11 +18,11 @@ use ant_workloads::synth::{synthesize_layer, LayerSparsity};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), ant_sim::AntError> {
     let ant = AntAccelerator::paper_default();
     let net = resnet18_cifar();
     let pes = 64usize;
-    let mut exp = Experiment::start("extra_scheduling", "Extra: scheduler comparison (ANT, ResNet18/CIFAR @ 90%, 64 PEs)");
+    let mut exp = Experiment::start("extra_scheduling", "Extra: scheduler comparison (ANT, ResNet18/CIFAR @ 90%, 64 PEs)")?;
     exp.config("network", net.name)
         .config("pes", pes as u64)
         .config("sparsity", 0.9);
@@ -71,4 +71,5 @@ fn main() {
         job_cycles.len()
     );
     exp.finish(&table);
+    Ok(())
 }

@@ -14,7 +14,7 @@ use ant_workloads::synth::{synthesize_layer, LayerSparsity};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), ant_sim::AntError> {
     let net = resnet18_imagenet();
     let sparsity = LayerSparsity::uniform(0.9);
     let max_channels = 2; // ImageNet-scale planes are large; scale linearly.
@@ -25,7 +25,7 @@ fn main() {
             "Figure 1: partial-product breakdown, {} @ 90% sparse training",
             net.name
         ),
-    );
+    )?;
     exp.config("network", net.name)
         .config("sparsity", 0.9)
         .config("max_channels", max_channels as u64)
@@ -93,4 +93,5 @@ fn main() {
          forward/backward phases are mostly useful."
     );
     exp.finish(&table);
+    Ok(())
 }

@@ -31,7 +31,7 @@ fn main() -> Result<(), AntError> {
     let mut exp = Experiment::start(
         "fig09_speedup_energy",
         "Figure 9: ANT vs SCNN+ at 90% sparse training",
-    );
+    )?;
     exp.config("sparsity", 0.9).config_experiment(&cfg);
     println!(
         "(config: n={}, k={}, {} PEs, channel sample {})\n",
@@ -55,7 +55,7 @@ fn main() -> Result<(), AntError> {
     let mut sim_total = ant_sim::SimStats::default();
     let mut sim_wall_us = 0u64;
     // Per-worker scheduler telemetry across the whole sweep (populated
-    // only under ANT_TELEMETRY; see docs/OBSERVABILITY.md).
+    // only under ANT_OBS=telemetry; see docs/OBSERVABILITY.md).
     let mut worker_table = ant_bench::telemetry::WorkerTable::new();
     // Per-(network, machine) simulation-cache activity across the sweep
     // (populated only under ANT_CACHE; `obsctl cache` reads it back from

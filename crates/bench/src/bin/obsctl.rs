@@ -6,7 +6,7 @@
 //! obsctl flame      diff A.folded B.folded [--top K] [--json]
 //! obsctl ledger     trend [--file PATH] [--label L] [--metric SUBSTR]
 //!                         [--window N] [--threshold T] [--json]
-//! obsctl status     [PATH|URL] [--follow] [--interval-ms N]
+//! obsctl status     <NAME|PATH|URL> [--follow] [--interval-ms N]
 //! obsctl jobs       URL|FILE [--follow] [--interval-ms N]
 //! obsctl redundancy FILE [--network NET] [--machine M] [--layer L]
 //!                        [--phase P] [--top K] [--json]
@@ -24,14 +24,14 @@ use std::process::ExitCode;
 
 use ant_bench::history::{self, DEFAULT_LEDGER, DEFAULT_THRESHOLD};
 use ant_bench::obsctl::{
-    cache, flame, jobs, redundancy, status, take_flag, take_parsed, take_switch, trace, trend,
+    cache, flame, jobs, redundancy, status, take_flag, take_parsed, take_switch, trace, trend, Source,
 };
 
 const USAGE: &str = "usage: obsctl <trace|flame|ledger|status|jobs|redundancy|cache> [options]
   trace      FILE [--name N] [--layer L] [--phase P] [--network NET] [--machine M] [--top K] [--json]
   flame      diff A.folded B.folded [--top K] [--json]
   ledger     trend [--file PATH] [--label L] [--metric SUBSTR] [--window N] [--threshold T] [--json]
-  status     [PATH|URL] [--follow] [--interval-ms N]
+  status     <NAME|PATH|URL> [--follow] [--interval-ms N]
   jobs       URL|FILE [--follow] [--interval-ms N]
   redundancy FILE [--network NET] [--machine M] [--layer L] [--phase P] [--top K] [--json]
   cache      MANIFEST [--network NET] [--machine M] [--json]";
@@ -216,40 +216,35 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let follow = take_switch(&mut args, "--follow");
-    let interval_ms = take_parsed(&mut args, "--interval-ms", 500u64)?.max(50);
-    let operand = match args.as_slice() {
-        [] => None,
-        [one] => Some(one.as_str()),
-        _ => return Err(format!("status wants at most one PATH|URL, got {args:?}")),
-    };
-    let source = status::Source::resolve(operand);
-    loop {
-        let text = source.fetch()?;
-        let block = status::render(&text)?;
-        print!("{block}");
-        if !follow || status::is_done(&text) {
-            return Ok(());
-        }
-        println!("---");
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-    }
+    let usage = "status wants exactly one NAME|PATH|URL";
+    show(args, usage, status::source, status::render, status::is_done)
 }
 
 fn cmd_jobs(args: &[String]) -> Result<(), String> {
+    let source = |operand: &str| Source::resolve(operand, "/jobs");
+    show(args, "jobs wants exactly one URL|FILE", source, jobs::render, jobs::all_terminal)
+}
+
+/// Renders the one operand's document, re-fetching every `--interval-ms`
+/// under `--follow` until `done` says the run or board is finished.
+fn show(
+    args: &[String],
+    usage: &str,
+    source: impl Fn(&str) -> Source,
+    render: fn(&str) -> Result<String, String>,
+    done: fn(&str) -> bool,
+) -> Result<(), String> {
     let mut args = args.to_vec();
     let follow = take_switch(&mut args, "--follow");
     let interval_ms = take_parsed(&mut args, "--interval-ms", 500u64)?.max(50);
     let [operand] = args.as_slice() else {
-        return Err(format!("jobs wants exactly one URL|FILE, got {args:?}"));
+        return Err(format!("{usage}, got {args:?}"));
     };
-    let source = jobs::Source::resolve(operand);
+    let source = source(operand);
     loop {
         let text = source.fetch()?;
-        let board = jobs::render(&text)?;
-        print!("{board}");
-        if !follow || jobs::all_terminal(&text) {
+        print!("{}", render(&text)?);
+        if !follow || done(&text) {
             return Ok(());
         }
         println!("---");

@@ -12,15 +12,14 @@
 //! ```
 //!
 //! Workloads: `tiny` (synthetic smoke), `resnet18` (default), `densenet121`,
-//! `vgg16`, `wrn-16-8`, `resnet50`. Env: `ANT_PROFILE_FILE` overrides the
-//! sidecar path (default `target/experiments/profile_<workload>.perfetto.json`);
-//! the sidecar is always written — `ANT_PROFILE` gates only library-side use.
+//! `vgg16`, `wrn-16-8`, `resnet50`. The sidecar is always written, to
+//! `<experiments_dir>/profile_<workload>.perfetto.json`.
 //!
-//! With `ANT_TELEMETRY=1` *and* `ANT_PROFILE=1` set, the sidecar
-//! additionally carries one host-time process per machine with per-worker
-//! tracks from the work-stealing scheduler — job spans (`pair`/`steal`)
-//! and deque-depth counters in wall microseconds (see
-//! `docs/OBSERVABILITY.md`, "Scheduler telemetry").
+//! With `ANT_OBS=telemetry,profile`, the sidecar additionally carries one
+//! host-time process per machine with per-worker tracks from the
+//! work-stealing scheduler — job spans (`pair`/`steal`) and deque-depth
+//! counters in wall microseconds (see `docs/OBSERVABILITY.md`, "Scheduler
+//! telemetry").
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
@@ -199,7 +198,7 @@ fn main() -> Result<(), AntError> {
     };
     let cfg = ExperimentConfig::paper_default();
 
-    let mut exp = Experiment::start("profile", "Cycle-attribution profile");
+    let mut exp = Experiment::start("profile", "Cycle-attribution profile")?;
     exp.config("network", net.name.to_string())
         .config("sparsity", 0.9)
         .config_experiment(&cfg);
@@ -274,9 +273,9 @@ fn main() -> Result<(), AntError> {
         table.push_row(breakdown_row(label, "total", total, &result.total.cycles));
 
         add_machine_tracks(&mut timeline, pid as u64, label, &jobs, &schedule);
-        // Host-time worker tracks (populated only under ANT_TELEMETRY with
-        // ANT_PROFILE): a separate process per machine because these are
-        // wall microseconds, not simulated cycles.
+        // Host-time worker tracks (populated only under
+        // ANT_OBS=telemetry,profile): a separate process per machine
+        // because these are wall microseconds, not simulated cycles.
         ant_bench::telemetry::add_worker_tracks(
             &mut timeline,
             1000 + pid as u64,

@@ -7,7 +7,9 @@
 //! Binds an HTTP/JSONL listener (see `ant_bench::serve`), recovers any
 //! interrupted jobs from the spool, and runs until killed. Configuration is
 //! entirely environment-driven (`ANT_SWEEPD_*`; defaults in
-//! `docs/OBSERVABILITY.md`), so the binary takes no arguments:
+//! `docs/OBSERVABILITY.md`), so the binary takes no arguments. An
+//! unparsable or zero setting, a retired observability variable, or an
+//! unknown `ANT_OBS` item exits 2 naming the variable. The wire surface:
 //!
 //! - `POST /jobs` submits a sweep spec (tenant, model, machines, sparsity
 //!   grid, weight, deadline);
@@ -23,6 +25,7 @@
 
 use std::process::ExitCode;
 
+use ant_bench::obs::obs_config;
 use ant_bench::serve::{Sweepd, SweepdConfig};
 
 fn main() -> ExitCode {
@@ -36,7 +39,13 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let config = SweepdConfig::from_env();
+    let config = match obs_config(ant_obs::config::resolved()).and_then(|_| SweepdConfig::from_env()) {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("ant-sweepd: {e}");
+            return ExitCode::from(2);
+        }
+    };
     eprintln!(
         "ant-sweepd: spool {} queue {} max_attempts {} backoff {}ms",
         config.spool.display(),

@@ -17,7 +17,7 @@ fn main() -> Result<(), ant_sim::AntError> {
     let mut exp = Experiment::start(
         "tab05_rcps_avoided",
         "Table 5: RCPs avoided by ANT at 90% sparsity",
-    );
+    )?;
     exp.config("sparsity", 0.9).config_experiment(&cfg);
     println!();
     let paper = [93.6, 98.0, 74.9, 94.8, 91.9];

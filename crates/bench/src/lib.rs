@@ -11,7 +11,7 @@
 //!   `target/experiments/`.
 //! * [`obs`] — the per-binary experiment harness: banner, root span,
 //!   progress reporting, and a run-manifest sidecar for every output
-//!   (tracing gated by `ANT_TRACE`; see `docs/OBSERVABILITY.md`).
+//!   (switched by `ANT_OBS`; see `docs/OBSERVABILITY.md`).
 //! * [`simcache`] — the one durable result store: the content-addressed
 //!   layer cache (`ANT_CACHE` / `ANT_CACHE_DIR`). Clean layers persist as
 //!   they finish, so resuming an interrupted sweep is a warm run against
@@ -28,7 +28,7 @@
 //!   can be attributed to one kernel.
 //! * [`telemetry`] — scheduler-telemetry export: per-worker Perfetto
 //!   tracks (host time) and the manifest `host`-section worker
-//!   utilization table, fed by the runner's `ANT_TELEMETRY` counters.
+//!   utilization table, fed by the runner's `ANT_OBS=telemetry` counters.
 //! * [`obsctl`] — the unified offline analysis CLI (`obsctl` binary) over
 //!   the observability sidecars: trace JSONL aggregation, folded-flamegraph
 //!   diffing, bench-history trend reports, and live status pretty-printing.
@@ -38,7 +38,7 @@
 //!   from the spool's layer cache (see `docs/ROBUSTNESS.md`).
 //!
 //! Every binary linking this crate gets the counting global allocator
-//! compiled in (below). It is **disabled** unless `ANT_ALLOC=1` is set or a
+//! compiled in (below). It is **disabled** unless `ANT_OBS=alloc` is set or a
 //! tool enables it; disabled cost is one relaxed atomic load per
 //! allocation.
 

@@ -15,16 +15,31 @@
 //! use ant_bench::obs::Experiment;
 //! use ant_bench::report::Table;
 //!
-//! let mut exp = Experiment::start("fig99_example", "Figure 99: an example");
+//! # fn main() -> Result<(), ant_sim::AntError> {
+//! let mut exp = Experiment::start("fig99_example", "Figure 99: an example")?;
 //! exp.config("sparsity", 0.9);
 //! let table = Table::new(&["network"]);
 //! // ... sweep, push rows ...
 //! exp.finish(&table);
+//! # Ok(())
+//! # }
 //! ```
 
-use ant_obs::{RunManifest, Span, Value};
+use ant_obs::{ObsConfig, ObsError, RunManifest, Span, Value};
+use ant_sim::AntError;
 
 use crate::report::{experiments_dir, Table};
+
+/// A parse of the observability environment ([`ant_obs::config::resolved`])
+/// as the bench stack's error, checked at start-up by the harness, the
+/// runner and `sweepd`.
+///
+/// # Errors
+///
+/// [`AntError::InvalidConfig`] naming the retired variable or `ANT_OBS`.
+pub fn obs_config(parsed: &Result<ObsConfig, ObsError>) -> Result<&ObsConfig, AntError> {
+    parsed.as_ref().map_err(|e| AntError::invalid_config(e.param, e.reason.clone()))
+}
 
 /// One experiment binary's run: banner + root span + manifest.
 #[derive(Debug)]
@@ -36,20 +51,29 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Starts an experiment: prints `title` as the banner, opens the root
-    /// span, and begins the run manifest.
-    pub fn start(name: &'static str, title: &str) -> Self {
+    /// Starts an experiment: checks the observability environment
+    /// ([`obs_config`]), names the process's sidecars after `name`, prints
+    /// `title` as the banner, opens the root span, and begins the run
+    /// manifest.
+    ///
+    /// # Errors
+    ///
+    /// [`AntError::InvalidConfig`] for a rejected observability setting.
+    pub fn start(name: &'static str, title: &str) -> Result<Self, AntError> {
+        obs_config(ant_obs::config::resolved())?;
+        // Before the first span: the trace file opens under this stem.
+        ant_obs::config::set_stem(name);
         ant_obs::banner(title);
         // Bring up the embedded /metrics exporter when ANT_METRICS_ADDR
         // asks for one (no-op, zero-cost otherwise).
         ant_obs::export::init_from_env();
         let mut span = ant_obs::span("experiment");
         span.record("experiment", name);
-        Self {
+        Ok(Self {
             name,
             manifest: RunManifest::new(name),
             span,
-        }
+        })
     }
 
     /// The experiment name (used for output file stems).
@@ -138,7 +162,7 @@ impl Experiment {
 
 /// Shared tail of every experiment: close the root span *first* (so its
 /// wall time folds into the flame table), write the collapsed-stack
-/// flamegraph when `ANT_FLAME` is on, fold host stats (allocator counters,
+/// flamegraph under `ANT_OBS=flame`, fold host stats (allocator counters,
 /// runner wall/throughput metrics) into the manifest, write it, and flush
 /// the trace.
 fn finalize(name: &'static str, mut manifest: RunManifest, span: Span) {

@@ -12,57 +12,8 @@ use std::fmt::Write as _;
 
 use ant_obs::json::Json;
 
-/// Where one job-board read comes from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Source {
-    /// A saved `ant-sweepd-jobs/1` document on disk.
-    File(std::path::PathBuf),
-    /// A daemon URL; `/jobs` is appended when the URL has no path.
-    Http(String),
-}
-
-impl Source {
-    /// Resolves the CLI operand: `http://` strings become HTTP sources
-    /// (with `/jobs` appended when pathless), anything else a file path.
-    pub fn resolve(operand: &str) -> Source {
-        if let Some(rest) = operand.strip_prefix("http://") {
-            if rest.contains('/') {
-                Source::Http(operand.to_string())
-            } else {
-                Source::Http(format!("{operand}/jobs"))
-            }
-        } else {
-            Source::File(std::path::PathBuf::from(operand))
-        }
-    }
-
-    /// Reads the current job-board JSON from the source.
-    ///
-    /// # Errors
-    ///
-    /// Errors with a human-readable reason when the file is unreadable or
-    /// the daemon is unreachable / non-200.
-    pub fn fetch(&self) -> Result<String, String> {
-        match self {
-            Source::File(path) => std::fs::read_to_string(path)
-                .map(|s| s.trim().to_string())
-                .map_err(|e| format!("cannot read {}: {e}", path.display())),
-            Source::Http(url) => match ant_obs::export::http_get(url) {
-                Ok((200, body)) => Ok(body.trim().to_string()),
-                Ok((code, body)) => Err(format!("{url} answered {code}: {}", body.trim())),
-                Err(e) => Err(format!("cannot reach {url}: {e}")),
-            },
-        }
-    }
-
-    /// Human-readable description of the source for the report header.
-    pub fn describe(&self) -> String {
-        match self {
-            Source::File(path) => path.display().to_string(),
-            Source::Http(url) => url.clone(),
-        }
-    }
-}
+#[cfg(test)]
+use super::Source;
 
 /// True when every listed job is in a terminal state (nothing queued,
 /// running, or backing off) — the `--follow` exit condition.
@@ -195,15 +146,15 @@ mod tests {
     #[test]
     fn resolve_maps_operands_to_sources() {
         assert_eq!(
-            Source::resolve("http://127.0.0.1:9200"),
+            Source::resolve("http://127.0.0.1:9200", "/jobs"),
             Source::Http("http://127.0.0.1:9200/jobs".to_string())
         );
         assert_eq!(
-            Source::resolve("http://127.0.0.1:9200/jobs"),
+            Source::resolve("http://127.0.0.1:9200/jobs", "/jobs"),
             Source::Http("http://127.0.0.1:9200/jobs".to_string())
         );
         assert_eq!(
-            Source::resolve("saved/jobs.json"),
+            Source::resolve("saved/jobs.json", "/jobs"),
             Source::File(std::path::PathBuf::from("saved/jobs.json"))
         );
     }

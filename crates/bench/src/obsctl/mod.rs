@@ -15,7 +15,7 @@
 //! obsctl flame      diff A.folded B.folded [--top K] [--json]
 //! obsctl ledger     trend [--file PATH] [--label L] [--metric SUBSTR]
 //!                         [--window N] [--threshold T] [--json]
-//! obsctl status     [PATH|URL] [--follow] [--interval-ms N]
+//! obsctl status     <NAME|PATH|URL> [--follow] [--interval-ms N]
 //! obsctl jobs       URL|FILE [--follow] [--interval-ms N]
 //! obsctl redundancy FILE [--network NET] [--machine M] [--layer L]
 //!                        [--phase P] [--top K] [--json]
@@ -37,6 +37,47 @@ pub mod redundancy;
 pub mod status;
 pub mod trace;
 pub mod trend;
+
+/// Where one live document (`obsctl status`, `obsctl jobs`) is read from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Source {
+    /// A document on disk.
+    File(std::path::PathBuf),
+    /// An HTTP endpoint.
+    Http(String),
+}
+
+impl Source {
+    /// Resolves a CLI operand: `http://` strings become HTTP sources, with
+    /// `route` (`/status`, `/jobs`) appended when pathless; anything else is
+    /// a file path.
+    pub fn resolve(operand: &str, route: &str) -> Source {
+        match operand.strip_prefix("http://") {
+            Some(rest) if !rest.contains('/') => Source::Http(format!("{operand}{route}")),
+            Some(_) => Source::Http(operand.to_string()),
+            None => Source::File(std::path::PathBuf::from(operand)),
+        }
+    }
+
+    /// Reads the current document text from the source.
+    ///
+    /// # Errors
+    ///
+    /// Errors with a human-readable reason when the file is unreadable or
+    /// the endpoint is unreachable / non-200.
+    pub fn fetch(&self) -> Result<String, String> {
+        match self {
+            Source::File(path) => std::fs::read_to_string(path)
+                .map(|s| s.trim().to_string())
+                .map_err(|e| format!("cannot read {}: {e}", path.display())),
+            Source::Http(url) => match ant_obs::export::http_get(url) {
+                Ok((200, body)) => Ok(body.trim().to_string()),
+                Ok((code, body)) => Err(format!("{url} answered {code}: {}", body.trim())),
+                Err(e) => Err(format!("cannot reach {url}: {e}")),
+            },
+        }
+    }
+}
 
 /// Pulls `--name value` out of `args`, returning the value.
 ///

@@ -1,69 +1,28 @@
 //! `obsctl status`: pretty-print a live `ant-status/1` run status.
 //!
 //! The source is either the status *file* the runner's `StatusReporter`
-//! rewrites (`ANT_PROGRESS_FILE`, default `target/experiments/status.json`)
-//! or the embedded exporter's `/status` endpoint when given an `http://`
-//! URL. `--follow` re-reads the source on an interval until the run reports
+//! rewrites under `ANT_OBS=progress` — named by its experiment, as in
+//! `obsctl status fig09_speedup_energy`, or by path — or the embedded
+//! exporter's `/status` endpoint when given an `http://` URL. `--follow`
+//! re-reads the source on an interval until the run reports
 //! `state == "done"`, giving a dependency-free `watch`-style progress view.
 
 use std::fmt::Write as _;
 
 use ant_obs::json::Json;
 
-/// Where one status read comes from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Source {
-    /// A status file on disk.
-    File(std::path::PathBuf),
-    /// An exporter URL; `/status` is appended when the URL has no path.
-    Http(String),
-}
+use super::Source;
 
-impl Source {
-    /// Resolves the optional CLI operand: `http://` strings become HTTP
-    /// sources (with `/status` appended when pathless), anything else a
-    /// file path, and `None` the runner's default status file.
-    pub fn resolve(operand: Option<&str>) -> Source {
-        match operand {
-            Some(raw) if raw.starts_with("http://") => {
-                let rest = &raw["http://".len()..];
-                if rest.contains('/') {
-                    Source::Http(raw.to_string())
-                } else {
-                    Source::Http(format!("{raw}/status"))
-                }
-            }
-            Some(raw) => Source::File(std::path::PathBuf::from(raw)),
-            None => Source::File(ant_obs::progress::status_file()),
-        }
+/// Resolves the CLI operand: an `http://` URL is the exporter (`/status`
+/// appended when pathless), a bare name (no path separator, no `.json`)
+/// the experiment's `<experiments_dir>/<name>.status.json`, and anything
+/// else a file path.
+pub fn source(operand: &str) -> Source {
+    if operand.contains(std::path::is_separator) || operand.ends_with(".json") {
+        return Source::resolve(operand, "/status");
     }
-
-    /// Reads the current status JSON text from the source.
-    ///
-    /// # Errors
-    ///
-    /// Errors with a human-readable reason when the file is unreadable or
-    /// the endpoint is unreachable / non-200.
-    pub fn fetch(&self) -> Result<String, String> {
-        match self {
-            Source::File(path) => std::fs::read_to_string(path)
-                .map(|s| s.trim().to_string())
-                .map_err(|e| format!("cannot read {}: {e}", path.display())),
-            Source::Http(url) => match ant_obs::export::http_get(url) {
-                Ok((200, body)) => Ok(body.trim().to_string()),
-                Ok((code, body)) => Err(format!("{url} answered {code}: {}", body.trim())),
-                Err(e) => Err(format!("cannot reach {url}: {e}")),
-            },
-        }
-    }
-
-    /// Human-readable description of the source for the report header.
-    pub fn describe(&self) -> String {
-        match self {
-            Source::File(path) => path.display().to_string(),
-            Source::Http(url) => url.clone(),
-        }
-    }
+    let dir = ant_obs::experiments_dir();
+    Source::File(ant_obs::config::sidecar_in(&dir, operand, "status.json"))
 }
 
 /// True when the status text reports a finished run (`state == "done"`).
@@ -161,18 +120,26 @@ mod tests {
     #[test]
     fn resolve_maps_operands_to_sources() {
         assert_eq!(
-            Source::resolve(Some("http://127.0.0.1:9100")),
+            source("http://127.0.0.1:9100"),
             Source::Http("http://127.0.0.1:9100/status".to_string())
         );
         assert_eq!(
-            Source::resolve(Some("http://127.0.0.1:9100/status")),
+            source("http://127.0.0.1:9100/status"),
             Source::Http("http://127.0.0.1:9100/status".to_string())
         );
         assert_eq!(
-            Source::resolve(Some("some/status.json")),
+            source("some/status.json"),
             Source::File(std::path::PathBuf::from("some/status.json"))
         );
-        assert!(matches!(Source::resolve(None), Source::File(_)));
+        assert_eq!(
+            source("status.json"),
+            Source::File(std::path::PathBuf::from("status.json"))
+        );
+        // A bare name is an experiment: its status sidecar.
+        assert_eq!(
+            source("fig09_speedup_energy"),
+            Source::File(ant_obs::experiments_dir().join("fig09_speedup_energy.status.json"))
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `obsctl trace`: filter and aggregate a span-trace JSONL into per-span
 //! statistics.
 //!
-//! Input is the `ANT_TRACE` sink format: one JSON object per line, spans
+//! Input is the `ANT_OBS=trace` sink format: one JSON object per line, spans
 //! carrying `kind:"span"`, a `name`, a slash-joined ancestry `path`, a
 //! `dur_us`, and a `fields` object (the runner records `network`,
 //! `machine`, `layer`, and `phase` there). Records are grouped by `path` —

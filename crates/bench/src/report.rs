@@ -5,6 +5,10 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 
+/// The output directory for experiment CSVs and every sidecar (one
+/// definition, in `ant-obs`).
+pub use ant_obs::config::experiments_dir;
+
 /// A row whose width does not match the table header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowWidthError {
@@ -204,13 +208,6 @@ impl Table {
         manifest.stat("table_rows", self.len() as u64);
         Ok(csv)
     }
-}
-
-/// The output directory for experiment CSVs.
-pub fn experiments_dir() -> PathBuf {
-    // Resolve relative to the workspace target dir when run via cargo.
-    PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
-        .join("experiments")
 }
 
 /// Formats a ratio like `3.71x`.

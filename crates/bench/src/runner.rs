@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 use ant_conv::efficiency::TrainingPhase;
 use ant_conv::ConvShape;
 use ant_nn::trace::ConvPair;
+use ant_obs::{ObsConfig, ObsError};
 use ant_sim::cache::{CacheKey, MODEL_VERSION};
 use ant_sim::chaos::{self, ChaosConfig, Fault};
 use ant_sim::{validate_conv_pair, AntError, ConvSim, ImageSession, SimScratch, SimStats};
@@ -29,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::fingerprint::{Fingerprint, KeyBuilder};
+use crate::obs::obs_config;
 use crate::simcache;
 
 /// Configuration of one network-level experiment.
@@ -75,7 +77,7 @@ pub struct RunOptions {
     pub pair_budget_us: Option<u64>,
     /// Per-worker scheduler telemetry (busy/idle timing, steal and deque
     /// counters surfaced as `runner.worker.*` metrics and
-    /// [`NetworkResult::workers`]). `None` falls back to `ANT_TELEMETRY`.
+    /// [`NetworkResult::workers`]). `None` defers to `ANT_OBS=telemetry`.
     /// The flag is resolved **once per run** into a plain bool captured by
     /// the worker closures, so the disabled path costs zero atomic
     /// operations per pair job — telemetry never perturbs the
@@ -84,10 +86,10 @@ pub struct RunOptions {
     /// Live run-status reporting ([`ant_obs::StatusReporter`]): layers and
     /// pairs completed, throughput, ETA, quarantine/watchdog counts, as
     /// rate-limited stderr lines plus an atomically-rewritten JSON file.
-    /// `None` falls back to `ANT_PROGRESS` (file path from
-    /// `ANT_PROGRESS_FILE`). Like `telemetry`, resolved once per run;
-    /// status snapshots read shared counters that are only ever *written*
-    /// when reporting is on.
+    /// `None` defers to `ANT_OBS=progress` (the file is
+    /// `<experiments_dir>/<stem>.status.json`). Like `telemetry`, resolved
+    /// once per run; status snapshots read shared counters that are only
+    /// ever *written* when reporting is on.
     pub progress: Option<bool>,
     /// Wall-clock budget for the *whole run*, in microseconds from run
     /// start — the job-level generalization of `pair_budget_us` used by the
@@ -179,9 +181,9 @@ impl FailureReport {
 }
 
 /// Per-worker scheduler telemetry from one parallel run, collected when
-/// [`RunOptions::telemetry`] (or `ANT_TELEMETRY`) is on. Everything here is
-/// host-side bookkeeping — the simulated counters are untouched, so a run
-/// with telemetry on is byte-identical to one with it off.
+/// [`RunOptions::telemetry`] (or `ANT_OBS=telemetry`) is on. Everything
+/// here is host-side bookkeeping — the simulated counters are untouched,
+/// so a run with telemetry on is byte-identical to one with it off.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerTelemetry {
     /// Worker index (0-based, dense).
@@ -207,8 +209,8 @@ pub struct WorkerTelemetry {
     pub idle_ns: u64,
     /// Total wall nanoseconds from worker start to exit.
     pub wall_ns: u64,
-    /// Per-job wall-time slices, recorded only when `ANT_PROFILE` is also
-    /// on (they feed the Perfetto host-worker tracks); empty otherwise.
+    /// Per-job wall-time slices, recorded only when `ANT_OBS=profile` is
+    /// also on (they feed the Perfetto host-worker tracks); empty otherwise.
     pub slices: Vec<JobSlice>,
 }
 
@@ -271,7 +273,7 @@ pub struct NetworkResult {
     /// True when quarantined jobs left the stats incomplete.
     pub partial: bool,
     /// Per-worker scheduler telemetry, populated by the parallel runner
-    /// when [`RunOptions::telemetry`] (or `ANT_TELEMETRY`) is on; empty
+    /// when [`RunOptions::telemetry`] (or `ANT_OBS=telemetry`) is on; empty
     /// otherwise (and always empty from the serial reference).
     pub workers: Vec<WorkerTelemetry>,
     /// Layers whose finalized stats came from the simulation cache
@@ -457,7 +459,8 @@ fn throughput_fields(
 /// # Errors
 ///
 /// Returns [`AntError::InvalidConfig`] for unusable configurations (zero
-/// PEs, sparsities outside `[0, 1]`, zero-dimension layer specs),
+/// PEs, sparsities outside `[0, 1]`, zero-dimension layer specs, a retired
+/// observability variable or an unknown `ANT_OBS` item),
 /// [`AntError::Shape`] when a layer's phase shapes cannot be constructed,
 /// and [`AntError::Panic`] if a worker thread dies outside the per-job
 /// isolation boundary. Individual pair-job failures do NOT error the run —
@@ -468,8 +471,20 @@ pub fn try_simulate_network_parallel<S: ConvSim + Sync + ?Sized>(
     cfg: &ExperimentConfig,
     opts: &RunOptions,
 ) -> Result<NetworkResult, AntError> {
+    simulate_with_obs(pe, net, cfg, opts, ant_obs::config::resolved())
+}
+
+/// [`try_simulate_network_parallel`] against a given parse of the
+/// observability environment (the process's own, or a test's).
+fn simulate_with_obs<S: ConvSim + Sync + ?Sized>(
+    pe: &S,
+    net: &NetworkModel,
+    cfg: &ExperimentConfig,
+    opts: &RunOptions,
+    obs: &Result<ObsConfig, ObsError>,
+) -> Result<NetworkResult, AntError> {
     validate_experiment(net, cfg)?;
-    let run = RunFlags::resolve(pe, opts);
+    let run = RunFlags::resolve(pe, opts, obs)?;
     let mut span = ant_obs::span("network");
     let slots = synthesize(net, cfg, run.threads, run.cache_identity.as_deref())?;
     let pool = deal(pe, net, &run, slots);
@@ -587,18 +602,7 @@ fn budget_from_env() -> Option<u64> {
     })
 }
 
-/// Whether `ANT_TELEMETRY` requests per-worker scheduler telemetry,
-/// resolved once. Truthiness matches `ANT_TRACE`.
-fn telemetry_from_env() -> bool {
-    static TELEMETRY: OnceLock<bool> = OnceLock::new();
-    *TELEMETRY.get_or_init(|| {
-        std::env::var("ANT_TELEMETRY")
-            .map(|v| !matches!(v.trim(), "" | "0" | "false" | "off" | "no"))
-            .unwrap_or(false)
-    })
-}
-
-/// One run's [`RunOptions`], resolved against the environment once. The
+/// One run's [`RunOptions`], resolved against `ANT_OBS` once. The
 /// workers capture plain values, so a disabled switch adds no atomic
 /// operation per pair job.
 struct RunFlags {
@@ -621,20 +625,26 @@ struct RunFlags {
 }
 
 impl RunFlags {
-    fn resolve<S: ConvSim + ?Sized>(pe: &S, opts: &RunOptions) -> Self {
+    fn resolve<S: ConvSim + ?Sized>(
+        pe: &S,
+        opts: &RunOptions,
+        obs: &Result<ObsConfig, ObsError>,
+    ) -> Result<Self, AntError> {
+        let obs = obs_config(obs)?;
         let started = Instant::now();
         let threads = opts
             .threads
             .filter(|&t| t > 0)
             .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
             .unwrap_or(1);
-        let telemetry = opts.telemetry.unwrap_or_else(telemetry_from_env);
-        // Status snapshots publish when explicitly requested (ANT_PROGRESS
-        // or `RunOptions::progress`) *or* when the embedded metrics exporter
-        // is up — `/status` should be live on any scrapeable run. The stderr
-        // progress line stays tied to the explicit request so the exporter
-        // alone never changes console output.
-        let progress_requested = opts.progress.unwrap_or_else(ant_obs::progress::status_enabled);
+        let telemetry = opts.telemetry.unwrap_or(obs.telemetry);
+        // Status snapshots publish when explicitly requested
+        // (`ANT_OBS=progress` or `RunOptions::progress`) *or* when the
+        // embedded metrics exporter is up — `/status` should be live on any
+        // scrapeable run. The stderr progress line stays tied to the
+        // explicit request so the exporter alone never changes console
+        // output.
+        let progress_requested = opts.progress.unwrap_or(obs.progress);
         let chaos = chaos::active();
         // The two-tier redundancy eliminator (docs/PERFORMANCE.md): both
         // tiers are strictly opt-in (`ANT_CACHE` / `ANT_CACHE_DIR` or a test
@@ -649,7 +659,7 @@ impl RunFlags {
         let cache_identity = (simcache::enabled() && !chaos_taints && !ant_obs::detail_enabled())
             .then(|| pe.cache_identity())
             .flatten();
-        RunFlags {
+        Ok(RunFlags {
             started,
             threads,
             budget_us: opts.pair_budget_us.or_else(budget_from_env),
@@ -657,10 +667,10 @@ impl RunFlags {
             telemetry,
             progress_requested,
             progress: progress_requested || ant_obs::export::active(),
-            profile_slices: telemetry && ant_obs::timeline::enabled(),
+            profile_slices: telemetry && obs.profile,
             chaos,
             cache_identity,
-        }
+        })
     }
 }
 
@@ -2048,6 +2058,37 @@ mod tests {
     }
 
     #[test]
+    fn retired_or_unknown_obs_setting_fails_the_run() {
+        // `try_simulate_network_parallel` is `simulate_with_obs` over the
+        // process's parse; feeding the parse directly keeps the test off
+        // the process environment.
+        let cfg = ExperimentConfig {
+            max_channels: 2,
+            ..ExperimentConfig::paper_default()
+        };
+        let pe = AntAccelerator::paper_default();
+        for (name, value, param, hint) in [
+            ("ANT_TRACE", "1", "ANT_TRACE", "ANT_OBS=trace"),
+            ("ANT_PROGRESS_FILE", "x.json", "ANT_PROGRESS_FILE", "ANT_OBS=progress"),
+            ("ANT_OBS", "trace,bogus", "ANT_OBS", "\"bogus\""),
+        ] {
+            let obs = ObsConfig::parse([(name, value)]);
+            let err = simulate_with_obs(&pe, &tiny_net(), &cfg, &RunOptions::default(), &obs)
+                .expect_err("a rejected observability setting must fail the run");
+            match err {
+                AntError::InvalidConfig { param: got, reason } => {
+                    assert_eq!(got, param);
+                    assert!(reason.contains(hint), "{name}: {reason}");
+                }
+                other => panic!("{name}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // The same runner with an accepted parse simulates normally.
+        let ok = ObsConfig::parse([("ANT_OBS", "off")]);
+        assert!(simulate_with_obs(&pe, &tiny_net(), &cfg, &RunOptions::default(), &ok).is_ok());
+    }
+
+    #[test]
     fn worker_telemetry_accounts_for_every_job() {
         let cfg = ExperimentConfig {
             max_channels: 2,
@@ -2063,9 +2104,10 @@ mod tests {
                 telemetry: Some(true),
                 ..RunOptions::default()
             };
+            // A parse without `profile`, whatever the ambient ANT_OBS says.
+            let obs = Ok(ObsConfig::default());
             let result =
-                try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts)
-                    .unwrap();
+                simulate_with_obs(&ScnnPlus::paper_default(), &net, &cfg, &opts, &obs).unwrap();
             let workers = &result.workers;
             assert_eq!(workers.len(), threads.min(expected_jobs as usize));
             // Worker indices are dense and ordered.
@@ -2077,7 +2119,7 @@ mod tests {
                 assert!(t.utilization() >= 0.0 && t.utilization() <= 1.0);
                 // A successful steal is an attempt; failures are the rest.
                 assert!(t.stolen + t.failed_steals == t.steal_attempts, "worker {i}");
-                // ANT_PROFILE is not on in tests, so no slices are kept.
+                // Without ANT_OBS=profile no slices are kept.
                 assert!(t.slices.is_empty(), "worker {i} slices");
             }
             // Every job is executed exactly once, and the deal covers the

@@ -22,7 +22,7 @@
 //! re-enqueue and resume as warm runs — results are byte-identical to an
 //! uninterrupted run because completed layers resolve as cache hits and
 //! per-layer seeds derive from layer index alone. A result-perturbing
-//! `ANT_CHAOS` spec or `ANT_TRACE_PAIRS` stands the cache down; recovery
+//! `ANT_CHAOS` spec or `ANT_OBS=pairs` stands the cache down; recovery
 //! then re-simulates every layer, still to identical bytes.
 //!
 //! The HTTP surface is the shared `ant-obs` server

@@ -37,7 +37,12 @@ pub use daemon::{
 pub use queue::{FairQueue, Shed};
 pub use spec::{JobSpec, MACHINES, MAX_WEIGHT, MODELS, SPARSIFIERS};
 
-use std::path::{Path, PathBuf};
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::str::FromStr;
+
+use ant_obs::experiments_dir;
+use ant_sim::AntError;
 
 /// Daemon configuration, resolved once at startup (environment plus
 /// defaults; see [`SweepdConfig::from_env`]).
@@ -96,66 +101,70 @@ impl SweepdConfig {
     /// | `ANT_SWEEPD_THREADS`     | available CPUs                      |
     /// | `ANT_SWEEPD_SEED`        | `0xA17` (the paper seed)            |
     ///
-    /// Unparsable values fall back to the default with a warning rather
-    /// than refusing to start.
-    pub fn from_env() -> Self {
+    /// Empty values keep the default.
+    ///
+    /// # Errors
+    ///
+    /// [`AntError::InvalidConfig`] naming the variable when a numeric value
+    /// does not parse, or when the queue, attempt or backoff value is zero.
+    pub fn from_env() -> Result<Self, AntError> {
+        Self::from_vars(
+            std::env::vars_os()
+                .filter_map(|(k, v)| Some((k.into_string().ok()?, v.to_string_lossy().into_owned()))),
+        )
+    }
+
+    fn from_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<Self, AntError> {
+        let vars: HashMap<String, String> = vars.into_iter().collect();
+        let get = |key: &str| vars.get(key).map(|v| v.trim()).filter(|v| !v.is_empty());
         let mut cfg = SweepdConfig {
             addr_file: Some(experiments_dir().join("sweepd.addr")),
             ..SweepdConfig::default()
         };
-        if let Some(addr) = env_str("ANT_SWEEPD_ADDR") {
-            cfg.addr = addr;
+        if let Some(addr) = get("ANT_SWEEPD_ADDR") {
+            cfg.addr = addr.to_string();
         }
-        if let Some(spool) = env_str("ANT_SWEEPD_SPOOL") {
+        if let Some(spool) = get("ANT_SWEEPD_SPOOL") {
             cfg.spool = PathBuf::from(spool);
         }
-        if let Some(file) = env_str("ANT_SWEEPD_ADDR_FILE") {
+        if let Some(file) = get("ANT_SWEEPD_ADDR_FILE") {
             cfg.addr_file = Some(PathBuf::from(file));
         }
-        if let Some(v) = env_parse::<usize>("ANT_SWEEPD_QUEUE") {
-            cfg.queue_capacity = v.max(1);
+        let key = "ANT_SWEEPD_QUEUE";
+        if let Some(raw) = get(key) {
+            cfg.queue_capacity = positive(key, raw)?;
         }
-        if let Some(v) = env_parse::<u32>("ANT_SWEEPD_MAX_ATTEMPTS") {
-            cfg.max_attempts = v.max(1);
+        let key = "ANT_SWEEPD_MAX_ATTEMPTS";
+        if let Some(raw) = get(key) {
+            cfg.max_attempts = positive(key, raw)?;
         }
-        if let Some(v) = env_parse::<u64>("ANT_SWEEPD_BACKOFF_MS") {
-            cfg.backoff_base_ms = v.max(1);
+        let key = "ANT_SWEEPD_BACKOFF_MS";
+        if let Some(raw) = get(key) {
+            cfg.backoff_base_ms = positive(key, raw)?;
         }
-        if let Some(v) = env_parse::<usize>("ANT_SWEEPD_THREADS") {
-            cfg.threads = Some(v);
+        let key = "ANT_SWEEPD_THREADS";
+        if let Some(raw) = get(key) {
+            cfg.threads = Some(number(key, raw)?);
         }
-        if let Some(v) = env_parse::<u64>("ANT_SWEEPD_SEED") {
-            cfg.seed = v;
+        let key = "ANT_SWEEPD_SEED";
+        if let Some(raw) = get(key) {
+            cfg.seed = number(key, raw)?;
         }
-        cfg
+        Ok(cfg)
     }
 }
 
-/// `target/experiments` honouring `CARGO_TARGET_DIR`, like every other
-/// artifact path in the workspace.
-fn experiments_dir() -> PathBuf {
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
-    Path::new(&target).join("experiments")
+fn number<T: FromStr>(key: &'static str, raw: &str) -> Result<T, AntError> {
+    raw.parse()
+        .map_err(|_| AntError::invalid_config(key, format!("{raw:?} is not a non-negative integer")))
 }
 
-fn env_str(key: &str) -> Option<String> {
-    let value = std::env::var(key).ok()?;
-    let trimmed = value.trim();
-    if trimmed.is_empty() {
-        return None;
+fn positive<T: FromStr + Default + PartialEq>(key: &'static str, raw: &str) -> Result<T, AntError> {
+    let value = number(key, raw)?;
+    if value == T::default() {
+        return Err(AntError::invalid_config(key, "must be at least 1 (got 0)"));
     }
-    Some(trimmed.to_string())
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    let raw = env_str(key)?;
-    match raw.parse::<T>() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("ant-sweepd: ignoring unparsable {key}={raw:?}");
-            None
-        }
-    }
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -170,5 +179,72 @@ mod tests {
         assert_eq!(cfg.backoff_base_ms, 50);
         assert!(cfg.addr.ends_with(":0"), "default binds an ephemeral port");
         assert!(cfg.spool.ends_with("sweepd-spool"));
+    }
+
+    fn from(vars: &[(&str, &str)]) -> Result<SweepdConfig, AntError> {
+        SweepdConfig::from_vars(vars.iter().map(|(k, v)| (k.to_string(), v.to_string())))
+    }
+
+    fn rejected_param(vars: &[(&str, &str)]) -> &'static str {
+        match from(vars) {
+            Err(AntError::InvalidConfig { param, .. }) => param,
+            other => panic!("expected InvalidConfig for {vars:?}, got {other:?}"),
+        }
+    }
+
+    const NUMERIC: [&str; 5] = [
+        "ANT_SWEEPD_QUEUE",
+        "ANT_SWEEPD_MAX_ATTEMPTS",
+        "ANT_SWEEPD_BACKOFF_MS",
+        "ANT_SWEEPD_THREADS",
+        "ANT_SWEEPD_SEED",
+    ];
+
+    #[test]
+    fn unparsable_numbers_are_rejected_naming_the_variable() {
+        for key in NUMERIC {
+            for raw in ["abc", "-1", "1.5"] {
+                assert_eq!(rejected_param(&[(key, raw)]), key, "{key}={raw}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_is_rejected_where_it_cannot_work() {
+        for key in ["ANT_SWEEPD_QUEUE", "ANT_SWEEPD_MAX_ATTEMPTS", "ANT_SWEEPD_BACKOFF_MS"] {
+            assert_eq!(rejected_param(&[(key, "0")]), key);
+        }
+        // Zero threads means "available CPUs"; zero is a valid seed.
+        let cfg = from(&[("ANT_SWEEPD_THREADS", "0"), ("ANT_SWEEPD_SEED", "0")]).unwrap();
+        assert_eq!((cfg.threads, cfg.seed), (Some(0), 0));
+    }
+
+    #[test]
+    fn valid_overrides_apply_and_empty_values_keep_defaults() {
+        let cfg = from(&[
+            ("ANT_SWEEPD_ADDR", "127.0.0.1:9300"),
+            ("ANT_SWEEPD_SPOOL", "/tmp/spool"),
+            ("ANT_SWEEPD_ADDR_FILE", "/tmp/sweepd.addr"),
+            ("ANT_SWEEPD_QUEUE", " 8 "),
+            ("ANT_SWEEPD_MAX_ATTEMPTS", "5"),
+            ("ANT_SWEEPD_BACKOFF_MS", "7"),
+            ("ANT_SWEEPD_THREADS", "2"),
+            ("ANT_SWEEPD_SEED", "42"),
+            ("ANT_CACHE", "1"),
+        ])
+        .unwrap();
+        assert_eq!(cfg.addr, "127.0.0.1:9300");
+        assert_eq!(cfg.spool, PathBuf::from("/tmp/spool"));
+        assert_eq!(cfg.addr_file, Some(PathBuf::from("/tmp/sweepd.addr")));
+        assert_eq!(
+            (cfg.queue_capacity, cfg.max_attempts, cfg.backoff_base_ms),
+            (8, 5, 7)
+        );
+        assert_eq!((cfg.threads, cfg.seed), (Some(2), 42));
+
+        let defaults = from(&[("ANT_SWEEPD_QUEUE", " "), ("ANT_SWEEPD_ADDR", "")]).unwrap();
+        assert_eq!(defaults.queue_capacity, 64);
+        assert_eq!(defaults.addr, "127.0.0.1:0");
+        assert!(defaults.addr_file.unwrap().ends_with("sweepd.addr"));
     }
 }

@@ -32,6 +32,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use ant_obs::config::truthy;
 use ant_obs::json::Json;
 use ant_sim::cache::{CacheKey, LayerCache, LayerPhases, MODEL_VERSION};
 use ant_sim::chaos::{self, IoDomain, IoFault};
@@ -111,10 +112,6 @@ static GLOBAL: Mutex<Global> = Mutex::new(Global {
     resolved: false,
 });
 
-fn env_truthy(value: &str) -> bool {
-    !matches!(value.trim(), "" | "0" | "false" | "off" | "no")
-}
-
 fn config_from_env() -> Option<SimCacheConfig> {
     let dir = std::env::var("ANT_CACHE_DIR")
         .ok()
@@ -122,8 +119,8 @@ fn config_from_env() -> Option<SimCacheConfig> {
         .filter(|d| !d.is_empty())
         .map(PathBuf::from);
     match std::env::var("ANT_CACHE") {
-        Ok(flag) if !env_truthy(&flag) => None, // explicit off wins
-        Ok(flag) if env_truthy(&flag) => Some(SimCacheConfig { dir }),
+        Ok(flag) if !truthy(&flag) => None, // explicit off wins
+        Ok(flag) if truthy(&flag) => Some(SimCacheConfig { dir }),
         _ => dir.map(|d| SimCacheConfig { dir: Some(d) }), // dir implies on
     }
 }

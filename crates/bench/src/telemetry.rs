@@ -2,7 +2,8 @@
 //! manifest `host`-section worker table.
 //!
 //! The work-stealing runner ([`crate::runner`]) collects one
-//! [`WorkerTelemetry`] per OS worker when `ANT_TELEMETRY` is on. This
+//! [`WorkerTelemetry`] per OS worker under `ANT_OBS=telemetry` (or
+//! [`RunOptions::telemetry`](crate::runner::RunOptions::telemetry)). This
 //! module turns those counters into the two sinks observers read:
 //!
 //! * [`add_worker_tracks`] — host-time tracks in the existing Perfetto

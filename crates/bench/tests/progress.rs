@@ -1,9 +1,9 @@
-//! End-to-end test of the `ANT_PROGRESS` live status reporter through the
-//! parallel runner.
+//! End-to-end test of the `ANT_OBS=progress` live status reporter through
+//! the parallel runner.
 //!
-//! This file intentionally holds a single test: it mutates process-global
-//! environment variables (`ANT_PROGRESS_FILE`), which would race against
-//! sibling tests running in threads of the same binary.
+//! This file intentionally holds a single test: it redirects the process's
+//! sidecars (the programmatic experiments-dir and stem overrides), which
+//! would move the files of sibling tests in the same binary.
 
 use ant_bench::runner::{
     try_simulate_network_parallel, ExperimentConfig, RunOptions,
@@ -26,8 +26,10 @@ fn tiny_net() -> NetworkModel {
 fn progress_reporter_writes_final_status_file() {
     let dir = std::env::temp_dir().join(format!("ant_bench_progress_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let status_path = dir.join("status.json");
-    std::env::set_var("ANT_PROGRESS_FILE", &status_path);
+    ant_obs::config::set_experiments_dir(&dir);
+    ant_obs::config::set_stem("progress_test");
+    let status_path = dir.join("progress_test.status.json");
+    assert_eq!(ant_obs::progress::status_file(), status_path);
 
     let cfg = ExperimentConfig {
         max_channels: 2,
@@ -66,7 +68,7 @@ fn progress_reporter_writes_final_status_file() {
     // checkout, null outside one).
     assert!(json.get("git_revision").is_some(), "git_revision key present");
     // No torn-write temp file is left behind.
-    assert!(!dir.join("status.json.tmp").exists());
+    assert!(!dir.join("progress_test.status.json.tmp").exists());
 
     // With progress off (explicitly), the file is not rewritten.
     std::fs::remove_file(&status_path).unwrap();
@@ -79,6 +81,5 @@ fn progress_reporter_writes_final_status_file() {
         .unwrap();
     assert!(!status_path.exists(), "progress off must not write status");
 
-    std::env::remove_var("ANT_PROGRESS_FILE");
     let _ = std::fs::remove_dir_all(&dir);
 }

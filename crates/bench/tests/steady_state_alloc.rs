@@ -1,4 +1,4 @@
-//! Steady-state allocation regression test, backed by the `ANT_ALLOC`
+//! Steady-state allocation regression test, backed by the `ANT_OBS=alloc`
 //! counting allocator that every `ant-bench` test binary installs.
 //!
 //! The scratch-arena contract (see `ant_sim::scratch`): after one warm-up

@@ -12,13 +12,12 @@
 //! ```
 //!
 //! Counting is **off by default**: the disabled path is one relaxed atomic
-//! load in front of the system allocator, mirroring the `ANT_TRACE` design
+//! load in front of the system allocator, mirroring the tracing design
 //! (the regression test allocates a million boxes and bounds the wall time).
-//! Turn it on with `ANT_ALLOC=1` in the environment (read lazily, by
-//! [`enabled`] — never from inside the allocator itself) or
-//! programmatically with [`enable`].
+//! Turn it on with `ANT_OBS=alloc` (read lazily, by [`enabled`] — never
+//! from inside the allocator itself) or programmatically with [`enable`].
 //!
-//! While tracing (`ANT_TRACE`) and counting are both on, every span record
+//! While tracing (`ANT_OBS=trace`) and counting are both on, every span record
 //! additionally carries the allocation delta across its lifetime (`allocs`,
 //! `alloc_bytes`, `alloc_net_bytes` fields; see [`crate::span`]).
 //!
@@ -49,18 +48,15 @@ static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Whether allocation counting is active. The first call reads `ANT_ALLOC`
-/// from the environment (truthiness matches `ANT_TRACE`: `""`, `0`,
-/// `false`, `off`, `no` are unset); later calls are one relaxed load.
+/// Whether allocation counting is active. The first call reads the parsed
+/// `ANT_OBS` flags ([`crate::config::flags`]); later calls are one relaxed
+/// load.
 ///
-/// Deliberately *not* called from the allocator hot path — reading the
+/// Deliberately *not* called from the allocator hot path — parsing the
 /// environment allocates, and the allocator must never re-enter itself.
 pub fn enabled() -> bool {
     ENV_INIT.call_once(|| {
-        let on = std::env::var("ANT_ALLOC")
-            .map(|v| crate::trace::truthy(&v))
-            .unwrap_or(false);
-        if on {
+        if crate::config::flags().alloc {
             ENABLED.store(true, Ordering::Relaxed);
         }
     });

@@ -22,11 +22,11 @@
 //! `ant-sweepd` daemon serves its `/jobs` API that way.
 //!
 //! The exporter is off by default: with `ANT_METRICS_ADDR` unset the only
-//! cost is one cached environment lookup, no thread, no socket, no
-//! allocation on any hot path. When the variable names a `host:port`,
-//! [`init_from_env`] starts a server there for the lifetime of the process.
-//! Binding to port `0` picks a free port; the resolved address is written
-//! to `ANT_METRICS_ADDR_FILE` (default `target/experiments/metrics.addr`)
+//! cost is one read of the parsed configuration ([`crate::config`]), no
+//! thread, no socket, no allocation on any hot path. When the variable
+//! names a `host:port`, [`init_from_env`] starts a server there for the
+//! lifetime of the process. Binding to port `0` picks a free port; the
+//! resolved address is written to `<experiments_dir>/<stem>.metrics.addr`
 //! so a harness that requested port `0` can discover where to scrape.
 //!
 //! The shared routes are strictly read-only over state the run already
@@ -35,12 +35,12 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::config;
 use crate::metrics::{registry, InstrumentSnapshot};
 use crate::progress::latest_status_json;
 
@@ -146,31 +146,6 @@ impl Server {
     }
 }
 
-/// The `ANT_METRICS_ADDR` value, or `None` when unset/falsy. Truthiness
-/// matches the other `ANT_*` switches: `""`, `0`, `false`, `off`, and `no`
-/// all mean disabled.
-pub fn metrics_addr() -> Option<String> {
-    let value = std::env::var("ANT_METRICS_ADDR").ok()?;
-    let trimmed = value.trim();
-    if matches!(trimmed, "" | "0" | "false" | "off" | "no") {
-        return None;
-    }
-    Some(trimmed.to_string())
-}
-
-/// Where the resolved bind address is written: `ANT_METRICS_ADDR_FILE` if
-/// set, else `target/experiments/metrics.addr` (honouring
-/// `CARGO_TARGET_DIR`).
-pub fn metrics_addr_file() -> PathBuf {
-    if let Ok(path) = std::env::var("ANT_METRICS_ADDR_FILE") {
-        if !path.trim().is_empty() {
-            return PathBuf::from(path);
-        }
-    }
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
-    Path::new(&target).join("experiments").join("metrics.addr")
-}
-
 /// Starts the exporter if `ANT_METRICS_ADDR` is set, once per process.
 ///
 /// Returns the bound address (useful when the variable requested port `0`),
@@ -180,8 +155,8 @@ pub fn metrics_addr_file() -> PathBuf {
 pub fn init_from_env() -> Option<SocketAddr> {
     static STATE: OnceLock<Option<SocketAddr>> = OnceLock::new();
     *STATE.get_or_init(|| {
-        let addr = metrics_addr()?;
-        match serve(&addr) {
+        let addr = config::flags().metrics_addr.as_deref()?;
+        match serve(addr) {
             Ok(bound) => {
                 write_addr_file(&bound);
                 eprintln!("[ant-obs] metrics exporter listening on http://{bound}");
@@ -206,14 +181,8 @@ pub fn active() -> bool {
 /// run completes. No-op when the exporter is off or the variable is
 /// unset/zero/unparsable.
 pub fn linger_from_env() {
-    if !active() {
-        return;
-    }
-    let ms = std::env::var("ANT_METRICS_LINGER_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0);
-    if ms == 0 {
+    let ms = config::flags().linger_ms;
+    if ms == 0 || !active() {
         return;
     }
     eprintln!("[ant-obs] lingering {ms}ms for final scrapes (ANT_METRICS_LINGER_MS)");
@@ -228,15 +197,13 @@ pub fn serve(addr: &str) -> std::io::Result<SocketAddr> {
     Ok(Server::start(addr, "ant-metrics", None)?.addr())
 }
 
-/// Best-effort write of the bound address for port-0 discovery.
+/// Best-effort write of the bound address for port-0 discovery, to
+/// `<experiments_dir>/<stem>.metrics.addr`.
 fn write_addr_file(bound: &SocketAddr) {
-    let path = metrics_addr_file();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() && std::fs::create_dir_all(parent).is_err() {
-            return;
-        }
+    let path = config::sidecar("metrics.addr");
+    if config::create_parent(&path).is_ok() {
+        let _ = std::fs::write(&path, format!("{bound}\n"));
     }
-    let _ = std::fs::write(&path, format!("{bound}\n"));
 }
 
 /// Reads one request (head, then `Content-Length` bytes of body), routes

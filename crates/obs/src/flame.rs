@@ -16,12 +16,11 @@
 //! One line per call path, frames joined by `;`, the trailing integer the
 //! path's self time in microseconds.
 //!
-//! Collection is env-gated like tracing: `ANT_FLAME=1` turns it on
-//! (spans are timed and folded even when `ANT_TRACE` is off) and
-//! `ANT_FLAME_FILE` overrides the output path (default
-//! `target/experiments/<stem>.folded`). The bench harness
-//! (`ant_bench::obs::Experiment`) writes the file at the end of every
-//! binary when the gate is set.
+//! Collection is gated like tracing: `ANT_OBS=flame` turns it on (spans
+//! are timed and folded even without `ANT_OBS=trace`), and the file is
+//! `<experiments_dir>/<stem>.folded`. The bench harness
+//! (`ant_bench::obs::Experiment`) writes it at the end of every binary
+//! when the gate is set.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -29,48 +28,31 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Programmatic override: -1 defer to the environment, 0 force off,
-/// 1 force on. Tests and tools use [`set_enabled`].
+use crate::config;
+
+/// Programmatic override: -1 defer to `ANT_OBS`, 0 force off, 1 force on.
+/// Tests and tools use [`set_enabled`].
 static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
 
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("ANT_FLAME")
-            .map(|v| crate::trace::truthy(&v))
-            .unwrap_or(false)
-    })
-}
-
 /// Whether spans should fold their wall time into the flame table.
-/// One relaxed load plus (after first use) one cached-env read.
+/// One relaxed load plus (after first use) one read of the parsed flags.
 pub fn enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
         0 => false,
         1 => true,
-        _ => env_enabled(),
+        _ => config::flags().flame,
     }
 }
 
-/// Forces collection on or off, overriding `ANT_FLAME`. Pass-through for
+/// Forces collection on or off, overriding `ANT_OBS`. Pass-through for
 /// tests and tools that aggregate their own runs.
 pub fn set_enabled(on: bool) {
     OVERRIDE.store(i8::from(on), Ordering::Relaxed);
 }
 
-/// Where the collapsed-stack file goes: `ANT_FLAME_FILE` if set and
-/// non-empty, else `target/experiments/<stem>.folded` (honouring
-/// `CARGO_TARGET_DIR`).
+/// Where the collapsed-stack file goes: `<experiments_dir>/<stem>.folded`.
 pub fn output_path(stem: &str) -> PathBuf {
-    if let Ok(path) = std::env::var("ANT_FLAME_FILE") {
-        if !path.trim().is_empty() {
-            return PathBuf::from(path);
-        }
-    }
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
-    Path::new(&target)
-        .join("experiments")
-        .join(format!("{stem}.folded"))
+    config::sidecar_in(&config::experiments_dir(), stem, "folded")
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -173,11 +155,7 @@ pub fn reset() {
 ///
 /// Propagates directory-creation and write failures.
 pub fn write_collapsed(path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+    config::create_parent(path)?;
     std::fs::write(path, to_collapsed())
 }
 

@@ -7,10 +7,9 @@
 //! no crates.io access):
 //!
 //! * **Spans and events** ([`span`], [`event`]) — hierarchical timed
-//!   regions written as JSONL records to an env-gated sink. Enable with
-//!   `ANT_TRACE=1`; choose the destination with `ANT_TRACE_FILE` (default
-//!   `target/experiments/trace.jsonl`); add hot per-channel-pair detail with
-//!   `ANT_TRACE_PAIRS=1`. Disabled cost is one atomic load per check.
+//!   regions written as JSONL records to `<stem>.trace.jsonl` under
+//!   `ANT_OBS=trace`; `ANT_OBS=pairs` adds hot per-channel-pair detail.
+//!   Disabled cost is one atomic load per check.
 //! * **Metrics** ([`metrics::Registry`], [`metrics::registry`]) — named
 //!   counters, gauges, and nearest-rank-percentile histograms, snapshotted
 //!   into manifests or the trace.
@@ -19,21 +18,26 @@
 //!   stats, written next to the CSV it describes.
 //! * **Timelines** ([`timeline::Timeline`]) — Chrome Trace Event / Perfetto
 //!   JSON export of per-PE phase slices in *simulated* time (1 cycle =
-//!   1 µs), gated by `ANT_PROFILE` / `ANT_PROFILE_FILE` and written by the
-//!   `profile` bench binary.
+//!   1 µs), written by the `profile` bench binary (`ANT_OBS=profile` adds
+//!   the runner's per-job host slices).
 //! * **Allocation counting** ([`alloc::CountingAlloc`]) — an opt-in
-//!   counting global allocator (`ANT_ALLOC=1`): allocation count, bytes,
+//!   counting global allocator (`ANT_OBS=alloc`): allocation count, bytes,
 //!   live, and peak, with per-span deltas attached to span records. One
 //!   relaxed atomic load per allocation when disabled.
 //! * **Flamegraphs** ([`flame`]) — span-tree rollup of self/total wall
 //!   time per span path, exported as collapsed stacks
-//!   (inferno/speedscope-compatible) under `ANT_FLAME` / `ANT_FLAME_FILE`.
+//!   (inferno/speedscope-compatible) to `<stem>.folded` under
+//!   `ANT_OBS=flame`.
 //! * **HTTP server and metrics exporter** ([`export`]) — the workspace's
 //!   one std-only HTTP server ([`export::Server`]): `GET /metrics`
 //!   (Prometheus text exposition of the process registry), `GET /status`
 //!   (live `ant-status/1` JSON), and `GET /healthz`, plus any application
 //!   routes (the `ant-sweepd` `/jobs` API). The exporter
 //!   (`ANT_METRICS_ADDR=host:port`) is off by default with zero overhead.
+//!
+//! One switch list, `ANT_OBS`, parsed once in [`config`], turns these on;
+//! every sidecar lands beside the experiment's CSV as
+//! `<experiments_dir>/<stem>.<ext>`.
 //!
 //! See `docs/OBSERVABILITY.md` for the full event schema and workflows.
 
@@ -43,6 +47,7 @@
 #![deny(unsafe_code)]
 
 pub mod alloc;
+pub mod config;
 pub mod export;
 pub mod flame;
 pub mod json;
@@ -54,6 +59,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use alloc::{AllocDelta, AllocStats, CountingAlloc};
+pub use config::{experiments_dir, ObsConfig, ObsError};
 pub use export::{render_prometheus, sanitize_metric_name};
 pub use flame::SpanStat;
 pub use json::{parse as parse_json, Json, Value};

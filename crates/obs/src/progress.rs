@@ -1,12 +1,12 @@
 //! Console progress reporting shared by the experiment binaries, plus the
-//! opt-in live run-status reporter (`ANT_PROGRESS`).
+//! opt-in live run-status reporter (`ANT_OBS=progress`).
 //!
 //! Status lines go to **stderr** so they never contaminate table/CSV output
 //! on stdout; each step also emits a `"progress"` trace record when tracing
 //! is on, so a run's pacing is visible in the trace too.
 //!
 //! The [`StatusReporter`] half of this module is the machine-facing side:
-//! when `ANT_PROGRESS` is truthy, the parallel runner periodically publishes
+//! under `ANT_OBS=progress`, the parallel runner periodically publishes
 //! a [`RunStatus`] — layers/pairs completed, throughput, ETA, quarantine and
 //! watchdog counts — as one stderr line *and* an atomically-rewritten JSON
 //! file (write-temp-then-rename, so a poller never reads a torn write). The
@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use crate::config;
 use crate::json::{write_json_string, Value};
 use crate::span;
 
@@ -108,24 +109,10 @@ impl Progress {
     }
 }
 
-/// Whether `ANT_PROGRESS` requests live run-status reporting. Truthiness
-/// matches `ANT_TRACE`: `""`, `0`, `false`, `off`, and `no` are unset.
-pub fn status_enabled() -> bool {
-    std::env::var("ANT_PROGRESS")
-        .map(|v| !matches!(v.trim(), "" | "0" | "false" | "off" | "no"))
-        .unwrap_or(false)
-}
-
-/// Where the status JSON goes: `ANT_PROGRESS_FILE` if set, else
-/// `target/experiments/status.json` (honouring `CARGO_TARGET_DIR`).
+/// Where this process's status JSON goes:
+/// `<experiments_dir>/<stem>.status.json`.
 pub fn status_file() -> PathBuf {
-    if let Ok(path) = std::env::var("ANT_PROGRESS_FILE") {
-        if !path.trim().is_empty() {
-            return PathBuf::from(path);
-        }
-    }
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
-    Path::new(&target).join("experiments").join("status.json")
+    config::sidecar("status.json")
 }
 
 /// One snapshot of a run's health — the unit a [`StatusReporter`] publishes.
@@ -334,10 +321,7 @@ impl StatusReporter {
     /// sees either the previous complete status or the new one, never a
     /// partial write.
     fn rewrite_file(&self, json: &str) {
-        let Some(parent) = self.path.parent() else {
-            return;
-        };
-        if !parent.as_os_str().is_empty() && std::fs::create_dir_all(parent).is_err() {
+        if config::create_parent(&self.path).is_err() {
             return;
         }
         let mut tmp = self.path.as_os_str().to_owned();
@@ -508,10 +492,10 @@ mod tests {
 
     #[test]
     fn status_file_default_lands_in_target_experiments() {
-        if std::env::var("ANT_PROGRESS_FILE").is_ok() {
-            return; // Ambient override set by an outer harness; skip.
-        }
-        let path = status_file();
-        assert!(path.to_string_lossy().ends_with("status.json"));
+        let dir = config::experiments_dir_under(None);
+        assert_eq!(
+            config::sidecar_in(&dir, "fig09_speedup_energy", "status.json"),
+            Path::new("target/experiments/fig09_speedup_energy.status.json")
+        );
     }
 }

@@ -60,8 +60,8 @@ struct SpanState {
 /// Opens a span named `name`. The span becomes the parent of any span opened
 /// on this thread before it closes.
 ///
-/// Spans are live when tracing (`ANT_TRACE`) *or* flame collection
-/// (`ANT_FLAME`) is on; with only the latter, the span is timed and folded
+/// Spans are live when tracing (`ANT_OBS=trace`) *or* flame collection
+/// (`ANT_OBS=flame`) is on; with only the latter, the span is timed and folded
 /// into the flamegraph but no trace record is written.
 pub fn span(name: impl Into<String>) -> Span {
     let tracing = trace::enabled();

@@ -17,40 +17,22 @@
 //! The convention is **1 simulated cycle = 1 µs** of trace time (`ts`/`dur`
 //! are microseconds in the format), so Perfetto's duration readouts are
 //! cycle counts with a µs suffix. Wall-clock time never appears here — the
-//! JSONL trace (`ANT_TRACE`) covers that.
+//! JSONL trace (`ANT_OBS=trace`) covers that.
 //!
-//! Export is env-gated like tracing: [`enabled`] reads `ANT_PROFILE`
-//! (truthy values turn the profiler's sidecar on; the `profile` bench
-//! binary forces it on), and [`output_path`] resolves `ANT_PROFILE_FILE`
-//! (default `target/experiments/<stem>.perfetto.json`).
+//! The `profile` bench binary always writes its timeline, to
+//! [`output_path`]`("profile_<workload>")`; `ANT_OBS=profile` additionally
+//! has the runner keep per-job host slices for it.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::config::{create_parent, experiments_dir, sidecar_in};
 use crate::json::{write_json_string, Value};
 
-/// Whether `ANT_PROFILE` requests Perfetto timeline export. Truthiness
-/// matches `ANT_TRACE`: `""`, `0`, `false`, `off`, and `no` are unset.
-pub fn enabled() -> bool {
-    std::env::var("ANT_PROFILE")
-        .map(|v| !matches!(v.trim(), "" | "0" | "false" | "off" | "no"))
-        .unwrap_or(false)
-}
-
-/// Where the timeline JSON should go: `ANT_PROFILE_FILE` if set, else
-/// `target/experiments/<stem>.perfetto.json` (honouring
-/// `CARGO_TARGET_DIR`).
+/// Where the timeline JSON goes: `<experiments_dir>/<stem>.perfetto.json`.
 pub fn output_path(stem: &str) -> PathBuf {
-    if let Ok(path) = std::env::var("ANT_PROFILE_FILE") {
-        if !path.trim().is_empty() {
-            return PathBuf::from(path);
-        }
-    }
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
-    Path::new(&target)
-        .join("experiments")
-        .join(format!("{stem}.perfetto.json"))
+    sidecar_in(&experiments_dir(), stem, "perfetto.json")
 }
 
 /// One Chrome Trace Event.
@@ -239,11 +221,7 @@ impl Timeline {
     ///
     /// Propagates directory-creation and file-write failures.
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
+        create_parent(path)?;
         fs::write(path, self.to_json())
     }
 }

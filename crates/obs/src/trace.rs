@@ -1,10 +1,10 @@
 //! The global trace sink: env-gated, thread-safe, JSONL-emitting.
 //!
 //! Tracing is off by default and costs one relaxed atomic load per check.
-//! It turns on either from the environment (`ANT_TRACE=1`, optional
-//! `ANT_TRACE_FILE=<path>`, optional `ANT_TRACE_PAIRS=1` for hot per-pair
-//! detail events) or programmatically via [`install`] (used by tests and by
-//! the bench harness when a run manifest is requested).
+//! It turns on either from `ANT_OBS=trace` (writing
+//! `<experiments_dir>/<stem>.trace.jsonl`; `ANT_OBS=pairs` adds hot
+//! per-pair detail events) or programmatically via [`install`] (used by
+//! tests and by tools that post-process their own trace).
 //!
 //! Every emitted record is one line of JSON with a fixed envelope:
 //!
@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 use std::time::Instant;
 
+use crate::config;
 use crate::json::{write_json_string, Value};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -48,42 +49,22 @@ pub(crate) fn next_span_id() -> u64 {
     NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-pub(crate) fn truthy(v: &str) -> bool {
-    !matches!(v.trim(), "" | "0" | "false" | "off" | "no")
-}
-
-fn default_trace_path() -> PathBuf {
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
-    Path::new(&target).join("experiments").join("trace.jsonl")
-}
-
 fn ensure_init() {
     INIT.call_once(|| {
         anchor();
-        let on = std::env::var("ANT_TRACE").map(|v| truthy(&v)).unwrap_or(false);
-        if !on {
+        let flags = config::flags();
+        if !flags.trace {
             return;
         }
-        let detail = std::env::var("ANT_TRACE_PAIRS")
-            .map(|v| truthy(&v))
-            .unwrap_or(false);
-        let path = match std::env::var("ANT_TRACE_FILE") {
-            Ok(v) if v == "-" => {
-                install_inner(Arc::new(Sink::stderr()), detail, None);
-                eprintln!("[ant-obs] tracing to stderr");
-                return;
-            }
-            Ok(v) => PathBuf::from(v),
-            Err(_) => default_trace_path(),
-        };
+        let path = config::sidecar("trace.jsonl");
         match Sink::to_path(&path) {
             Ok(sink) => {
-                install_inner(Arc::new(sink), detail, Some(path.clone()));
+                install_inner(Arc::new(sink), flags.pairs, Some(path.clone()));
                 eprintln!("[ant-obs] tracing to {}", path.display());
             }
             Err(err) => {
                 eprintln!(
-                    "[ant-obs] ANT_TRACE set but cannot open {}: {err}",
+                    "[ant-obs] ANT_OBS=trace set but cannot open {}: {err}",
                     path.display()
                 );
             }
@@ -233,7 +214,6 @@ pub fn emit_at(event: &Event<'_>, ts_us: u64) {
 enum SinkTarget {
     File(fs::File),
     Memory(Arc<Mutex<String>>),
-    Stderr,
 }
 
 /// A line-oriented trace destination. Writes are serialized internally, one
@@ -257,22 +237,11 @@ impl Sink {
     ///
     /// Propagates directory-creation and file-open failures.
     pub fn to_path(path: &Path) -> io::Result<Sink> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
+        config::create_parent(path)?;
         let file = fs::File::create(path)?;
         Ok(Sink {
             target: Mutex::new(SinkTarget::File(file)),
         })
-    }
-
-    /// A sink writing to standard error (useful for ad-hoc debugging).
-    pub fn stderr() -> Sink {
-        Sink {
-            target: Mutex::new(SinkTarget::Stderr),
-        }
     }
 
     /// An in-memory sink plus a handle for reading back what was written.
@@ -293,7 +262,7 @@ impl Sink {
     ///
     /// Surfaces the underlying IO error for file-backed sinks so the
     /// caller can disable tracing instead of retrying every record against
-    /// a dead file. Memory and stderr sinks never fail.
+    /// a dead file. Memory sinks never fail.
     pub fn write_line(&self, line: &str) -> io::Result<()> {
         let mut target = self.target.lock().unwrap_or_else(|p| p.into_inner());
         match &mut *target {
@@ -305,10 +274,6 @@ impl Sink {
                 let mut buffer = buffer.lock().unwrap_or_else(|p| p.into_inner());
                 buffer.push_str(line);
                 buffer.push('\n');
-                Ok(())
-            }
-            SinkTarget::Stderr => {
-                eprintln!("{line}");
                 Ok(())
             }
         }

@@ -427,8 +427,8 @@ fn flame_write_collapsed_creates_parent_directories() {
 
 #[test]
 fn file_sink_creates_nested_parent_directories() {
-    // ANT_TRACE_FILE pointing into a directory that does not exist yet must
-    // not panic: the sink creates the parents.
+    // A sidecar path inside a directory that does not exist yet must not
+    // panic: the sink creates the parents.
     let _guard = sink_guard().lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("ant_obs_sink_nested_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -14,7 +14,7 @@ use crate::stats::SimStats;
 pub const STARTUP_CYCLES: u64 = 5;
 
 /// Emits a detail-gated trace event for one simulated pair. Free when
-/// `ANT_TRACE_PAIRS` is off (one atomic load); on the hot simulation path,
+/// `ANT_OBS=pairs` is off (one atomic load); on the hot simulation path,
 /// so every machine routes through this single helper.
 pub(crate) fn trace_pair(
     machine: &'static str,

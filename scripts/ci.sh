@@ -20,10 +20,11 @@ cargo build --release --offline --manifest-path antbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path antbench/Cargo.toml -- --self-test
 
 echo "== profile smoke (tiny workload + Perfetto JSON validation, telemetry on)"
-# ANT_TELEMETRY + ANT_PROFILE also exercises the per-worker host tracks
+# ANT_OBS=profile,telemetry also exercises the per-worker host tracks
 # (pair/steal spans and deque-depth counters) in the same sidecar.
-PROFILE_JSON="target/experiments/ci_profile_smoke.perfetto.json"
-ANT_PROFILE=1 ANT_TELEMETRY=1 ANT_PROFILE_FILE="$PROFILE_JSON" \
+PROFILE_JSON="target/experiments/profile_tiny.perfetto.json"
+rm -f "$PROFILE_JSON"
+ANT_OBS=profile,telemetry \
   cargo run --release -p ant-bench --bin profile -- tiny >/dev/null
 python3 - "$PROFILE_JSON" <<'PY'
 import json, sys
@@ -45,10 +46,10 @@ assert counters > 0, "telemetry on but no deque-depth counter events"
 print(f"profile smoke: {len(events)} trace events ok ({counters} counters)")
 PY
 
-echo "== flamegraph smoke (collapsed-stack grammar under ANT_FLAME)"
-FLAME_OUT="target/experiments/ci_flame_smoke.folded"
+echo "== flamegraph smoke (collapsed-stack grammar under ANT_OBS=flame)"
+FLAME_OUT="target/experiments/profile.folded"
 rm -f "$FLAME_OUT"
-ANT_FLAME=1 ANT_FLAME_FILE="$FLAME_OUT" \
+ANT_OBS=flame \
   cargo run --release -p ant-bench --bin profile -- tiny >/dev/null
 python3 - "$FLAME_OUT" <<'PY'
 import sys
@@ -97,10 +98,10 @@ for m in kernel:
 print(f"microbench smoke: {len(kernel)} kernel metrics gated ok")
 PY
 
-echo "== progress status-file schema (ANT_PROGRESS sidecar must parse and finish done)"
-STATUS_JSON="target/experiments/ci_progress_status.json"
+echo "== progress status-file schema (ANT_OBS=progress sidecar must parse and finish done)"
+STATUS_JSON="target/experiments/profile.status.json"
 rm -f "$STATUS_JSON"
-ANT_PROGRESS=1 ANT_PROGRESS_FILE="$STATUS_JSON" \
+ANT_OBS=progress \
   cargo run --release -q -p ant-bench --bin profile -- tiny >/dev/null 2>&1
 python3 - "$STATUS_JSON" <<'PY'
 import json, sys
@@ -143,16 +144,16 @@ cargo run --release -q -p ant-bench --bin bench_history -- \
   --report target/experiments/ci_bench_history_gate.md
 
 echo "== metrics exporter smoke (fig09 under ANT_METRICS_ADDR: /metrics grammar, /status schema)"
-# Bind port 0, discover the resolved address through ANT_METRICS_ADDR_FILE,
-# and scrape the endpoints while the process lingers for final scrapes.
-# The same run records the trace JSONL the obsctl smoke below analyzes.
-METRICS_ADDR_FILE="target/experiments/ci_metrics.addr"
-OBSCTL_TRACE="target/experiments/ci_obsctl_trace.jsonl"
+# Bind port 0, discover the resolved address through the run's
+# <stem>.metrics.addr sidecar, and scrape the endpoints while the process
+# lingers for final scrapes. The same run records the trace JSONL the
+# obsctl smoke below analyzes.
+METRICS_ADDR_FILE="target/experiments/fig09_speedup_energy.metrics.addr"
+OBSCTL_TRACE="target/experiments/fig09_speedup_energy.trace.jsonl"
 FIG09_MANIFEST="target/experiments/fig09_speedup_energy.manifest.json"
 FIG09_REDUNDANCY="target/experiments/fig09_speedup_energy.redundancy.jsonl"
 rm -f "$METRICS_ADDR_FILE" "$OBSCTL_TRACE" "$FIG09_MANIFEST" "$FIG09_REDUNDANCY"
-ANT_METRICS_ADDR=127.0.0.1:0 ANT_METRICS_ADDR_FILE="$METRICS_ADDR_FILE" \
-ANT_METRICS_LINGER_MS=30000 ANT_TRACE=1 ANT_TRACE_FILE="$OBSCTL_TRACE" \
+ANT_METRICS_ADDR=127.0.0.1:0 ANT_METRICS_LINGER_MS=30000 ANT_OBS=trace \
   ./target/release/fig09_speedup_energy >/dev/null 2>&1 &
 EXPORTER_PID=$!
 for _ in $(seq 1 100); do
@@ -602,6 +603,27 @@ PY
   || { echo "obsctl jobs lost the recovery marker" >&2; exit 1; }
 kill "$SWEEPD_PID" 2>/dev/null || true
 wait "$SWEEPD_PID" 2>/dev/null || true
+
+echo "== retired observability spellings (refused, naming ANT_OBS; bad sweepd config exits 2)"
+# The twelve retired observability variables and unknown ANT_OBS items
+# must stop a run with a typed error naming the replacement, never be
+# ignored. sweepd rejects unparsable ANT_SWEEPD_* values the same way
+# (timeout guards a daemon that would otherwise start and serve).
+REFUSAL_ERR="target/experiments/ci_refusal.err"
+for spec in ANT_TRACE=1 ANT_OBS=bogus; do
+  if env "$spec" ./target/release/fig09_speedup_energy >/dev/null 2>"$REFUSAL_ERR"; then
+    echo "fig09 ran under $spec instead of refusing" >&2
+    exit 1
+  fi
+  grep -q 'ANT_OBS' "$REFUSAL_ERR" \
+    || { echo "refusal under $spec does not name ANT_OBS:" >&2; cat "$REFUSAL_ERR" >&2; exit 1; }
+done
+SWEEPD_CODE=0
+ANT_SWEEPD_QUEUE=abc timeout 10 ./target/release/sweepd >/dev/null 2>"$REFUSAL_ERR" \
+  || SWEEPD_CODE=$?
+[[ $SWEEPD_CODE == 2 ]] && grep -q 'ANT_SWEEPD_QUEUE' "$REFUSAL_ERR" \
+  || { echo "sweepd accepted ANT_SWEEPD_QUEUE=abc (exit $SWEEPD_CODE)" >&2; exit 1; }
+echo "refusal smoke: retired and unknown spellings refused, sweepd exit 2"
 
 echo "== panic-site budget (non-test src/ lines with unwrap()/expect(/panic!)"
 # Robustness ratchet: the typed-error refactor drove non-test panic sites

@@ -2,9 +2,11 @@
 # Regenerates every table/figure of the paper plus the extra ablations.
 # CSV/JSONL output and run manifests land in target/experiments/; at the
 # end, manifests (and any observability sidecars the sweep produced:
-# traces under ANT_TRACE, collapsed stacks under ANT_FLAME, Perfetto
-# timelines under ANT_PROFILE) are collected into results/ as the sweep's
-# durable record — ready for `obsctl trace` / `obsctl flame diff`.
+# traces under ANT_OBS=trace, collapsed stacks under ANT_OBS=flame,
+# Perfetto timelines under ANT_OBS=profile) are collected into results/ as
+# the sweep's durable record — ready for `obsctl trace` / `obsctl flame
+# diff`. Every sidecar is named after its binary (<bin>.trace.jsonl,
+# <bin>.folded, ...), so the binaries never overwrite each other's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,36 +40,26 @@ BINARIES=(
 )
 
 EXPDIR="${CARGO_TARGET_DIR:-target}/experiments"
-USER_TRACE_FILE="${ANT_TRACE_FILE:-}"
 
 for bin in "${BINARIES[@]}"; do
   echo
   echo "================================================================"
   echo "== $bin"
   echo "================================================================"
-  # Each process truncates its trace file on open, so give every binary
-  # its own (unless the caller pinned one); the whole sweep's traces
-  # then survive side by side.
-  if [[ -n "${ANT_TRACE:-}" && -z "$USER_TRACE_FILE" ]]; then
-    export ANT_TRACE_FILE="$EXPDIR/trace-$bin.jsonl"
-  fi
   ./target/release/"$bin"
 done
 
 # Collect the durable record of this sweep.
 mkdir -p results
 cp -f "$EXPDIR"/*.manifest.json results/ 2>/dev/null || true
-if [[ -n "${ANT_TRACE:-}" ]]; then
-  cp -f "$EXPDIR"/trace-*.jsonl results/ 2>/dev/null || true
-  [[ -n "$USER_TRACE_FILE" && -f "$USER_TRACE_FILE" ]] && cp -f "$USER_TRACE_FILE" results/
-fi
-# Flame and timeline sidecars default to per-binary stems
-# (<bin>.folded / <bin>.perfetto.json), so a plain glob collects the sweep.
-if [[ -n "${ANT_FLAME:-}" ]]; then
-  cp -f "$EXPDIR"/*.folded results/ 2>/dev/null || true
-fi
-if [[ -n "${ANT_PROFILE:-}" ]]; then
-  cp -f "$EXPDIR"/*.perfetto.json results/ 2>/dev/null || true
-fi
+# ANT_OBS names the sidecars to collect: "pairs" implies a trace.
+IFS=, read -r -a OBS_ITEMS <<< "${ANT_OBS:-}"
+for item in "${OBS_ITEMS[@]}"; do
+  case "${item// /}" in
+    trace | pairs) cp -f "$EXPDIR"/*.trace.jsonl results/ 2>/dev/null || true ;;
+    flame) cp -f "$EXPDIR"/*.folded results/ 2>/dev/null || true ;;
+    profile) cp -f "$EXPDIR"/*.perfetto.json results/ 2>/dev/null || true ;;
+  esac
+done
 echo
 echo "manifests collected into results/ ($(ls results/*.manifest.json 2>/dev/null | wc -l) files)"
