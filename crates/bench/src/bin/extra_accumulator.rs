@@ -9,7 +9,7 @@
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, Table};
 use ant_conv::ConvShape;
-use ant_core::anticipator::{AntConfig, Anticipator};
+use ant_core::anticipator::{AntConfig, AntScratch, Anticipator};
 use ant_sim::accum::AccumulatorBanks;
 use ant_sparse::{sparsify, CsrMatrix};
 use rand::rngs::StdRng;
@@ -20,6 +20,7 @@ fn main() -> Result<(), ant_sim::AntError> {
     exp.config("seed", 0xACCu64).config("banks", "4,8,32,128");
     println!();
     let ant = Anticipator::new(AntConfig::paper_default());
+    let mut scratch = AntScratch::new();
     let mut table = Table::new(&["geometry", "sparsity", "banks", "stall overhead"]);
     let cases = [
         ("forward 3x3 (*) 34x34", ConvShape::new(3, 3, 34, 34, 1)?),
@@ -40,13 +41,15 @@ fn main() -> Result<(), ant_sim::AntError> {
                 sparsity,
                 &mut rng,
             ));
+            // One resident image; each bank count replays its kernel scan.
+            ant.prepare_conv_image(&image, &shape, &mut scratch)?;
             for banks in [4usize, 8, 32, 128] {
                 let model = AccumulatorBanks::new(banks);
                 let mut conflicts = 0u64;
-                let run = ant.run_conv_observed(&kernel, &image, &shape, |outputs| {
+                let counters = ant.scan_conv_kernel(&kernel, &shape, &mut scratch, |outputs| {
                     conflicts += model.conflict_cycles(outputs);
                 })?;
-                let base = run.counters.scan_cycles.max(run.counters.groups).max(1);
+                let base = counters.scan_cycles.max(counters.groups).max(1);
                 table.push_row(vec![
                     label.to_string(),
                     format!("{:.0}%", sparsity * 100.0),

@@ -10,34 +10,15 @@
 
 use ant_bench::obs::Experiment;
 use ant_bench::report::{percent, ratio, Table};
+use ant_bench::runner::simulate_traces;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::model::{SmallCnn, SparseMode};
 use ant_nn::sparse_train::{ReSpropSparsifier, SwatSparsifier};
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, SimStats};
+use ant_sim::AntError;
 
-fn simulate_traces(machine: &impl ConvSim, traces: &[ant_nn::ConvTrace]) -> SimStats {
-    let mut total = SimStats::default();
-    for trace in traces {
-        for pairs in [
-            trace.forward_pairs().expect("valid trace"),
-            trace.backward_pairs().expect("valid trace"),
-            trace.update_pairs().expect("valid trace"),
-        ] {
-            for pair in &pairs {
-                total.accumulate(&machine.simulate_conv_pair(
-                    &pair.kernel,
-                    &pair.image,
-                    &pair.shape,
-                ));
-            }
-        }
-    }
-    total
-}
-
-fn run_mode(label: &str, mut mode: SparseMode, table: &mut Table) {
+fn run_mode(label: &str, mut mode: SparseMode, table: &mut Table) -> Result<(), AntError> {
     let mut ds = SyntheticDataset::new(1, 16, 4, 0.1, 42);
     let mut net = SmallCnn::new(1, 16, 4, 7);
     // Train for a few steps so sparsity patterns stabilize (the paper
@@ -52,8 +33,8 @@ fn run_mode(label: &str, mut mode: SparseMode, table: &mut Table) {
     let mut traces = Vec::new();
     let _ = net.train_step(&batch, 0.05, &mut mode, Some(&mut traces));
 
-    let scnn = simulate_traces(&ScnnPlus::paper_default(), &traces);
-    let ant = simulate_traces(&AntAccelerator::paper_default(), &traces);
+    let scnn = simulate_traces(&ScnnPlus::paper_default(), &traces)?;
+    let ant = simulate_traces(&AntAccelerator::paper_default(), &traces)?;
     let grad_sparsity: f64 =
         traces.iter().map(|t| t.gradient_sparsity()).sum::<f64>() / traces.len() as f64;
     let act_sparsity: f64 =
@@ -66,9 +47,10 @@ fn run_mode(label: &str, mut mode: SparseMode, table: &mut Table) {
         ratio(scnn.total_cycles() as f64 / ant.total_cycles() as f64),
         percent(ant.rcps_avoided_fraction()),
     ]);
+    Ok(())
 }
 
-fn main() -> Result<(), ant_sim::AntError> {
+fn main() -> Result<(), AntError> {
     let mut exp = Experiment::start("extra_real_traces", "Extra: real backprop traces through SCNN+ and ANT")?;
     exp.config("train_steps", 20u64).config("batch", 8u64);
     println!();
@@ -81,19 +63,19 @@ fn main() -> Result<(), ant_sim::AntError> {
         "RCPs avoided",
     ]);
     let mut progress = exp.progress(3);
-    run_mode("dense", SparseMode::Dense, &mut table);
+    run_mode("dense", SparseMode::Dense, &mut table)?;
     progress.step("dense");
     run_mode(
         "SWAT-90%",
         SparseMode::Swat(SwatSparsifier::new(0.9)),
         &mut table,
-    );
+    )?;
     progress.step("SWAT-90%");
     run_mode(
         "ReSprop-90%",
         SparseMode::ReSprop(ReSpropSparsifier::new(0.9)),
         &mut table,
-    );
+    )?;
     progress.step("ReSprop-90%");
     progress.finish();
     print!("{}", table.render());

@@ -8,8 +8,9 @@
 //! interrupted jobs from the spool, and runs until killed. Configuration is
 //! entirely environment-driven (`ANT_SWEEPD_*`; defaults in
 //! `docs/OBSERVABILITY.md`), so the binary takes no arguments. An
-//! unparsable or zero setting, a retired observability variable, or an
-//! unknown `ANT_OBS` item exits 2 naming the variable. The wire surface:
+//! unparsable or zero setting, a retired observability variable, an
+//! unknown `ANT_OBS` item, or an `ANT_CHAOS` or `ANT_PAIR_BUDGET_US` that
+//! does not parse exits 2 naming the variable. The wire surface:
 //!
 //! - `POST /jobs` submits a sweep spec (tenant, model, machines, sparsity
 //!   grid, weight, deadline);
@@ -26,7 +27,9 @@
 use std::process::ExitCode;
 
 use ant_bench::obs::obs_config;
+use ant_bench::runner::pair_budget_from_env;
 use ant_bench::serve::{Sweepd, SweepdConfig};
+use ant_sim::chaos;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +42,11 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let config = match obs_config(ant_obs::config::resolved()).and_then(|_| SweepdConfig::from_env()) {
+    let config = match obs_config(ant_obs::config::resolved())
+        .and_then(|_| chaos::try_active())
+        .and_then(|_| pair_budget_from_env())
+        .and_then(|_| SweepdConfig::from_env())
+    {
         Ok(config) => config,
         Err(e) => {
             eprintln!("ant-sweepd: {e}");

@@ -47,7 +47,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use ant_conv::outer::sparse_conv_outer;
-use ant_conv::rcp::{count_useful_products, ImageNzCounter, IndexRange};
+use ant_conv::rcp::{count_useful_products, IndexRange, NzCounterScratch};
 use ant_conv::ConvShape;
 use ant_core::anticipator::{AntConfig, Anticipator};
 use ant_core::fnir::Fnir;
@@ -429,12 +429,15 @@ fn pipeline_benches() -> Result<Vec<KernelBench>, AntError> {
         ];
         for (machine, iters, sim) in machines {
             let (kernel, image) = (kernel.clone(), image.clone());
+            // One pair per call on a warm worker arena: a one-kernel session.
+            let mut scratch = SimScratch::new();
             benches.push(KernelBench::new(
                 "simulate_pair",
                 format!("{geometry}/{machine}"),
                 iters,
                 Box::new(move || {
-                    sim.simulate_conv_pair(&kernel, &image, &shape)
+                    ImageSession::open(sim.as_ref(), &image, &shape, &mut scratch)
+                        .simulate(&kernel)
                         .total_cycles()
                 }),
             ));
@@ -502,11 +505,18 @@ fn pipeline_benches() -> Result<Vec<KernelBench>, AntError> {
         16,
         Box::new(move || count_useful_products(&kernel, &image, &wide)),
     ));
+    // A fresh counter per call: the planes' allocation and build, then one
+    // O(1) lookup for the kernel's corner element.
+    let corner = CsrMatrix::from_triplets(112, 112, [(0, 0, 1.0)])?;
     benches.push(KernelBench::new(
         "image_nz_counter_build",
         "114x114",
         16,
-        Box::new(move || ImageNzCounter::new(&counter_image, &wide).count_valid(0, 0)),
+        Box::new(move || {
+            let mut counter = NzCounterScratch::new();
+            counter.prepare(&counter_image, &wide);
+            counter.count_useful(&corner, &wide)
+        }),
     ));
 
     // The reference outer-product convolution on a small update phase.

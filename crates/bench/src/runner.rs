@@ -13,12 +13,12 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ant_conv::efficiency::TrainingPhase;
 use ant_conv::ConvShape;
-use ant_nn::trace::ConvPair;
+use ant_nn::trace::{ConvPair, ConvTrace};
 use ant_obs::{ObsConfig, ObsError};
 use ant_sim::cache::{CacheKey, MODEL_VERSION};
 use ant_sim::chaos::{self, ChaosConfig, Fault};
@@ -410,8 +410,9 @@ pub fn simulate_network<S: ConvSim + ?Sized>(
     let mut span = ant_obs::span("network");
     span.record("network", net.name).record("machine", pe.name());
     let mut result = NetworkResult::empty(net.name, pe.name(), net.layers.len());
+    let mut scratch = SimScratch::new();
     for (li, layer) in net.layers.iter().enumerate() {
-        accumulate_layer(pe, layer, li, cfg, &mut result);
+        accumulate_layer(pe, layer, li, cfg, &mut scratch, &mut result);
     }
     result.finish(cfg.num_pes, started, &mut span, []);
     result
@@ -460,7 +461,8 @@ fn throughput_fields(
 ///
 /// Returns [`AntError::InvalidConfig`] for unusable configurations (zero
 /// PEs, sparsities outside `[0, 1]`, zero-dimension layer specs, a retired
-/// observability variable or an unknown `ANT_OBS` item),
+/// observability variable, an unknown `ANT_OBS` item, or an `ANT_CHAOS` or
+/// `ANT_PAIR_BUDGET_US` that does not parse),
 /// [`AntError::Shape`] when a layer's phase shapes cannot be constructed,
 /// and [`AntError::Panic`] if a worker thread dies outside the per-job
 /// isolation boundary. Individual pair-job failures do NOT error the run —
@@ -586,20 +588,29 @@ fn validate_experiment(net: &NetworkModel, cfg: &ExperimentConfig) -> Result<(),
     Ok(())
 }
 
-/// The pair wall budget from `ANT_PAIR_BUDGET_US`, resolved once. An
-/// unparsable value warns and disables the watchdog.
-fn budget_from_env() -> Option<u64> {
-    static BUDGET: OnceLock<Option<u64>> = OnceLock::new();
-    *BUDGET.get_or_init(|| match std::env::var("ANT_PAIR_BUDGET_US") {
-        Ok(raw) if !raw.trim().is_empty() => match raw.trim().parse::<u64>() {
-            Ok(us) if us > 0 => Some(us),
-            _ => {
-                eprintln!("ant-bench: ignoring invalid ANT_PAIR_BUDGET_US={raw:?} (want a positive integer)");
-                None
-            }
+/// The pair wall budget from `ANT_PAIR_BUDGET_US` (unset or blank: no
+/// watchdog).
+///
+/// # Errors
+///
+/// Returns [`AntError::InvalidConfig`] naming the variable when it is set
+/// but not a positive integer: a typo must not silently drop the
+/// watchdog.
+pub fn pair_budget_from_env() -> Result<Option<u64>, AntError> {
+    parse_pair_budget(std::env::var("ANT_PAIR_BUDGET_US").ok().as_deref())
+}
+
+fn parse_pair_budget(raw: Option<&str>) -> Result<Option<u64>, AntError> {
+    match raw.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(raw) => match raw.parse::<u64>() {
+            Ok(us) if us > 0 => Ok(Some(us)),
+            _ => Err(AntError::invalid_config(
+                "ANT_PAIR_BUDGET_US",
+                format!("{raw:?} is not a positive integer (microseconds)"),
+            )),
         },
-        _ => None,
-    })
+    }
 }
 
 /// One run's [`RunOptions`], resolved against `ANT_OBS` once. The
@@ -645,7 +656,8 @@ impl RunFlags {
         // explicit request so the exporter alone never changes console
         // output.
         let progress_requested = opts.progress.unwrap_or(obs.progress);
-        let chaos = chaos::active();
+        let chaos = chaos::try_active()?;
+        let env_budget_us = pair_budget_from_env()?;
         // The two-tier redundancy eliminator (docs/PERFORMANCE.md): both
         // tiers are strictly opt-in (`ANT_CACHE` / `ANT_CACHE_DIR` or a test
         // override) and stand down whenever chaos injection could taint
@@ -662,7 +674,7 @@ impl RunFlags {
         Ok(RunFlags {
             started,
             threads,
-            budget_us: opts.pair_budget_us.or_else(budget_from_env),
+            budget_us: opts.pair_budget_us.or(env_budget_us),
             deadline_us: opts.deadline_us,
             telemetry,
             progress_requested,
@@ -1728,12 +1740,14 @@ fn finalize_phase(mut phase_stats: SimStats, distinct_images: u64, scale: f64) -
 }
 
 /// The reference's per-layer step: synthesizes the layer, simulates its
-/// pairs in order on the calling thread, and finalizes each phase.
+/// pairs in order on the calling thread (each a one-kernel session on
+/// `scratch`), and finalizes each phase.
 fn accumulate_layer<S: ConvSim + ?Sized>(
     pe: &S,
     layer: &ant_workloads::ConvLayerSpec,
     layer_index: usize,
     cfg: &ExperimentConfig,
+    scratch: &mut SimScratch,
     out: &mut NetworkResult,
 ) {
     let mut layer_span = ant_obs::span("layer");
@@ -1756,7 +1770,8 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
             .record("pairs", phase.pairs.len());
         let mut phase_stats = SimStats::default();
         for pair in &phase.pairs {
-            phase_stats.accumulate(&pe.simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape));
+            let mut session = ImageSession::open(pe, &pair.image, &pair.shape, scratch);
+            phase_stats.accumulate(&session.simulate(&pair.kernel));
         }
         out.simulated.accumulate(&phase_stats);
         phases[pi] = finalize_phase(phase_stats, phase.distinct_images(), work.scale);
@@ -1775,6 +1790,42 @@ fn accumulate_layer<S: ConvSim + ?Sized>(
         debug_assert_eq!(out.per_phase[pi].0, phase.phase);
     }
     out.push_layer(layer_index, &layer.name, phases);
+}
+
+/// Simulates every pair of captured training traces (forward, backward and
+/// update phases, in that order) on one PE model with one arena, and sums
+/// the raw counters. Nothing is sampled or scaled, and start-up is charged
+/// per pair, as [`ConvSim::simulate_conv_pair`] charges it; the runner
+/// instead clamps it to one start-up per resident image.
+///
+/// # Errors
+///
+/// Returns [`AntError::Shape`] when a trace's phase pairs cannot be built
+/// and [`AntError::InvalidOperand`] when a pair disagrees with its shape.
+pub fn simulate_traces<S: ConvSim + ?Sized>(
+    pe: &S,
+    traces: &[ConvTrace],
+) -> Result<SimStats, AntError> {
+    let mut scratch = SimScratch::new();
+    let mut total = SimStats::default();
+    for trace in traces {
+        for pairs in [
+            trace.forward_pairs()?,
+            trace.backward_pairs()?,
+            trace.update_pairs()?,
+        ] {
+            for pair in &pairs {
+                let stats = pe.try_simulate_conv_pair(
+                    &pair.kernel,
+                    &pair.image,
+                    &pair.shape,
+                    &mut scratch,
+                )?;
+                total.accumulate(&stats);
+            }
+        }
+    }
+    Ok(total)
 }
 
 /// One schedulable unit of work for profiling: the unscaled stats of a
@@ -1803,11 +1854,13 @@ pub fn pair_jobs<S: ConvSim + ?Sized>(
     cfg: &ExperimentConfig,
 ) -> Vec<PairJob> {
     let mut jobs = Vec::new();
+    let mut scratch = SimScratch::new();
     for (li, layer) in net.layers.iter().enumerate() {
         let work = synthesize_layer_work(layer, li, cfg);
         for phase in &work.phases {
             for pair in &phase.pairs {
-                let stats = pe.simulate_conv_pair(&pair.kernel, &pair.image, &pair.shape);
+                let stats = ImageSession::open(pe, &pair.image, &pair.shape, &mut scratch)
+                    .simulate(&pair.kernel);
                 stats.debug_assert_cycles_attributed("pair job");
                 jobs.push(PairJob {
                     layer_index: li,
@@ -1832,12 +1885,13 @@ pub fn simulate_matmul_layers<S: ant_sim::MatmulSim + ?Sized>(
     let mut span = ant_obs::span("matmul_layers");
     span.record("layers", layers.len()).record("sparsity", sparsity);
     let mut total = SimStats::default();
+    let mut scratch = SimScratch::new();
     for (li, spec) in layers.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed ^ (li as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let shape = spec.shape();
         let (image, kernel) =
             ant_workloads::synth::synthesize_matmul(&shape, sparsity, sparsity, &mut rng);
-        let stats = pe.simulate_matmul_pair(&image, &kernel, &shape);
+        let stats = pe.simulate_matmul_pair_scratch(&image, &kernel, &shape, &mut scratch);
         total.accumulate(&stats.scaled(spec.count as u64));
     }
     if span.is_recording() {
@@ -2086,6 +2140,57 @@ mod tests {
         // The same runner with an accepted parse simulates normally.
         let ok = ObsConfig::parse([("ANT_OBS", "off")]);
         assert!(simulate_with_obs(&pe, &tiny_net(), &cfg, &RunOptions::default(), &ok).is_ok());
+    }
+
+    #[test]
+    fn unparsable_pair_budget_is_refused_naming_the_variable() {
+        for raw in ["abc", "0", "-5", "1.5", "12us"] {
+            match parse_pair_budget(Some(raw)) {
+                Err(AntError::InvalidConfig { param, reason }) => {
+                    assert_eq!(param, "ANT_PAIR_BUDGET_US");
+                    assert!(reason.contains(raw), "{raw}: {reason}");
+                }
+                other => panic!("{raw}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        assert_eq!(parse_pair_budget(None).unwrap(), None);
+        assert_eq!(parse_pair_budget(Some("  ")).unwrap(), None);
+        assert_eq!(parse_pair_budget(Some(" 250 ")).unwrap(), Some(250));
+    }
+
+    #[test]
+    fn wall_cycles_divide_total_cycles_over_the_pes() {
+        // Perfect load balancing (paper Section 6.1): the accumulated PE
+        // cycles over the PE count, rounded up, and never zero.
+        let pe = ScnnPlus::paper_default();
+        let empty = NetworkModel {
+            name: "empty",
+            layers: Vec::new(),
+        };
+        let opts = RunOptions {
+            threads: Some(2),
+            ..RunOptions::default()
+        };
+        for num_pes in [1, 3, 64, 1 << 40] {
+            let cfg = ExperimentConfig {
+                num_pes,
+                max_channels: 2,
+                ..ExperimentConfig::paper_default()
+            };
+            for net in [tiny_net(), empty.clone()] {
+                let serial = simulate_network(&pe, &net, &cfg);
+                let parallel = try_simulate_network_parallel(&pe, &net, &cfg, &opts).unwrap();
+                for result in [&serial, &parallel] {
+                    let want = result.total.total_cycles().div_ceil(num_pes as u64).max(1);
+                    assert_eq!(result.wall_cycles, want, "{} on {num_pes} PEs", net.name);
+                }
+            }
+        }
+        let one = simulate_network(&pe, &tiny_net(), &ExperimentConfig::paper_default());
+        assert!(
+            one.total.total_cycles() > 64,
+            "the division must be visible"
+        );
     }
 
     #[test]

@@ -89,11 +89,14 @@ fn second_pair_on_a_warm_worker_allocates_nothing() {
     let mut scratch = SimScratch::new();
     for machine in &conv_machines {
         // Warm-up pair grows the buffers to this shape.
-        let warm = machine.simulate_conv_pair_scratch(&k1, &i1, &shape, &mut scratch);
+        let warm = machine
+            .try_simulate_conv_pair(&k1, &i1, &shape, &mut scratch)
+            .expect("operands match the shape");
         // Steady state: a second, different pair of the same shape.
         let before = ant_obs::alloc::snapshot();
-        let steady = machine.simulate_conv_pair_scratch(&k2, &i2, &shape, &mut scratch);
+        let steady = machine.try_simulate_conv_pair(&k2, &i2, &shape, &mut scratch);
         let delta = ant_obs::alloc::snapshot().delta_from(&before);
+        let steady = steady.expect("operands match the shape");
         assert_eq!(
             delta.allocs,
             0,

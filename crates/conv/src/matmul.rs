@@ -107,6 +107,27 @@ impl MatmulShape {
     pub fn direct_products(&self) -> u64 {
         self.image_h as u64 * self.image_w as u64 * self.kernel_s as u64
     }
+
+    /// The useful (`r == x`, both-non-zero) products of sparse
+    /// `image x kernel`, exactly: each kernel row `r` pairs with the image
+    /// non-zeros of column `r`. `col_nnz` is caller-owned scratch for the
+    /// per-column counts, re-initialized on entry, so a warm buffer makes
+    /// the count allocation-free.
+    pub fn useful_products(
+        &self,
+        image: &CsrMatrix,
+        kernel: &CsrMatrix,
+        col_nnz: &mut Vec<u64>,
+    ) -> u64 {
+        col_nnz.clear();
+        col_nnz.resize(self.image_w, 0);
+        for (_, x, _) in image.iter() {
+            col_nnz[x] += 1;
+        }
+        (0..self.kernel_r)
+            .map(|r| kernel.row_range(r).len() as u64 * col_nnz[r])
+            .sum()
+    }
 }
 
 /// Result of executing a sparse matmul as a cartesian product.

@@ -237,19 +237,6 @@ impl ProductBreakdown {
     }
 }
 
-/// Exact per-kernel-element counter of valid non-zero image partners.
-///
-/// Built once per image in `O(H * W)` (per stride phase), then
-/// [`ImageNzCounter::count_valid`] answers "how many non-zero image elements
-/// form a *valid* product with kernel element `(s, r)`" in `O(1)`. This is
-/// what lets the Figure-1/Table-5 experiments run exact counts on
-/// ImageNet-scale layers instead of brute-forcing `R*S*H*W` pairs.
-#[derive(Debug)]
-pub struct ImageNzCounter {
-    shape: ConvShape,
-    planes: NzCounterScratch,
-}
-
 /// Fills `prefix` with the per-stride-phase 2-D prefix-sum planes for
 /// `image`, reusing the buffer's capacity. Returns `(phase_cols, plane_len)`.
 fn fill_prefix(image: &CsrMatrix, shape: &ConvShape, prefix: &mut Vec<u32>) -> (usize, usize) {
@@ -281,35 +268,17 @@ fn fill_prefix(image: &CsrMatrix, shape: &ConvShape, prefix: &mut Vec<u32>) -> (
     (cols, plane_len)
 }
 
-impl ImageNzCounter {
-    /// Builds the counter for a sparse image under the given shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image dimensions disagree with `shape`.
-    pub fn new(image: &CsrMatrix, shape: &ConvShape) -> Self {
-        let mut planes = NzCounterScratch::new();
-        planes.prepare(image, shape);
-        Self {
-            shape: *shape,
-            planes,
-        }
-    }
-
-    /// Number of non-zero image elements `(x, y)` for which the product with
-    /// kernel element `(s, r)` is valid.
-    pub fn count_valid(&self, s: usize, r: usize) -> u64 {
-        self.planes.count_valid(&self.shape, s, r)
-    }
-}
-
-/// Reusable prefix-sum planes of one image: the storage behind
-/// [`ImageNzCounter`] without its per-image allocation. One scratch per
-/// worker; it grows to the largest image seen and is then reused as-is.
+/// Exact counter of valid non-zero image partners, over reusable
+/// prefix-sum planes of one image. One scratch per worker; it grows to the
+/// largest image seen and is then reused as-is.
 ///
-/// [`NzCounterScratch::prepare`] builds the planes once per resident image;
-/// [`NzCounterScratch::count_useful`] then answers any number of kernels
-/// against that image in `O(nnz_kernel)` each.
+/// [`NzCounterScratch::prepare`] builds the planes once per resident image
+/// in `O(H * W)` (per stride phase); [`NzCounterScratch::count_useful`]
+/// then answers any number of kernels against that image in
+/// `O(nnz_kernel)` each, since the number of non-zero image elements that
+/// form a *valid* product with one kernel element is an `O(1)` lookup.
+/// This is what lets the Figure-1/Table-5 experiments run exact counts on
+/// ImageNet-scale layers instead of brute-forcing `R*S*H*W` pairs.
 #[derive(Debug, Clone, Default)]
 pub struct NzCounterScratch {
     // Flat storage of stride*stride planes, each `plane_len` long. Within
@@ -347,7 +316,8 @@ impl NzCounterScratch {
             .sum()
     }
 
-    /// [`ImageNzCounter::count_valid`] over the prepared planes.
+    /// Number of non-zero image elements `(x, y)` of the prepared image for
+    /// which the product with kernel element `(s, r)` is valid.
     fn count_valid(&self, shape: &ConvShape, s: usize, r: usize) -> u64 {
         let d = shape.dilation();
         let stride = shape.stride();
@@ -378,7 +348,9 @@ impl NzCounterScratch {
 ///
 /// Panics if the image dimensions disagree with `shape`.
 pub fn count_useful_products(kernel: &CsrMatrix, image: &CsrMatrix, shape: &ConvShape) -> u64 {
-    ImageNzCounter::new(image, shape).planes.count_useful(kernel, shape)
+    let mut planes = NzCounterScratch::new();
+    planes.prepare(image, shape);
+    planes.count_useful(kernel, shape)
 }
 
 /// Computes the full partial-product breakdown for a kernel/image pair.
@@ -724,10 +696,12 @@ mod tests {
         // dilation 4 * (3-1) + 1 = 9 fits exactly.
         let shape = shape.unwrap();
         let image = CsrMatrix::from_triplets(9, 9, vec![(0, 0, 1.0)]).unwrap();
-        let counter = ImageNzCounter::new(&image, &shape);
+        let mut counter = NzCounterScratch::new();
+        counter.prepare(&image, &shape);
+        let element = |r, s| CsrMatrix::from_triplets(3, 3, vec![(r, s, 1.0)]).unwrap();
         // Kernel element (2,2) starts at image (8,8): cannot reach (0,0).
-        assert_eq!(counter.count_valid(2, 2), 0);
-        assert_eq!(counter.count_valid(0, 0), 1);
+        assert_eq!(counter.count_useful(&element(2, 2), &shape), 0);
+        assert_eq!(counter.count_useful(&element(0, 0), &shape), 1);
     }
 
     #[test]

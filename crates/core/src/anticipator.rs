@@ -197,8 +197,8 @@ pub struct AntRun {
     pub counters: AntCounters,
 }
 
-/// Reusable working memory for [`Anticipator::run_conv_with`] /
-/// [`Anticipator::run_matmul_with`].
+/// Reusable working memory for [`Anticipator::prepare_conv_image`] /
+/// [`Anticipator::scan_conv_kernel`] and [`Anticipator::run_matmul_with`].
 ///
 /// One scratch per worker: after the first pair warms its buffers up to the
 /// largest shapes seen, subsequent pairs run without any heap allocation.
@@ -295,7 +295,10 @@ impl Anticipator {
         self.config
     }
 
-    /// Runs a sparse convolution through the ANT pipeline.
+    /// Runs a sparse convolution through the ANT pipeline: the allocating
+    /// convenience over [`Anticipator::prepare_conv_image`] and one
+    /// [`Anticipator::scan_conv_kernel`], which callers that loop or
+    /// observe the multiplier cycles use directly.
     ///
     /// # Errors
     ///
@@ -307,61 +310,14 @@ impl Anticipator {
         image: &CsrMatrix,
         shape: &ConvShape,
     ) -> Result<AntRun, ConvError> {
-        self.run_conv_observed(kernel, image, shape, |_| {})
-    }
-
-    /// Like [`Anticipator::run_conv`], but invokes `observer` once per
-    /// multiplier-array cycle with the flat output indices
-    /// (`out_y * W_out + out_x`) of that cycle's *valid* products.
-    ///
-    /// This is the hook for microarchitectural studies downstream of the
-    /// multiplier — e.g. accumulator bank-conflict modelling (the paper's
-    /// Section 6.1 assumes the accumulator never stalls; `ant-sim`'s
-    /// `AccumulatorBanks` uses this to test that assumption).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvError::OperandShapeMismatch`] when operands disagree
-    /// with `shape`.
-    pub fn run_conv_observed(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        observer: impl FnMut(&[usize]),
-    ) -> Result<AntRun, ConvError> {
+        check_conv_shapes(kernel, image, shape)?;
         let mut scratch = AntScratch::new();
-        let counters = self.run_conv_with(kernel, image, shape, &mut scratch, observer)?;
+        self.prepare_conv_image(image, shape, &mut scratch)?;
+        let counters = self.scan_conv_kernel(kernel, shape, &mut scratch, |_| {})?;
         Ok(AntRun {
             output: scratch.output,
             counters,
         })
-    }
-
-    /// Like [`Anticipator::run_conv_observed`], but runs entirely inside a
-    /// caller-owned [`AntScratch`] — the steady-state-allocation-free hot
-    /// path. The accumulated output stays in the scratch
-    /// ([`AntScratch::output`]); counters and output are bit-identical to
-    /// [`Anticipator::run_conv_observed`].
-    ///
-    /// Equivalent to [`Anticipator::prepare_conv_image`] followed by one
-    /// [`Anticipator::scan_conv_kernel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvError::OperandShapeMismatch`] when operands disagree
-    /// with `shape`.
-    pub fn run_conv_with(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut AntScratch,
-        observer: impl FnMut(&[usize]),
-    ) -> Result<AntCounters, ConvError> {
-        check_conv_shapes(kernel, image, shape)?;
-        self.prepare_conv_image(image, shape, scratch)?;
-        self.scan_conv_kernel(kernel, shape, scratch, observer)
     }
 
     /// The image-stationary range prepass (paper Fig. 6): groups the
@@ -412,9 +368,17 @@ impl Anticipator {
 
     /// Streams one kernel past the image last prepared on `scratch` by
     /// [`Anticipator::prepare_conv_image`] (same configuration, same
-    /// `shape`), invoking `observer` as [`Anticipator::run_conv_observed`]
-    /// does. The counters are those of a full run on the pair; the range
-    /// operations of the shared prepass are charged to every kernel.
+    /// `shape`). The counters are those of a full run on the pair; the
+    /// range operations of the shared prepass are charged to every kernel.
+    /// The accumulated output stays in the scratch
+    /// ([`AntScratch::output`]), and a warm scratch allocates nothing.
+    ///
+    /// `observer` runs once per multiplier-array cycle with the flat output
+    /// indices (`out_y * W_out + out_x`) of that cycle's *valid* products:
+    /// the hook for microarchitectural studies downstream of the multiplier,
+    /// such as accumulator bank conflicts (the paper's Section 6.1 assumes
+    /// the accumulator never stalls; `ant-sim`'s `AccumulatorBanks` tests
+    /// that assumption through it).
     ///
     /// # Errors
     ///
@@ -615,8 +579,8 @@ impl Anticipator {
     }
 
     /// Like [`Anticipator::run_matmul`], but runs entirely inside a
-    /// caller-owned [`AntScratch`] (see [`Anticipator::run_conv_with`] for
-    /// the reuse contract). Counters and output are bit-identical to
+    /// caller-owned [`AntScratch`] (see [`AntScratch`] for the reuse
+    /// contract). Counters and output are bit-identical to
     /// [`Anticipator::run_matmul`].
     ///
     /// # Errors
@@ -1073,11 +1037,28 @@ mod tests {
         assert!(!config.supports_conv(&ConvShape::new(3, 3, 512, 512, 1).unwrap()));
     }
 
+    /// One prepare and one scan on `scratch`, recording the observer
+    /// stream.
+    fn observed_run(
+        ant: &Anticipator,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+        scratch: &mut AntScratch,
+    ) -> (AntCounters, Vec<Vec<usize>>) {
+        let mut observed = Vec::new();
+        ant.prepare_conv_image(image, shape, scratch).unwrap();
+        let counters = ant
+            .scan_conv_kernel(kernel, shape, scratch, |o| observed.push(o.to_vec()))
+            .unwrap();
+        (counters, observed)
+    }
+
     #[test]
     fn shared_scratch_is_bit_identical_across_pairs_and_modes() {
         // One scratch reused across different shapes, configs, and modes
-        // must reproduce the allocating entry points exactly (counters,
-        // output, and observer stream).
+        // must reproduce a fresh scratch and the allocating entry points
+        // exactly (counters, output, and observer stream).
         let mut scratch = AntScratch::new();
         let ant = Anticipator::new(AntConfig::paper_default());
         for (shape, seed) in [
@@ -1086,19 +1067,16 @@ mod tests {
             (ConvShape::new(2, 2, 9, 9, 2).unwrap(), 43),
         ] {
             let (kernel, image) = random_pair(&shape, 0.7, seed);
-            let mut observed_ref: Vec<Vec<usize>> = Vec::new();
-            let reference = ant
-                .run_conv_observed(&kernel, &image, &shape, |o| observed_ref.push(o.to_vec()))
-                .unwrap();
-            let mut observed_scratch: Vec<Vec<usize>> = Vec::new();
-            let counters = ant
-                .run_conv_with(&kernel, &image, &shape, &mut scratch, |o| {
-                    observed_scratch.push(o.to_vec())
-                })
-                .unwrap();
+            let reference = ant.run_conv(&kernel, &image, &shape).unwrap();
+            let (fresh_counters, observed_fresh) =
+                observed_run(&ant, &kernel, &image, &shape, &mut AntScratch::new());
+            let (counters, observed) = observed_run(&ant, &kernel, &image, &shape, &mut scratch);
             assert_eq!(counters, reference.counters, "{shape}");
+            assert_eq!(fresh_counters, reference.counters, "{shape}");
             assert_eq!(*scratch.output(), reference.output, "{shape}");
-            assert_eq!(observed_scratch, observed_ref, "{shape}");
+            assert_eq!(observed, observed_fresh, "{shape}");
+            let useful: usize = observed.iter().map(Vec::len).sum();
+            assert_eq!(useful as u64, counters.useful, "{shape}");
         }
         // Ablation configs through the same (already warm) scratch.
         let shape = ConvShape::new(6, 6, 9, 9, 1).unwrap();
@@ -1115,9 +1093,7 @@ mod tests {
         ] {
             let ablated = Anticipator::new(config);
             let reference = ablated.run_conv(&kernel, &image, &shape).unwrap();
-            let counters = ablated
-                .run_conv_with(&kernel, &image, &shape, &mut scratch, |_| {})
-                .unwrap();
+            let (counters, _) = observed_run(&ablated, &kernel, &image, &shape, &mut scratch);
             assert_eq!(counters, reference.counters);
             assert_eq!(*scratch.output(), reference.output);
         }

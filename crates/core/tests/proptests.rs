@@ -4,7 +4,7 @@ use ant_conv::dense::conv2d;
 use ant_conv::matmul::MatmulShape;
 use ant_conv::rcp::IndexRange;
 use ant_conv::ConvShape;
-use ant_core::anticipator::{AntConfig, Anticipator};
+use ant_core::anticipator::{AntConfig, AntScratch, Anticipator};
 use ant_core::range::GroupRanges;
 use ant_core::scan::scan_kernel;
 use ant_core::Fnir;
@@ -156,15 +156,17 @@ proptest! {
         let image = CsrMatrix::from_dense(&case.image);
         let ant = Anticipator::new(AntConfig::paper_default());
         let mut seen = 0u64;
-        let run = ant
-            .run_conv_observed(&kernel, &image, &case.shape, |outputs| {
+        let mut scratch = AntScratch::new();
+        ant.prepare_conv_image(&image, &case.shape, &mut scratch).unwrap();
+        let counters = ant
+            .scan_conv_kernel(&kernel, &case.shape, &mut scratch, |outputs| {
                 seen += outputs.len() as u64;
                 // All indices are within the output matrix.
                 let limit = case.shape.out_h() * case.shape.out_w();
                 assert!(outputs.iter().all(|&i| i < limit));
             })
             .unwrap();
-        prop_assert_eq!(seen, run.counters.useful);
+        prop_assert_eq!(seen, counters.useful);
     }
 
     #[test]

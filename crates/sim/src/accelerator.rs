@@ -1,4 +1,4 @@
-//! Accelerator traits and the multi-PE wrapper.
+//! The machine traits and the image session.
 
 use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
@@ -51,18 +51,6 @@ pub fn validate_conv_pair(
     check_operand(machine, "image", image, (shape.image_h(), shape.image_w()))
 }
 
-/// Checks that a matmul pair's operands agree with its shape. O(1); see
-/// [`validate_conv_pair`].
-pub fn validate_matmul_pair(
-    machine: &'static str,
-    image: &CsrMatrix,
-    kernel: &CsrMatrix,
-    shape: &MatmulShape,
-) -> Result<(), AntError> {
-    check_operand(machine, "image", image, (shape.image_h(), shape.image_w()))?;
-    check_operand(machine, "kernel", kernel, (shape.kernel_r(), shape.kernel_s()))
-}
-
 fn check_operand(
     machine: &'static str,
     operand: &'static str,
@@ -90,39 +78,62 @@ fn check_operand(
 /// mirrors that on the host — [`ConvSim::prepare_image`] builds the state
 /// that depends only on the image and shape once, then
 /// [`ConvSim::simulate_prepared_kernel`] simulates each kernel against it.
-/// Machines with such state implement their pair entry point as a
-/// one-kernel session, so each keeps exactly one simulation body.
+/// Those two methods are a machine's one conv simulation body; the pair
+/// entry points are provided as one-kernel sessions.
+///
+/// A machine that needs no per-image state implements only `name` and
+/// `simulate_prepared_kernel`, and every entry point agrees:
+///
+/// ```
+/// use ant_conv::ConvShape;
+/// use ant_sim::{ConvSim, CycleBreakdown, ImageSession, SimScratch, SimStats};
+/// use ant_sparse::{CsrMatrix, DenseMatrix};
+///
+/// /// Multiplies every non-zero pair, one product per cycle.
+/// struct Cartesian;
+///
+/// impl ConvSim for Cartesian {
+///     fn name(&self) -> &'static str {
+///         "cartesian"
+///     }
+///
+///     fn simulate_prepared_kernel(
+///         &self,
+///         kernel: &CsrMatrix,
+///         image: &CsrMatrix,
+///         _shape: &ConvShape,
+///         _scratch: &mut SimScratch,
+///     ) -> SimStats {
+///         let products = (kernel.nnz() * image.nnz()) as u64;
+///         SimStats {
+///             pe_cycles: products,
+///             mults: products,
+///             cycles: CycleBreakdown { compute: products, ..CycleBreakdown::default() },
+///             ..SimStats::default()
+///         }
+///     }
+/// }
+///
+/// let shape = ConvShape::new(2, 2, 5, 5, 1)?;
+/// let image = CsrMatrix::from_dense(&DenseMatrix::from_fn(5, 5, |r, c| ((r + c) % 2) as f32));
+/// let kernels = [
+///     CsrMatrix::from_dense(&DenseMatrix::from_fn(2, 2, |r, _| r as f32)),
+///     CsrMatrix::from_dense(&DenseMatrix::from_fn(2, 2, |_, _| 1.0)),
+/// ];
+/// let mut scratch = SimScratch::new();
+/// let mut session = ImageSession::open(&Cartesian, &image, &shape, &mut scratch);
+/// let streamed: Vec<SimStats> = kernels.iter().map(|k| session.simulate(k)).collect();
+/// for (kernel, stats) in kernels.iter().zip(&streamed) {
+///     assert_eq!(Cartesian.simulate_conv_pair(kernel, &image, &shape), *stats);
+///     let checked = Cartesian.try_simulate_conv_pair(kernel, &image, &shape, &mut scratch)?;
+///     assert_eq!(checked, *stats);
+/// }
+/// assert_eq!(streamed[1].mults, 4 * image.nnz() as u64);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub trait ConvSim {
     /// Short machine name for reports.
     fn name(&self) -> &'static str;
-
-    /// Simulates the convolution of one kernel/image pair, returning
-    /// per-pair operation and cycle counts.
-    fn simulate_conv_pair(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-    ) -> SimStats;
-
-    /// Like [`ConvSim::simulate_conv_pair`], but with a caller-owned
-    /// [`SimScratch`] arena so the steady state allocates nothing.
-    ///
-    /// Results MUST be bit-identical to [`ConvSim::simulate_conv_pair`]
-    /// (see the golden proptests in `ant-sim/tests`). The default simply
-    /// forwards, which is already allocation-free for the analytic
-    /// machines; machines with real working sets override this and route
-    /// their plain entry point through the shared thread scratch.
-    fn simulate_conv_pair_scratch(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut SimScratch,
-    ) -> SimStats {
-        let _ = scratch;
-        self.simulate_conv_pair(kernel, image, shape)
-    }
 
     /// Builds, in `scratch`, the per-image state that
     /// [`ConvSim::simulate_prepared_kernel`] reads for every kernel of an
@@ -135,19 +146,17 @@ pub trait ConvSim {
 
     /// Simulates `kernel` against the image that the last
     /// [`ConvSim::prepare_image`] on `scratch` prepared with this `image`
-    /// and `shape`. Results MUST be bit-identical to
-    /// [`ConvSim::simulate_conv_pair`] on the same pair (pinned by the
-    /// golden proptests). The default simply forwards to
-    /// [`ConvSim::simulate_conv_pair_scratch`].
+    /// and `shape`, returning per-pair operation and cycle counts. Results
+    /// must not depend on what else `scratch` held before (pinned by the
+    /// golden proptests, which also check the exact useful-product counts
+    /// against brute force).
     fn simulate_prepared_kernel(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
         scratch: &mut SimScratch,
-    ) -> SimStats {
-        self.simulate_conv_pair_scratch(kernel, image, shape, scratch)
-    }
+    ) -> SimStats;
 
     /// A stable identity string covering the machine's name and every
     /// hardware parameter that influences its results — the machine's
@@ -165,7 +174,6 @@ pub trait ConvSim {
     /// result for the pair is computable without cycle-accurate emulation
     /// (see [`crate::analytic`]), `None` when emulation is required.
     ///
-    /// The contract mirrors [`ConvSim::simulate_conv_pair_scratch`]:
     /// `Some` results MUST be byte-identical to the emulated path (pinned
     /// by the golden proptests). Callers that substitute this result for a
     /// dispatched job should only do so while detail tracing is off — the
@@ -180,9 +188,22 @@ pub trait ConvSim {
         None
     }
 
-    /// Validated entry point: rejects operands that disagree with `shape`
-    /// with a typed [`AntError::InvalidOperand`] before simulating, instead
-    /// of panicking (or silently mis-simulating) inside the machine.
+    /// Simulates one kernel/image pair as a one-kernel [`ImageSession`] on
+    /// a fresh arena. Callers that loop over pairs hold one [`SimScratch`]
+    /// and use [`ConvSim::try_simulate_conv_pair`] or a session instead.
+    fn simulate_conv_pair(
+        &self,
+        kernel: &CsrMatrix,
+        image: &CsrMatrix,
+        shape: &ConvShape,
+    ) -> SimStats {
+        ImageSession::open(self, image, shape, &mut SimScratch::new()).simulate(kernel)
+    }
+
+    /// Validated one-kernel session on a caller-owned arena: rejects
+    /// operands that disagree with `shape` with a typed
+    /// [`AntError::InvalidOperand`] before simulating, instead of panicking
+    /// (or silently mis-simulating) inside the machine.
     ///
     /// # Errors
     ///
@@ -196,7 +217,7 @@ pub trait ConvSim {
         scratch: &mut SimScratch,
     ) -> Result<SimStats, AntError> {
         validate_conv_pair(self.name(), kernel, image, shape)?;
-        Ok(self.simulate_conv_pair_scratch(kernel, image, shape, scratch))
+        Ok(ImageSession::open(self, image, shape, scratch).simulate(kernel))
     }
 }
 
@@ -314,175 +335,24 @@ pub trait MatmulSim {
     /// Short machine name for reports and error attribution.
     fn name(&self) -> &'static str;
 
-    /// Simulates `image x kernel`, returning operation and cycle counts.
-    fn simulate_matmul_pair(
-        &self,
-        image: &CsrMatrix,
-        kernel: &CsrMatrix,
-        shape: &MatmulShape,
-    ) -> SimStats;
-
-    /// Like [`MatmulSim::simulate_matmul_pair`], but with a caller-owned
-    /// [`SimScratch`] arena (see
-    /// [`ConvSim::simulate_conv_pair_scratch`] for the contract).
+    /// Simulates `image x kernel` in a caller-owned [`SimScratch`] arena,
+    /// returning operation and cycle counts: the machine's one matmul
+    /// simulation body.
     fn simulate_matmul_pair_scratch(
         &self,
         image: &CsrMatrix,
         kernel: &CsrMatrix,
         shape: &MatmulShape,
         scratch: &mut SimScratch,
-    ) -> SimStats {
-        let _ = scratch;
-        self.simulate_matmul_pair(image, kernel, shape)
-    }
+    ) -> SimStats;
 
-    /// Validated entry point: rejects operands that disagree with `shape`
-    /// with a typed [`AntError::InvalidOperand`] before simulating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AntError::InvalidOperand`] naming this machine and the
-    /// offending operand.
-    fn try_simulate_matmul_pair(
+    /// [`MatmulSim::simulate_matmul_pair_scratch`] on a fresh arena.
+    fn simulate_matmul_pair(
         &self,
         image: &CsrMatrix,
         kernel: &CsrMatrix,
         shape: &MatmulShape,
-        scratch: &mut SimScratch,
-    ) -> Result<SimStats, AntError> {
-        validate_matmul_pair(self.name(), image, kernel, shape)?;
-        Ok(self.simulate_matmul_pair_scratch(image, kernel, shape, scratch))
-    }
-}
-
-/// A PE model replicated across `num_pes` processing elements with the
-/// paper's perfect-load-balancing assumption (Section 6.1): wall-clock
-/// cycles are the accumulated PE cycles divided by the PE count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Accelerator<S> {
-    sim: S,
-    num_pes: usize,
-}
-
-impl<S> Accelerator<S> {
-    /// Wraps a PE model with `num_pes` PEs (paper Table 4: 64).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_pes == 0`. Use [`Accelerator::try_new`] for a
-    /// fallible constructor.
-    pub fn new(sim: S, num_pes: usize) -> Self {
-        Self::try_new(sim, num_pes).expect("accelerator needs at least one PE")
-    }
-
-    /// Wraps a PE model, rejecting a zero PE count with a typed error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AntError::InvalidConfig`] when `num_pes == 0`.
-    pub fn try_new(sim: S, num_pes: usize) -> Result<Self, AntError> {
-        if num_pes == 0 {
-            return Err(AntError::invalid_config(
-                "num_pes",
-                "accelerator needs at least one PE (got 0)",
-            ));
-        }
-        Ok(Self { sim, num_pes })
-    }
-
-    /// The wrapped PE model.
-    pub fn pe(&self) -> &S {
-        &self.sim
-    }
-
-    /// Number of PEs.
-    pub fn num_pes(&self) -> usize {
-        self.num_pes
-    }
-
-    /// Wall-clock cycles under perfect load balancing.
-    pub fn wall_cycles(&self, total: &SimStats) -> u64 {
-        total.total_cycles().div_ceil(self.num_pes as u64)
-    }
-}
-
-impl<S: ConvSim> Accelerator<S> {
-    /// Simulates a sequence of kernel/image pairs and accumulates the stats.
-    pub fn simulate_conv_pairs<'a>(
-        &self,
-        pairs: impl IntoIterator<Item = (&'a CsrMatrix, &'a CsrMatrix, ConvShape)>,
     ) -> SimStats {
-        let mut scratch = SimScratch::new();
-        let mut total = SimStats::default();
-        for (kernel, image, shape) in pairs {
-            total.accumulate(&self.sim.simulate_conv_pair_scratch(
-                kernel,
-                image,
-                &shape,
-                &mut scratch,
-            ));
-        }
-        total
-    }
-}
-
-impl<S: MatmulSim> Accelerator<S> {
-    /// Simulates a sequence of matmul pairs and accumulates the stats.
-    pub fn simulate_matmul_pairs<'a>(
-        &self,
-        pairs: impl IntoIterator<Item = (&'a CsrMatrix, &'a CsrMatrix, MatmulShape)>,
-    ) -> SimStats {
-        let mut scratch = SimScratch::new();
-        let mut total = SimStats::default();
-        for (image, kernel, shape) in pairs {
-            total.accumulate(&self.sim.simulate_matmul_pair_scratch(
-                image,
-                kernel,
-                &shape,
-                &mut scratch,
-            ));
-        }
-        total
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scnn::ScnnPlus;
-    use ant_sparse::DenseMatrix;
-
-    #[test]
-    fn wall_cycles_divide_by_pes() {
-        let acc = Accelerator::new(ScnnPlus::paper_default(), 64);
-        let stats = SimStats {
-            pe_cycles: 6400,
-            startup_cycles: 0,
-            ..SimStats::default()
-        };
-        assert_eq!(acc.wall_cycles(&stats), 100);
-        let stats2 = SimStats {
-            pe_cycles: 6401,
-            ..stats
-        };
-        assert_eq!(acc.wall_cycles(&stats2), 101);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one PE")]
-    fn zero_pes_rejected() {
-        let _ = Accelerator::new(ScnnPlus::paper_default(), 0);
-    }
-
-    #[test]
-    fn pair_iteration_accumulates() {
-        let acc = Accelerator::new(ScnnPlus::paper_default(), 4);
-        let kernel = CsrMatrix::from_dense(&DenseMatrix::from_fn(2, 2, |_, _| 1.0));
-        let image = CsrMatrix::from_dense(&DenseMatrix::from_fn(4, 4, |_, _| 1.0));
-        let shape = ConvShape::new(2, 2, 4, 4, 1).unwrap();
-        let one = acc.simulate_conv_pairs(vec![(&kernel, &image, shape)]);
-        let two = acc.simulate_conv_pairs(vec![(&kernel, &image, shape); 2]);
-        assert_eq!(two.mults, 2 * one.mults);
-        assert_eq!(two.startup_cycles, 2 * one.startup_cycles);
+        self.simulate_matmul_pair_scratch(image, kernel, shape, &mut SimScratch::new())
     }
 }

@@ -12,10 +12,10 @@ use ant_conv::ConvShape;
 use ant_core::anticipator::{AntConfig, AntCounters, Anticipator};
 use ant_sparse::CsrMatrix;
 
-use crate::accelerator::{ConvSim, ImageSession, MatmulSim};
+use crate::accelerator::{ConvSim, MatmulSim};
 use crate::accum::AccumulatorBanks;
 use crate::breakdown::CycleBreakdown;
-use crate::scratch::{with_thread_scratch, SimScratch};
+use crate::scratch::SimScratch;
 use crate::stats::SimStats;
 
 /// The ANT PE model.
@@ -110,25 +110,6 @@ impl ConvSim for AntAccelerator {
         "ANT"
     }
 
-    fn simulate_conv_pair(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| self.simulate_conv_pair_scratch(kernel, image, shape, scratch))
-    }
-
-    fn simulate_conv_pair_scratch(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut SimScratch,
-    ) -> SimStats {
-        ImageSession::open(self, image, shape, scratch).simulate(kernel)
-    }
-
     /// The range prepass over the resident image: group entries and their
     /// range table, built once per image and read by every kernel's scan.
     fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
@@ -178,17 +159,6 @@ impl ConvSim for AntAccelerator {
 impl MatmulSim for AntAccelerator {
     fn name(&self) -> &'static str {
         ConvSim::name(self)
-    }
-
-    fn simulate_matmul_pair(
-        &self,
-        image: &CsrMatrix,
-        kernel: &CsrMatrix,
-        shape: &MatmulShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| {
-            self.simulate_matmul_pair_scratch(image, kernel, shape, scratch)
-        })
     }
 
     fn simulate_matmul_pair_scratch(

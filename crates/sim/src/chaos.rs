@@ -38,7 +38,9 @@
 //! ANT_CHAOS="seed=7,torn=0.2,enospc=0.05,job=0.5,stall=0.1,spool=0.1"
 //! ```
 //!
-//! Omitted probabilities default to zero; `seed` defaults to zero. Tests
+//! Omitted probabilities default to zero; `seed` defaults to zero. A spec
+//! that does not parse fails the run (and `sweepd` start-up) with an
+//! `InvalidConfig` naming `ANT_CHAOS`, never a silent fault-free run. Tests
 //! use [`chaos::set_override`](set_override) to install a configuration
 //! without touching the process environment. When neither is present the
 //! hot path costs one atomic load. Only the *pair* faults can perturb
@@ -317,31 +319,48 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-// 0 = not yet resolved, 1 = resolved off, 2 = resolved on (config in SPEC).
+// 0 = not yet resolved, 1 = resolved off, 2 = resolved on (config in SPEC),
+// 3 = `ANT_CHAOS` does not parse (reads as off; `try_active` reports it).
 static STATE: AtomicU8 = AtomicU8::new(0);
 static SPEC: Mutex<Option<ChaosConfig>> = Mutex::new(None);
 
 /// The active chaos configuration, if any. One atomic load once resolved.
+/// An `ANT_CHAOS` that does not parse warns once and reads as off here;
+/// run entry points call [`try_active`], which refuses it.
 pub fn active() -> Option<ChaosConfig> {
     match STATE.load(Ordering::Acquire) {
-        1 => None,
+        1 | 3 => None,
         2 => *SPEC.lock().unwrap_or_else(|p| p.into_inner()),
-        _ => resolve_from_env(),
+        _ => resolve_from_env().unwrap_or_else(|e| {
+            eprintln!("ant-sim: ignoring {e}");
+            None
+        }),
     }
 }
 
-fn resolve_from_env() -> Option<ChaosConfig> {
+/// Like [`active`], but an `ANT_CHAOS` that does not parse is an error
+/// instead of a run without faults: a chaos run with a typo must not
+/// report clean numbers.
+///
+/// # Errors
+///
+/// Returns [`AntError::InvalidConfig`] naming `ANT_CHAOS`.
+pub fn try_active() -> Result<Option<ChaosConfig>, AntError> {
+    match STATE.load(Ordering::Acquire) {
+        0 | 3 => resolve_from_env(),
+        _ => Ok(active()),
+    }
+}
+
+fn resolve_from_env() -> Result<Option<ChaosConfig>, AntError> {
     let resolved = match std::env::var("ANT_CHAOS") {
-        Ok(spec) if !spec.trim().is_empty() => match ChaosConfig::parse(&spec) {
-            Ok(config) => Some(config),
-            Err(e) => {
-                eprintln!("ant-sim: ignoring invalid ANT_CHAOS: {e}");
-                None
-            }
-        },
-        _ => None,
+        Ok(spec) if !spec.trim().is_empty() => ChaosConfig::parse(&spec).map(Some),
+        _ => Ok(None),
     };
-    install(resolved);
+    match resolved {
+        Ok(config) => install(config),
+        Err(_) => STATE.store(3, Ordering::Release),
+    }
     resolved
 }
 
@@ -495,8 +514,8 @@ mod tests {
         };
         let draws: Vec<_> = (0..256).map(|j| c.service_fault_for(j, 0)).collect();
         assert_eq!(draws, (0..256).map(|j| c.service_fault_for(j, 0)).collect::<Vec<_>>());
-        assert!(draws.iter().any(|f| *f == Some(ServiceFault::JobDeath)));
-        assert!(draws.iter().any(|f| *f == Some(ServiceFault::Stall)));
+        assert!(draws.contains(&Some(ServiceFault::JobDeath)));
+        assert!(draws.contains(&Some(ServiceFault::Stall)));
         assert!(draws.iter().any(|f| f.is_none()));
         // Some job must die on attempt 0 but survive attempt 1 (the
         // retried-success path) and some must die on enough consecutive

@@ -17,9 +17,9 @@ use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
 use ant_sparse::CsrMatrix;
 
-use crate::accelerator::{ConvSim, ImageSession, MatmulSim, STARTUP_CYCLES};
+use crate::accelerator::{ConvSim, MatmulSim, STARTUP_CYCLES};
 use crate::breakdown::CycleBreakdown;
-use crate::scratch::{with_thread_scratch, SimScratch};
+use crate::scratch::SimScratch;
 use crate::stats::SimStats;
 
 /// The DST-like PE model.
@@ -108,25 +108,6 @@ impl ConvSim for DstAccelerator {
         "DST-like (im2col outer product)"
     }
 
-    fn simulate_conv_pair(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| self.simulate_conv_pair_scratch(kernel, image, shape, scratch))
-    }
-
-    fn simulate_conv_pair_scratch(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut SimScratch,
-    ) -> SimStats {
-        ImageSession::open(self, image, shape, scratch).simulate(kernel)
-    }
-
     fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
         scratch.nz_counter.prepare(image, shape);
     }
@@ -161,17 +142,6 @@ impl MatmulSim for DstAccelerator {
         ConvSim::name(self)
     }
 
-    fn simulate_matmul_pair(
-        &self,
-        image: &CsrMatrix,
-        kernel: &CsrMatrix,
-        shape: &MatmulShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| {
-            self.simulate_matmul_pair_scratch(image, kernel, shape, scratch)
-        })
-    }
-
     fn simulate_matmul_pair_scratch(
         &self,
         image: &CsrMatrix,
@@ -182,15 +152,7 @@ impl MatmulSim for DstAccelerator {
         if kernel.nnz() == 0 || image.nnz() == 0 {
             return SimStats::default();
         }
-        let image_col_nnz = &mut scratch.col_nnz;
-        image_col_nnz.clear();
-        image_col_nnz.resize(shape.image_w(), 0);
-        for (_, x, _) in image.iter() {
-            image_col_nnz[x] += 1;
-        }
-        let useful: u64 = (0..shape.kernel_r())
-            .map(|r| kernel.row_range(r).len() as u64 * image_col_nnz[r])
-            .sum();
+        let useful = shape.useful_products(image, kernel, &mut scratch.col_nnz);
         // Matmul needs no IM2COL duplication.
         self.simulate(
             useful,

@@ -21,6 +21,7 @@ use ant_sparse::CsrMatrix;
 
 use crate::accelerator::{ConvSim, MatmulSim};
 use crate::analytic;
+use crate::scratch::SimScratch;
 use crate::stats::SimStats;
 
 /// A DaDianNao-like dense inner-product PE: every MAC of the direct
@@ -56,11 +57,12 @@ impl ConvSim for DenseInnerProduct {
         "DaDianNao (dense IP)"
     }
 
-    fn simulate_conv_pair(
+    fn simulate_prepared_kernel(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
+        _scratch: &mut SimScratch,
     ) -> SimStats {
         let stats = self.simulate_macs(
             shape.direct_products(),
@@ -95,11 +97,12 @@ impl MatmulSim for DenseInnerProduct {
         ConvSim::name(self)
     }
 
-    fn simulate_matmul_pair(
+    fn simulate_matmul_pair_scratch(
         &self,
         image: &CsrMatrix,
         kernel: &CsrMatrix,
         shape: &MatmulShape,
+        _scratch: &mut SimScratch,
     ) -> SimStats {
         let stats = self.simulate_macs(
             shape.direct_products(),
@@ -170,11 +173,12 @@ impl ConvSim for TensorDash {
         "TensorDash (sparse IP)"
     }
 
-    fn simulate_conv_pair(
+    fn simulate_prepared_kernel(
         &self,
         kernel: &CsrMatrix,
         image: &CsrMatrix,
         shape: &ConvShape,
+        _scratch: &mut SimScratch,
     ) -> SimStats {
         let rho = kernel.nnz() as f64 / (kernel.rows() * kernel.cols()) as f64;
         let stats = self.simulate_macs(
@@ -213,11 +217,12 @@ impl MatmulSim for TensorDash {
         ConvSim::name(self)
     }
 
-    fn simulate_matmul_pair(
+    fn simulate_matmul_pair_scratch(
         &self,
         image: &CsrMatrix,
         kernel: &CsrMatrix,
         shape: &MatmulShape,
+        _scratch: &mut SimScratch,
     ) -> SimStats {
         let rho = kernel.nnz() as f64 / (kernel.rows() * kernel.cols()) as f64;
         let stats = self.simulate_macs(

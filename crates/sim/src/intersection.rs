@@ -22,9 +22,9 @@ use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
 use ant_sparse::{Bitmask, CsrMatrix};
 
-use crate::accelerator::{ConvSim, ImageSession, MatmulSim, STARTUP_CYCLES};
+use crate::accelerator::{ConvSim, MatmulSim, STARTUP_CYCLES};
 use crate::breakdown::CycleBreakdown;
-use crate::scratch::{with_thread_scratch, SimScratch};
+use crate::scratch::SimScratch;
 use crate::stats::SimStats;
 
 /// The GoSPA-like intersection PE model.
@@ -137,25 +137,6 @@ impl ConvSim for IntersectionAccelerator {
         }
     }
 
-    fn simulate_conv_pair(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| self.simulate_conv_pair_scratch(kernel, image, shape, scratch))
-    }
-
-    fn simulate_conv_pair_scratch(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut SimScratch,
-    ) -> SimStats {
-        ImageSession::open(self, image, shape, scratch).simulate(kernel)
-    }
-
     fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
         scratch.nz_counter.prepare(image, shape);
     }
@@ -186,17 +167,6 @@ impl MatmulSim for IntersectionAccelerator {
         ConvSim::name(self)
     }
 
-    fn simulate_matmul_pair(
-        &self,
-        image: &CsrMatrix,
-        kernel: &CsrMatrix,
-        shape: &MatmulShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| {
-            self.simulate_matmul_pair_scratch(image, kernel, shape, scratch)
-        })
-    }
-
     fn simulate_matmul_pair_scratch(
         &self,
         image: &CsrMatrix,
@@ -204,15 +174,7 @@ impl MatmulSim for IntersectionAccelerator {
         shape: &MatmulShape,
         scratch: &mut SimScratch,
     ) -> SimStats {
-        let image_col_nnz = &mut scratch.col_nnz;
-        image_col_nnz.clear();
-        image_col_nnz.resize(shape.image_w(), 0);
-        for (_, x, _) in image.iter() {
-            image_col_nnz[x] += 1;
-        }
-        let useful: u64 = (0..shape.kernel_r())
-            .map(|r| kernel.row_range(r).len() as u64 * image_col_nnz[r])
-            .sum();
+        let useful = shape.useful_products(image, kernel, &mut scratch.col_nnz);
         self.simulate(
             kernel,
             image.nnz(),

@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use ant_conv::ConvShape;
-//! use ant_sim::{Accelerator, ConvSim, EnergyModel};
+//! use ant_sim::{ConvSim, EnergyModel};
 //! use ant_sim::scnn::ScnnPlus;
 //! use ant_sim::ant::AntAccelerator;
 //! use ant_sparse::{CsrMatrix, DenseMatrix};
@@ -72,14 +72,12 @@ pub mod scratch;
 pub mod stats;
 pub mod tiling;
 
-pub use accelerator::{
-    validate_conv_pair, validate_matmul_pair, Accelerator, ConvSim, ImageSession, MatmulSim,
-};
+pub use accelerator::{validate_conv_pair, ConvSim, ImageSession, MatmulSim};
 pub use ant_core::AntError;
 pub use breakdown::{CycleBreakdown, CycleCause};
 pub use cache::{CacheKey, LayerCache, MODEL_VERSION};
 pub use chaos::{ChaosConfig, Fault, IoDomain, IoFault, ServiceFault};
 pub use energy::EnergyModel;
 pub use redundancy::RedundancyRecord;
-pub use scratch::{with_thread_scratch, SimScratch};
+pub use scratch::SimScratch;
 pub use stats::{EnergyBreakdown, SimStats, Throughput};

@@ -18,9 +18,9 @@ use ant_conv::matmul::MatmulShape;
 use ant_conv::ConvShape;
 use ant_sparse::CsrMatrix;
 
-use crate::accelerator::{ConvSim, ImageSession, MatmulSim};
+use crate::accelerator::{ConvSim, MatmulSim};
 use crate::analytic;
-use crate::scratch::{with_thread_scratch, SimScratch};
+use crate::scratch::SimScratch;
 use crate::stats::SimStats;
 
 /// The SCNN+ PE model.
@@ -66,25 +66,6 @@ impl ConvSim for ScnnPlus {
         "SCNN+"
     }
 
-    fn simulate_conv_pair(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| self.simulate_conv_pair_scratch(kernel, image, shape, scratch))
-    }
-
-    fn simulate_conv_pair_scratch(
-        &self,
-        kernel: &CsrMatrix,
-        image: &CsrMatrix,
-        shape: &ConvShape,
-        scratch: &mut SimScratch,
-    ) -> SimStats {
-        ImageSession::open(self, image, shape, scratch).simulate(kernel)
-    }
-
     fn prepare_image(&self, image: &CsrMatrix, shape: &ConvShape, scratch: &mut SimScratch) {
         scratch.nz_counter.prepare(image, shape);
     }
@@ -116,17 +97,6 @@ impl MatmulSim for ScnnPlus {
         ConvSim::name(self)
     }
 
-    fn simulate_matmul_pair(
-        &self,
-        image: &CsrMatrix,
-        kernel: &CsrMatrix,
-        shape: &MatmulShape,
-    ) -> SimStats {
-        with_thread_scratch(|scratch| {
-            self.simulate_matmul_pair_scratch(image, kernel, shape, scratch)
-        })
-    }
-
     fn simulate_matmul_pair_scratch(
         &self,
         image: &CsrMatrix,
@@ -136,16 +106,7 @@ impl MatmulSim for ScnnPlus {
     ) -> SimStats {
         debug_assert_eq!(image.shape(), (shape.image_h(), shape.image_w()));
         debug_assert_eq!(kernel.shape(), (shape.kernel_r(), shape.kernel_s()));
-        // Valid products require r == x: count per contracted index.
-        let image_col_nnz = &mut scratch.col_nnz;
-        image_col_nnz.clear();
-        image_col_nnz.resize(shape.image_w(), 0);
-        for (_, x, _) in image.iter() {
-            image_col_nnz[x] += 1;
-        }
-        let useful: u64 = (0..shape.kernel_r())
-            .map(|r| kernel.row_range(r).len() as u64 * image_col_nnz[r])
-            .sum();
+        let useful = shape.useful_products(image, kernel, &mut scratch.col_nnz);
         let stats = self.simulate_products(kernel.nnz(), image.nnz(), kernel.rows(), useful);
         crate::accelerator::trace_pair(ConvSim::name(self), "matmul", kernel, image, &stats);
         stats

@@ -22,23 +22,22 @@
 //!   else must be fully re-initialized by the run that reads it
 //!   (`clear()` + `extend`, `reset_zeroed`, `resize(_, 0)` — never assume
 //!   prior contents).
-//! * Results must be bit-identical with and without the scratch: the
-//!   non-scratch trait methods are the semantic definition, and the golden
-//!   proptests in `ant-sim/tests` compare the two paths exactly.
+//! * Results must not depend on the arena's history: a fresh arena and
+//!   one reused across machines, shapes and sessions give bit-identical
+//!   stats. The golden proptests in `ant-sim/tests` check this, and pin
+//!   the useful-product counts to brute-force oracles.
 //! * A machine that needs a new buffer adds a field here (grow-only, reused
 //!   via `clear`), so all machines share one arena per worker.
-//! * Never call another machine's *non*-scratch entry point from inside a
-//!   scratch method — route the scratch through, or the thread-local
-//!   fallback will silently hand out a fresh arena.
-
-use std::cell::RefCell;
+//! * Callers that loop over pairs hold one arena. The plain
+//!   [`ConvSim::simulate_conv_pair`](crate::ConvSim::simulate_conv_pair) and
+//!   [`MatmulSim::simulate_matmul_pair`](crate::MatmulSim::simulate_matmul_pair)
+//!   open a fresh one per call.
 
 use ant_conv::rcp::NzCounterScratch;
 use ant_core::AntScratch;
 
-/// Per-worker scratch arena threaded through
-/// [`ConvSim::simulate_conv_pair_scratch`](crate::ConvSim::simulate_conv_pair_scratch)
-/// and
+/// Per-worker scratch arena borrowed by an
+/// [`ImageSession`](crate::ImageSession) and threaded through
 /// [`MatmulSim::simulate_matmul_pair_scratch`](crate::MatmulSim::simulate_matmul_pair_scratch).
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
@@ -58,55 +57,5 @@ impl SimScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-thread_local! {
-    static THREAD_SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
-}
-
-/// Runs `f` with this thread's shared [`SimScratch`].
-///
-/// This is how the legacy (scratch-less) trait entry points get allocation
-/// reuse for free: serial callers all run on one thread and therefore share
-/// one warm arena. Re-entrant calls (a machine invoked from inside another
-/// machine's scratch run) fall back to a fresh scratch rather than
-/// panicking on the `RefCell`.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut SimScratch::new()),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thread_scratch_is_reused_within_a_thread() {
-        let first = with_thread_scratch(|s| {
-            s.col_nnz.resize(16, 7);
-            s.col_nnz.as_ptr() as usize
-        });
-        let second = with_thread_scratch(|s| {
-            // Contents persist between calls on the same thread; callers
-            // must re-initialize what they read.
-            assert_eq!(s.col_nnz.len(), 16);
-            s.col_nnz.as_ptr() as usize
-        });
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn reentrant_use_falls_back_to_fresh_scratch() {
-        with_thread_scratch(|outer| {
-            outer.col_nnz.clear();
-            outer.col_nnz.push(1);
-            with_thread_scratch(|inner| {
-                assert!(inner.col_nnz.is_empty(), "inner scratch must be fresh");
-            });
-            assert_eq!(outer.col_nnz, vec![1]);
-        });
     }
 }

@@ -1,8 +1,9 @@
 //! Golden-equivalence proptests for the allocation-free hot path.
 //!
 //! Random `(shape, sparsity, seed)` triples run through every machine three
-//! ways — the plain entry point, a fresh [`SimScratch`], and one scratch
-//! reused across all machines and pairs — and every way must produce
+//! ways — the plain entry point, the validated entry point on a fresh
+//! [`SimScratch`], and the validated entry point on one scratch reused
+//! across all machines and pairs — and every way must produce
 //! byte-identical [`ant_sim::SimStats`] (which embeds the full
 //! `CycleBreakdown`). An [`ImageSession`] streaming several kernels past one
 //! prepared image must match per-pair simulation the same way. The
@@ -148,10 +149,10 @@ fn conv_operands(shape: &ConvShape, sparsity: f64, seed: u64) -> (CsrMatrix, Csr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every machine's scratch path is bit-identical to its plain entry
-    /// point — with a fresh arena and with one arena reused across all
-    /// machines — and the machines that report exact useful counts agree
-    /// with the brute-force reference.
+    /// Every machine's validated entry point on a caller-owned arena is
+    /// bit-identical to its plain entry point — with a fresh arena and
+    /// with one arena reused across all machines — and the machines that
+    /// report exact useful counts agree with the brute-force reference.
     #[test]
     fn conv_scratch_paths_are_bit_identical((shape, sparsity, seed) in conv_case()) {
         let (kernel, image) = conv_operands(&shape, sparsity, seed);
@@ -161,17 +162,18 @@ proptest! {
         let mut reused = SimScratch::new();
         for machine in conv_machines() {
             let plain = machine.simulate_conv_pair(&kernel, &image, &shape);
-            let fresh = machine.simulate_conv_pair_scratch(
-                &kernel,
-                &image,
-                &shape,
-                &mut SimScratch::new(),
-            );
-            let warm = machine.simulate_conv_pair_scratch(&kernel, &image, &shape, &mut reused);
+            let fresh = machine
+                .try_simulate_conv_pair(&kernel, &image, &shape, &mut SimScratch::new())
+                .expect("operands match the shape");
+            let warm = machine
+                .try_simulate_conv_pair(&kernel, &image, &shape, &mut reused)
+                .expect("operands match the shape");
             prop_assert_eq!(&plain, &fresh, "fresh scratch diverged on {}", machine.name());
             prop_assert_eq!(&plain, &warm, "reused scratch diverged on {}", machine.name());
             // Re-running on the now-warm arena must also be stable.
-            let again = machine.simulate_conv_pair_scratch(&kernel, &image, &shape, &mut reused);
+            let again = machine
+                .try_simulate_conv_pair(&kernel, &image, &shape, &mut reused)
+                .expect("operands match the shape");
             prop_assert_eq!(&plain, &again, "second warm run diverged on {}", machine.name());
         }
         // Exact-count machines against the retained reference.
@@ -204,7 +206,8 @@ proptest! {
         let other = ConvShape::with_dilation(3, 2, 9, 11, 2, 1).expect("valid shape");
         let (other_kernel, other_image) = conv_operands(&other, 0.5, seed ^ 0x5eed);
         for machine in &machines {
-            machine.simulate_conv_pair_scratch(&other_kernel, &other_image, &other, &mut dirty);
+            ImageSession::open(machine.as_ref(), &other_image, &other, &mut dirty)
+                .simulate(&other_kernel);
         }
         for machine in &machines {
             let mut session = ImageSession::open(machine.as_ref(), &image, &shape, &mut dirty);
@@ -247,15 +250,10 @@ proptest! {
         let mut exact: Vec<(&'static str, SimStats)> = Vec::new();
         for (label, machine) in matmul_machines() {
             let plain = machine.simulate_matmul_pair(&image, &kernel, &shape);
-            let fresh = machine.simulate_matmul_pair_scratch(
-                &image,
-                &kernel,
-                &shape,
-                &mut SimScratch::new(),
-            );
             let warm = machine.simulate_matmul_pair_scratch(&image, &kernel, &shape, &mut reused);
-            prop_assert_eq!(&plain, &fresh, "fresh scratch diverged on {}", label);
             prop_assert_eq!(&plain, &warm, "reused scratch diverged on {}", label);
+            let again = machine.simulate_matmul_pair_scratch(&image, &kernel, &shape, &mut reused);
+            prop_assert_eq!(&plain, &again, "second warm run diverged on {}", label);
             if matches!(label, "ANT" | "SCNN+" | "DST" | "GoSPA") {
                 exact.push((label, plain));
             }

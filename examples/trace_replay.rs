@@ -7,29 +7,13 @@
 //!
 //! Run with: `cargo run -p ant-bench --release --example trace_replay`
 
+use ant_bench::runner::simulate_traces;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::model::{SmallCnn, SparseMode};
 use ant_nn::sparse_train::ReSpropSparsifier;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, SimStats};
 use ant_workloads::trace_io;
-
-fn simulate(machine: &impl ConvSim, traces: &[ant_nn::ConvTrace]) -> SimStats {
-    let mut total = SimStats::default();
-    for trace in traces {
-        for pairs in [
-            trace.forward_pairs().expect("valid trace"),
-            trace.backward_pairs().expect("valid trace"),
-            trace.update_pairs().expect("valid trace"),
-        ] {
-            for p in &pairs {
-                total.accumulate(&machine.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
-            }
-        }
-    }
-    total
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Collect: a short ReSprop-style training run.
@@ -59,8 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let scnn = ScnnPlus::paper_default();
     let ant = AntAccelerator::paper_default();
-    let live = (simulate(&scnn, &traces), simulate(&ant, &traces));
-    let replay = (simulate(&scnn, &reloaded), simulate(&ant, &reloaded));
+    let live = (
+        simulate_traces(&scnn, &traces)?,
+        simulate_traces(&ant, &traces)?,
+    );
+    let replay = (
+        simulate_traces(&scnn, &reloaded)?,
+        simulate_traces(&ant, &reloaded)?,
+    );
     assert_eq!(live, replay, "replayed counters must be bit-identical");
     println!(
         "replay verified bit-identical: SCNN+ {} cycles, ANT {} cycles ({:.2}x)",

@@ -7,30 +7,15 @@
 //!
 //! Run with: `cargo run -p ant-bench --release --example train_sparse_cnn`
 
+use ant_bench::runner::simulate_traces;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::model::{SmallCnn, SparseMode};
 use ant_nn::sparse_train::ReSpropSparsifier;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, SimStats};
+use ant_sim::AntError;
 
-fn simulate(machine: &impl ConvSim, traces: &[ant_nn::ConvTrace]) -> SimStats {
-    let mut total = SimStats::default();
-    for trace in traces {
-        for pairs in [
-            trace.forward_pairs().expect("valid trace"),
-            trace.backward_pairs().expect("valid trace"),
-            trace.update_pairs().expect("valid trace"),
-        ] {
-            for p in &pairs {
-                total.accumulate(&machine.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
-            }
-        }
-    }
-    total
-}
-
-fn main() {
+fn main() -> Result<(), AntError> {
     let mut dataset = SyntheticDataset::new(1, 16, 4, 0.1, 1234);
     let mut net = SmallCnn::new(1, 16, 4, 99);
     let mut mode = SparseMode::ReSprop(ReSpropSparsifier::new(0.9));
@@ -49,8 +34,8 @@ fn main() {
             if capture { Some(&mut traces) } else { None },
         );
         if capture {
-            let s = simulate(&scnn, &traces);
-            let a = simulate(&ant, &traces);
+            let s = simulate_traces(&scnn, &traces)?;
+            let a = simulate_traces(&ant, &traces)?;
             let grad_sparsity: f64 =
                 traces.iter().map(|t| t.gradient_sparsity()).sum::<f64>() / traces.len() as f64;
             println!(
@@ -66,4 +51,5 @@ fn main() {
     }
     println!("\nReSprop-style delta gradients stay ~90% sparse while the loss falls;");
     println!("ANT turns that sparsity into cycle savings the outer product alone cannot.");
+    Ok(())
 }

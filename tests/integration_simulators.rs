@@ -6,9 +6,9 @@ use ant_conv::matmul::MatmulShape;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::inner::{DenseInnerProduct, TensorDash};
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{Accelerator, EnergyModel, MatmulSim};
+use ant_sim::{EnergyModel, MatmulSim};
 use ant_workloads::models;
-use ant_workloads::synth::{synthesize_layer, synthesize_matmul, LayerSparsity};
+use ant_workloads::synth::{synthesize_matmul, LayerSparsity};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,15 +81,22 @@ fn update_phase_carries_the_win() {
 /// balancing.
 #[test]
 fn perfect_load_balance_scaling() {
-    let mut rng = StdRng::seed_from_u64(1);
-    let spec = ant_workloads::ConvLayerSpec::new("l", 4, 4, 3, 16, 1, 1, 1);
-    let synth = synthesize_layer(&spec, &LayerSparsity::uniform(0.8), 4, &mut rng);
-    let pairs = synth.trace.update_pairs().unwrap();
-    let acc1 = Accelerator::new(ScnnPlus::paper_default(), 1);
-    let acc64 = Accelerator::new(ScnnPlus::paper_default(), 64);
-    let stats = acc1.simulate_conv_pairs(pairs.iter().map(|p| (&*p.kernel, &*p.image, p.shape)));
-    assert_eq!(acc1.wall_cycles(&stats), stats.total_cycles());
-    assert_eq!(acc64.wall_cycles(&stats), stats.total_cycles().div_ceil(64));
+    let net = models::NetworkModel {
+        name: "one layer",
+        layers: vec![ant_workloads::ConvLayerSpec::new("l", 4, 4, 3, 16, 1, 1, 1)],
+    };
+    let cfg = |num_pes| ExperimentConfig {
+        num_pes,
+        max_channels: 4,
+        sparsity: LayerSparsity::uniform(0.8),
+        ..ExperimentConfig::paper_default()
+    };
+    let one = simulate_network(&ScnnPlus::paper_default(), &net, &cfg(1));
+    let many = simulate_network(&ScnnPlus::paper_default(), &net, &cfg(64));
+    assert_eq!(one.total, many.total);
+    assert_eq!(one.wall_cycles, one.total.total_cycles());
+    assert_eq!(many.wall_cycles, one.total.total_cycles().div_ceil(64));
+    assert!(many.wall_cycles * 60 < one.wall_cycles);
 }
 
 /// Matmul machines agree on useful work across the Table 3 geometries.
@@ -132,7 +139,7 @@ fn ant_saves_sram_traffic() {
 /// 1-bank accumulator's stall cycles equal `useful - mult_cycles_with_work`.
 #[test]
 fn observer_accounts_for_every_useful_product() {
-    use ant_core::anticipator::{AntConfig, Anticipator};
+    use ant_core::anticipator::{AntConfig, AntScratch, Anticipator};
     use ant_sim::accum::AccumulatorBanks;
     let shape = ant_conv::ConvShape::new(8, 8, 12, 12, 1).unwrap();
     let mut rng = StdRng::seed_from_u64(77);
@@ -147,8 +154,11 @@ fn observer_accounts_for_every_useful_product() {
     let mut cycles_with_work = 0u64;
     let banks = AccumulatorBanks::new(1);
     let mut serialized = 0u64;
-    let run = ant
-        .run_conv_observed(&kernel, &image, &shape, |outputs| {
+    let mut scratch = AntScratch::new();
+    ant.prepare_conv_image(&image, &shape, &mut scratch)
+        .unwrap();
+    let counters = ant
+        .scan_conv_kernel(&kernel, &shape, &mut scratch, |outputs| {
             seen += outputs.len() as u64;
             if !outputs.is_empty() {
                 cycles_with_work += 1;
@@ -156,7 +166,7 @@ fn observer_accounts_for_every_useful_product() {
             serialized += banks.conflict_cycles(outputs);
         })
         .unwrap();
-    assert_eq!(seen, run.counters.useful);
+    assert_eq!(seen, counters.useful);
     // One bank serializes everything: conflicts = useful - productive cycles.
     assert_eq!(serialized, seen - cycles_with_work);
 }

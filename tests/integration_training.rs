@@ -1,12 +1,12 @@
 //! Cross-crate integration: real backprop traces drive the simulators.
 
+use ant_bench::runner::simulate_traces;
 use ant_nn::data::SyntheticDataset;
 use ant_nn::model::{SmallCnn, SparseMode};
 use ant_nn::sparse_train::{ReSpropSparsifier, SwatSparsifier};
 use ant_nn::ConvTrace;
 use ant_sim::ant::AntAccelerator;
 use ant_sim::scnn::ScnnPlus;
-use ant_sim::{ConvSim, SimStats};
 
 fn train_and_capture(mode: &mut SparseMode, steps: usize, seed: u64) -> Vec<ConvTrace> {
     let mut ds = SyntheticDataset::new(1, 8, 3, 0.1, seed);
@@ -21,22 +21,6 @@ fn train_and_capture(mode: &mut SparseMode, steps: usize, seed: u64) -> Vec<Conv
     traces
 }
 
-fn simulate(machine: &impl ConvSim, traces: &[ConvTrace]) -> SimStats {
-    let mut total = SimStats::default();
-    for trace in traces {
-        for pairs in [
-            trace.forward_pairs().unwrap(),
-            trace.backward_pairs().unwrap(),
-            trace.update_pairs().unwrap(),
-        ] {
-            for p in &pairs {
-                total.accumulate(&machine.simulate_conv_pair(&p.kernel, &p.image, &p.shape));
-            }
-        }
-    }
-    total
-}
-
 /// Real traces flow through both machines; useful work agrees and ANT never
 /// multiplies more.
 #[test]
@@ -44,8 +28,8 @@ fn real_traces_preserve_useful_work() {
     let mut mode = SparseMode::Dense;
     let traces = train_and_capture(&mut mode, 5, 3);
     assert_eq!(traces.len(), 2);
-    let s = simulate(&ScnnPlus::paper_default(), &traces);
-    let a = simulate(&AntAccelerator::paper_default(), &traces);
+    let s = simulate_traces(&ScnnPlus::paper_default(), &traces).unwrap();
+    let a = simulate_traces(&AntAccelerator::paper_default(), &traces).unwrap();
     assert_eq!(s.useful_mults, a.useful_mults);
     assert!(a.mults <= s.mults);
     assert!(a.rcps_avoided_fraction() > 0.5);
@@ -73,8 +57,8 @@ fn resprop_traces_are_sparser_and_cheaper() {
     );
 
     let ant = AntAccelerator::paper_default();
-    let dense_cost = simulate(&ant, &dense_traces);
-    let rs_cost = simulate(&ant, &rs_traces);
+    let dense_cost = simulate_traces(&ant, &dense_traces).unwrap();
+    let rs_cost = simulate_traces(&ant, &rs_traces).unwrap();
     assert!(rs_cost.mults < dense_cost.mults);
 }
 
