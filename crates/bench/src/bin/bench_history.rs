@@ -149,7 +149,10 @@ fn cmd_record(args: &[String]) -> ExitCode {
 
 /// Resolves a compare ref against the ledger: `HEAD`, an index (negatives
 /// count from the end), or a git-revision prefix.
-fn resolve_ref<'a>(entries: &'a [HistoryEntry], reference: &str) -> Result<&'a HistoryEntry, String> {
+fn resolve_ref<'a>(
+    entries: &'a [HistoryEntry],
+    reference: &str,
+) -> Result<&'a HistoryEntry, String> {
     if reference == "HEAD" {
         return entries.last().ok_or_else(|| "ledger is empty".to_string());
     }
@@ -253,9 +256,9 @@ fn finish_report(
 ) -> ExitCode {
     let markdown = report.to_markdown();
     print!("{markdown}");
-    let out = report_path.map(PathBuf::from).unwrap_or_else(|| {
-        ant_bench::report::experiments_dir().join("bench_history_compare.md")
-    });
+    let out = report_path
+        .map(PathBuf::from)
+        .unwrap_or_else(|| ant_bench::report::experiments_dir().join("bench_history_compare.md"));
     if let Some(parent) = out.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
@@ -282,7 +285,10 @@ fn finish_report(
         }
     }
     if report.has_regressions() {
-        eprintln!("bench_history: {} regression(s) over gate", report.regressions().len());
+        eprintln!(
+            "bench_history: {} regression(s) over gate",
+            report.regressions().len()
+        );
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -16,7 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() -> Result<(), ant_sim::AntError> {
-    let mut exp = Experiment::start("extra_accumulator", "Extra: accumulator bank-conflict sensitivity (4x4 array)")?;
+    let mut exp = Experiment::start(
+        "extra_accumulator",
+        "Extra: accumulator bank-conflict sensitivity (4x4 array)",
+    )?;
     exp.config("seed", 0xACCu64).config("banks", "4,8,32,128");
     println!();
     let ant = Anticipator::new(AntConfig::paper_default());

@@ -25,7 +25,10 @@ fn main() -> Result<(), AntError> {
     let sb = s.total.energy_breakdown(&model);
     let ab = a.total.energy_breakdown(&model);
 
-    let mut exp = Experiment::start("extra_energy_breakdown", "Extra: energy breakdown (ResNet18/CIFAR @ 90% sparsity)")?;
+    let mut exp = Experiment::start(
+        "extra_energy_breakdown",
+        "Extra: energy breakdown (ResNet18/CIFAR @ 90% sparsity)",
+    )?;
     exp.config("network", net.name)
         .config("sparsity", 0.9)
         .config_experiment(&cfg);

@@ -16,7 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() -> Result<(), ant_sim::AntError> {
-    let mut exp = Experiment::start("extra_load_balance", "Extra: tiling load balance and halo traffic (8x8 PE grid)")?;
+    let mut exp = Experiment::start(
+        "extra_load_balance",
+        "Extra: tiling load balance and halo traffic (8x8 PE grid)",
+    )?;
     exp.config("pe_grid", "8x8").config("seed", 0x10adu64);
     println!();
     let mut table = Table::new(&[

@@ -51,7 +51,10 @@ fn run_mode(label: &str, mut mode: SparseMode, table: &mut Table) -> Result<(), 
 }
 
 fn main() -> Result<(), AntError> {
-    let mut exp = Experiment::start("extra_real_traces", "Extra: real backprop traces through SCNN+ and ANT")?;
+    let mut exp = Experiment::start(
+        "extra_real_traces",
+        "Extra: real backprop traces through SCNN+ and ANT",
+    )?;
     exp.config("train_steps", 20u64).config("batch", 8u64);
     println!();
     let mut table = Table::new(&[

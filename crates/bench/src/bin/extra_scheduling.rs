@@ -22,7 +22,10 @@ fn main() -> Result<(), ant_sim::AntError> {
     let ant = AntAccelerator::paper_default();
     let net = resnet18_cifar();
     let pes = 64usize;
-    let mut exp = Experiment::start("extra_scheduling", "Extra: scheduler comparison (ANT, ResNet18/CIFAR @ 90%, 64 PEs)")?;
+    let mut exp = Experiment::start(
+        "extra_scheduling",
+        "Extra: scheduler comparison (ANT, ResNet18/CIFAR @ 90%, 64 PEs)",
+    )?;
     exp.config("network", net.name)
         .config("pes", pes as u64)
         .config("sparsity", 0.9);

@@ -26,7 +26,10 @@ fn main() -> Result<(), AntError> {
     let energy = EnergyModel::paper_7nm();
     let net = resnet18_cifar();
 
-    let mut exp = Experiment::start("extra_table1_machines", "Extra: accelerator-class comparison (ResNet18/CIFAR, 90% sparsity)")?;
+    let mut exp = Experiment::start(
+        "extra_table1_machines",
+        "Extra: accelerator-class comparison (ResNet18/CIFAR, 90% sparsity)",
+    )?;
     exp.config("network", net.name)
         .config("sparsity", 0.9)
         .config_experiment(&cfg);

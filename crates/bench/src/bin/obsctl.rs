@@ -24,7 +24,8 @@ use std::process::ExitCode;
 
 use ant_bench::history::{self, DEFAULT_LEDGER, DEFAULT_THRESHOLD};
 use ant_bench::obsctl::{
-    cache, flame, jobs, redundancy, status, take_flag, take_parsed, take_switch, trace, trend, Source,
+    cache, flame, jobs, redundancy, status, take_flag, take_parsed, take_switch, trace, trend,
+    Source,
 };
 
 const USAGE: &str = "usage: obsctl <trace|flame|ledger|status|jobs|redundancy|cache> [options]
@@ -87,8 +88,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let [file] = args.as_slice() else {
         return Err(format!("trace wants exactly one FILE, got {args:?}"));
     };
-    let text =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let report = trace::analyze(&text, &filter);
     if json {
         println!("{}", trace::to_json(&report, top));
@@ -109,7 +109,9 @@ fn cmd_flame(args: &[String]) -> Result<(), String> {
     let top = take_parsed(&mut args, "--top", 30usize)?;
     let json = take_switch(&mut args, "--json");
     let [a, b] = args.as_slice() else {
-        return Err(format!("flame diff wants exactly two .folded files, got {args:?}"));
+        return Err(format!(
+            "flame diff wants exactly two .folded files, got {args:?}"
+        ));
     };
     let read = |path: &str| {
         std::fs::read_to_string(path)
@@ -144,10 +146,13 @@ fn cmd_ledger(args: &[String]) -> Result<(), String> {
     };
     let json = take_switch(&mut args, "--json");
     no_leftovers(&args)?;
-    let (entries, skipped) = history::load_lenient(&path)
-        .map_err(|e| format!("cannot load {}: {e}", path.display()))?;
+    let (entries, skipped) =
+        history::load_lenient(&path).map_err(|e| format!("cannot load {}: {e}", path.display()))?;
     if skipped > 0 {
-        eprintln!("obsctl: ignored {skipped} unusable line(s) in {}", path.display());
+        eprintln!(
+            "obsctl: ignored {skipped} unusable line(s) in {}",
+            path.display()
+        );
     }
     match trend::analyze(&entries, &opts) {
         trend::TrendOutcome::Report(report) => {
@@ -177,8 +182,7 @@ fn cmd_redundancy(args: &[String]) -> Result<(), String> {
     let [file] = args.as_slice() else {
         return Err(format!("redundancy wants exactly one FILE, got {args:?}"));
     };
-    let text =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let report = redundancy::analyze(&text, &filter);
     if report.rows_matched == 0 && report.lines_skipped > 0 {
         return Err(format!(
@@ -204,8 +208,7 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
     let [file] = args.as_slice() else {
         return Err(format!("cache wants exactly one MANIFEST, got {args:?}"));
     };
-    let text =
-        std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let report = cache::analyze(&text, &filter).map_err(|e| format!("{file}: {e}"))?;
     if json {
         println!("{}", cache::to_json(&report));
@@ -222,7 +225,13 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 
 fn cmd_jobs(args: &[String]) -> Result<(), String> {
     let source = |operand: &str| Source::resolve(operand, "/jobs");
-    show(args, "jobs wants exactly one URL|FILE", source, jobs::render, jobs::all_terminal)
+    show(
+        args,
+        "jobs wants exactly one URL|FILE",
+        source,
+        jobs::render,
+        jobs::all_terminal,
+    )
 }
 
 /// Renders the one operand's document, re-fetching every `--interval-ms`

@@ -187,7 +187,11 @@ impl KernelBench {
             best = best.min(ns);
             worst = worst.max(ns);
         }
-        let spread = if best > 0.0 { (worst - best) / best } else { 0.0 };
+        let spread = if best > 0.0 {
+            (worst - best) / best
+        } else {
+            0.0
+        };
         KernelMeasurement {
             ns_per_op: best,
             spread,
@@ -228,8 +232,12 @@ pub fn standard_benches(grid: Grid) -> Result<Vec<KernelBench>, AntError> {
 
         // Pair pre-screen: AND-popcount of two 128x128 role masks.
         let mut rng = StdRng::seed_from_u64(seed_for("bitmask_and_count", sparsity));
-        let a = Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
-        let b = Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
+        let a = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
+        let b = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
         benches.push(KernelBench::new(
             "bitmask_and_count",
             case.clone(),
@@ -241,10 +249,12 @@ pub fn standard_benches(grid: Grid) -> Result<Vec<KernelBench>, AntError> {
         // so the steady state times the word loop; the popcount checksum
         // keeps the stores observable).
         let mut rng = StdRng::seed_from_u64(seed_for("bitmask_and_assign", sparsity));
-        let mut scratch =
-            Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
-        let other =
-            Bitmask::from_dense(&sparsify::random_with_sparsity(128, 128, sparsity, &mut rng));
+        let mut scratch = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
+        let other = Bitmask::from_dense(&sparsify::random_with_sparsity(
+            128, 128, sparsity, &mut rng,
+        ));
         benches.push(KernelBench::new(
             "bitmask_and_assign",
             case.clone(),
@@ -259,9 +269,8 @@ pub fn standard_benches(grid: Grid) -> Result<Vec<KernelBench>, AntError> {
         // kernel), paper-default 4x4 array with a 16-wide window, reusing
         // the KernelScan scratch exactly like the simulator hot path.
         let mut rng = StdRng::seed_from_u64(seed_for("fnir_scan", sparsity));
-        let kernel = CsrMatrix::from_dense(&sparsify::random_with_sparsity(
-            64, 64, sparsity, &mut rng,
-        ));
+        let kernel =
+            CsrMatrix::from_dense(&sparsify::random_with_sparsity(64, 64, sparsity, &mut rng));
         let ranges = GroupRanges {
             r: IndexRange { min: 16, max: 47 },
             s: IndexRange { min: 16, max: 47 },
@@ -468,7 +477,9 @@ fn pipeline_benches() -> Result<Vec<KernelBench>, AntError> {
                 Box::new(move || {
                     let mut session =
                         ImageSession::open(sim.as_ref(), &image, &shape, &mut scratch);
-                    (0..16).map(|_| session.simulate(&kernel).total_cycles()).sum()
+                    (0..16)
+                        .map(|_| session.simulate(&kernel).total_cycles())
+                        .sum()
                 }),
             ));
         }
@@ -637,7 +648,10 @@ mod tests {
             for name in pipeline {
                 assert_eq!(names.contains(name), full, "{name} on {grid:?}");
             }
-            assert_eq!(benches.len(), 6 * points + if full { pipeline.len() } else { 0 });
+            assert_eq!(
+                benches.len(),
+                6 * points + if full { pipeline.len() } else { 0 }
+            );
         }
     }
 

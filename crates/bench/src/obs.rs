@@ -38,7 +38,9 @@ use crate::report::{experiments_dir, Table};
 ///
 /// [`AntError::InvalidConfig`] naming the retired variable or `ANT_OBS`.
 pub fn obs_config(parsed: &Result<ObsConfig, ObsError>) -> Result<&ObsConfig, AntError> {
-    parsed.as_ref().map_err(|e| AntError::invalid_config(e.param, e.reason.clone()))
+    parsed
+        .as_ref()
+        .map_err(|e| AntError::invalid_config(e.param, e.reason.clone()))
 }
 
 /// One experiment binary's run: banner + root span + manifest.

@@ -135,7 +135,11 @@ pub fn analyze(text: &str, filter: &CacheFilter) -> Result<CacheReport, String> 
     let doc = ant_obs::parse_json(text).map_err(|e| format!("not a JSON manifest: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
         Some(MANIFEST_SCHEMA) => {}
-        Some(other) => return Err(format!("expected {MANIFEST_SCHEMA}, found schema {other:?}")),
+        Some(other) => {
+            return Err(format!(
+                "expected {MANIFEST_SCHEMA}, found schema {other:?}"
+            ))
+        }
         None => return Err(format!("expected {MANIFEST_SCHEMA}, found no schema tag")),
     }
     let mut report = CacheReport {
@@ -284,9 +288,16 @@ pub fn to_markdown(report: &CacheReport) -> String {
         let _ = writeln!(out, "- rows filtered out: {}", report.rows_filtered);
     }
     if report.keys_skipped > 0 {
-        let _ = writeln!(out, "- unusable cache.* key(s) skipped: {}", report.keys_skipped);
+        let _ = writeln!(
+            out,
+            "- unusable cache.* key(s) skipped: {}",
+            report.keys_skipped
+        );
     }
-    let _ = writeln!(out, "\n| network | machine | hits | misses | hit rate | analytic |");
+    let _ = writeln!(
+        out,
+        "\n| network | machine | hits | misses | hit rate | analytic |"
+    );
     let _ = writeln!(out, "|---|---|---:|---:|---:|---:|");
     for row in &report.rows {
         let c = &row.counts;
@@ -423,15 +434,32 @@ mod tests {
         assert_eq!(report.rows.len(), 2);
         assert_eq!(report.rows[0].network, "net-a");
         assert_eq!(report.rows[0].machine, "SCNN+");
-        assert_eq!(report.rows[0].counts, Counts { hits: 5, misses: 3, analytic: 0 });
-        assert_eq!(report.totals, Counts { hits: 5, misses: 5, analytic: 24 });
+        assert_eq!(
+            report.rows[0].counts,
+            Counts {
+                hits: 5,
+                misses: 3,
+                analytic: 0
+            }
+        );
+        assert_eq!(
+            report.totals,
+            Counts {
+                hits: 5,
+                misses: 5,
+                analytic: 24
+            }
+        );
         assert_eq!(report.consistent, Some(true));
         assert_eq!(report.keys_skipped, 0);
         assert!((report.rows[0].counts.hit_rate() - 0.625).abs() < 1e-12);
 
         // A registry that disagrees with the host totals is surfaced, not
         // silently preferred.
-        let text = manifest(&sample_host(), &[("runner.cache.hits", 4), ("runner.cache.misses", 5)]);
+        let text = manifest(
+            &sample_host(),
+            &[("runner.cache.hits", 4), ("runner.cache.misses", 5)],
+        );
         let report = analyze(&text, &CacheFilter::default()).expect("analyzes");
         assert_eq!(report.consistent, Some(false));
         let markdown = to_markdown(&report);
@@ -460,7 +488,14 @@ mod tests {
         assert_eq!(report.rows_filtered, 1);
         // Totals stay sweep-wide under a filter (they come from the
         // producer's own total keys).
-        assert_eq!(report.totals, Counts { hits: 5, misses: 5, analytic: 24 });
+        assert_eq!(
+            report.totals,
+            Counts {
+                hits: 5,
+                misses: 5,
+                analytic: 24
+            }
+        );
 
         // A cache-off manifest is an empty report, not an error.
         let report = analyze(
@@ -490,7 +525,14 @@ mod tests {
         assert_eq!(report.keys_skipped, 1);
         assert_eq!(report.rows.len(), 1);
         // With no producer totals the row sum stands in.
-        assert_eq!(report.totals, Counts { hits: 2, misses: 0, analytic: 0 });
+        assert_eq!(
+            report.totals,
+            Counts {
+                hits: 2,
+                misses: 0,
+                analytic: 0
+            }
+        );
     }
 
     #[test]
@@ -511,14 +553,19 @@ mod tests {
         let json = ant_obs::parse_json(&to_json(&report)).expect("valid JSON");
         assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(
-            json.get("totals").and_then(|t| t.get("hits")).and_then(Json::as_u64),
+            json.get("totals")
+                .and_then(|t| t.get("hits"))
+                .and_then(Json::as_u64),
             Some(5)
         );
         assert_eq!(json.get("consistent").and_then(Json::as_bool), Some(true));
         let rows = json.get("rows").and_then(Json::as_array).expect("rows");
         assert_eq!(rows.len(), 2);
         assert_eq!(
-            rows[1].get("counts").and_then(|c| c.get("analytic")).and_then(Json::as_u64),
+            rows[1]
+                .get("counts")
+                .and_then(|c| c.get("analytic"))
+                .and_then(Json::as_u64),
             Some(24)
         );
         let markdown = to_markdown(&report);

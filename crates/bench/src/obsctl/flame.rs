@@ -146,23 +146,44 @@ pub fn diff(a: &FoldedProfile, b: &FoldedProfile) -> FlameDiff {
 pub fn to_markdown(report: &FlameDiff, label_a: &str, label_b: &str, top: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# Flamegraph diff\n");
-    let _ = writeln!(out, "- a: `{label_a}` ({} us self total)", report.total_a_us);
-    let _ = writeln!(out, "- b: `{label_b}` ({} us self total)", report.total_b_us);
+    let _ = writeln!(
+        out,
+        "- a: `{label_a}` ({} us self total)",
+        report.total_a_us
+    );
+    let _ = writeln!(
+        out,
+        "- b: `{label_b}` ({} us self total)",
+        report.total_b_us
+    );
     if report.lines_skipped > 0 {
         let _ = writeln!(out, "- skipped {} unparsable line(s)", report.lines_skipped);
     }
     let _ = writeln!(out);
-    let _ = writeln!(out, "| path | self a | self b | Δself | total a | total b | Δtotal |");
+    let _ = writeln!(
+        out,
+        "| path | self a | self b | Δself | total a | total b | Δtotal |"
+    );
     let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---:|");
     for d in report.deltas.iter().take(top) {
         let _ = writeln!(
             out,
             "| {} | {} | {} | {:+} | {} | {} | {:+} |",
-            d.path, d.self_a_us, d.self_b_us, d.self_delta_us, d.total_a_us, d.total_b_us, d.total_delta_us
+            d.path,
+            d.self_a_us,
+            d.self_b_us,
+            d.self_delta_us,
+            d.total_a_us,
+            d.total_b_us,
+            d.total_delta_us
         );
     }
     if report.deltas.len() > top {
-        let _ = writeln!(out, "\n({} more path(s) below --top {top})", report.deltas.len() - top);
+        let _ = writeln!(
+            out,
+            "\n({} more path(s) below --top {top})",
+            report.deltas.len() - top
+        );
     }
     out
 }
@@ -249,8 +270,8 @@ mod tests {
     #[test]
     fn json_and_markdown_render() {
         let report = diff(&FoldedProfile::parse(A), &FoldedProfile::parse(B));
-        let json = ant_obs::parse_json(&to_json(&report, "a.folded", "b.folded"))
-            .expect("valid JSON");
+        let json =
+            ant_obs::parse_json(&to_json(&report, "a.folded", "b.folded")).expect("valid JSON");
         assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(json.get("a").and_then(Json::as_str), Some("a.folded"));
         let paths = json.get("paths").and_then(Json::as_array).expect("paths");

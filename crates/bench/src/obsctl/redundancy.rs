@@ -263,17 +263,24 @@ fn attribute_advantage(rows: &[Row]) -> Vec<Advantage> {
     per_layer
         .into_iter()
         .filter(|(_, pair)| pair.has_ant && pair.has_base)
-        .map(|((network, layer_index, layer), LayerPair { ant: a, base: b, .. })| Advantage {
-            network,
-            layer_index,
-            layer,
-            machine: ant.to_string(),
-            baseline: baseline.to_string(),
-            mults_saved: b.mults.saturating_sub(a.mults),
-            rcps_executed_avoided: b.rcps_executed.saturating_sub(a.rcps_executed),
-            sram_reads_skipped: b.sram_reads.saturating_sub(a.sram_reads),
-            sram_reads_performed: a.sram_reads,
-        })
+        .map(
+            |(
+                (network, layer_index, layer),
+                LayerPair {
+                    ant: a, base: b, ..
+                },
+            )| Advantage {
+                network,
+                layer_index,
+                layer,
+                machine: ant.to_string(),
+                baseline: baseline.to_string(),
+                mults_saved: b.mults.saturating_sub(a.mults),
+                rcps_executed_avoided: b.rcps_executed.saturating_sub(a.rcps_executed),
+                sram_reads_skipped: b.sram_reads.saturating_sub(a.sram_reads),
+                sram_reads_performed: a.sram_reads,
+            },
+        )
         .collect()
 }
 
@@ -304,18 +311,23 @@ pub fn to_markdown(report: &RedundancyReport, top: usize) -> String {
         out,
         "| network | machine | layer | phase | rcps_total | avoided | efficiency | eq6 | tightness | false_neg | sram_reads | partial |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---:|---:|---:|---:|---:|---:|---:|---|");
+    let _ = writeln!(
+        out,
+        "|---|---|---|---|---:|---:|---:|---:|---:|---:|---:|---|"
+    );
     let mut heaviest: Vec<&Row> = report.rows.iter().collect();
     heaviest.sort_by(|a, b| {
         b.record
             .rcps_total()
             .cmp(&a.record.rcps_total())
-            .then_with(|| (&a.network, a.layer_index, &a.machine, &a.phase).cmp(&(
-                &b.network,
-                b.layer_index,
-                &b.machine,
-                &b.phase,
-            )))
+            .then_with(|| {
+                (&a.network, a.layer_index, &a.machine, &a.phase).cmp(&(
+                    &b.network,
+                    b.layer_index,
+                    &b.machine,
+                    &b.phase,
+                ))
+            })
     });
     for row in heaviest.iter().take(top) {
         let r = &row.record;
@@ -337,7 +349,11 @@ pub fn to_markdown(report: &RedundancyReport, top: usize) -> String {
         );
     }
     if heaviest.len() > top {
-        let _ = writeln!(out, "\n({} more row(s) below --top {top})", heaviest.len() - top);
+        let _ = writeln!(
+            out,
+            "\n({} more row(s) below --top {top})",
+            heaviest.len() - top
+        );
     }
     let _ = writeln!(out, "\n## Per-machine totals\n");
     let _ = writeln!(
@@ -365,7 +381,10 @@ pub fn to_markdown(report: &RedundancyReport, top: usize) -> String {
             report.advantage[0].machine.as_str(),
             report.advantage[0].baseline.as_str(),
         );
-        let _ = writeln!(out, "\n## {machine} advantage over {baseline} (per layer)\n");
+        let _ = writeln!(
+            out,
+            "\n## {machine} advantage over {baseline} (per layer)\n"
+        );
         let _ = writeln!(
             out,
             "| network | layer | mults_saved | rcps_exec_avoided | sram_skipped | sram_performed |"
@@ -373,9 +392,9 @@ pub fn to_markdown(report: &RedundancyReport, top: usize) -> String {
         let _ = writeln!(out, "|---|---|---:|---:|---:|---:|");
         let mut ranked: Vec<&Advantage> = report.advantage.iter().collect();
         ranked.sort_by(|a, b| {
-            b.mults_saved.cmp(&a.mults_saved).then_with(|| {
-                (&a.network, a.layer_index).cmp(&(&b.network, b.layer_index))
-            })
+            b.mults_saved
+                .cmp(&a.mults_saved)
+                .then_with(|| (&a.network, a.layer_index).cmp(&(&b.network, b.layer_index)))
         });
         for adv in ranked.iter().take(top) {
             let _ = writeln!(
@@ -390,7 +409,11 @@ pub fn to_markdown(report: &RedundancyReport, top: usize) -> String {
             );
         }
         if ranked.len() > top {
-            let _ = writeln!(out, "\n({} more layer(s) below --top {top})", ranked.len() - top);
+            let _ = writeln!(
+                out,
+                "\n({} more layer(s) below --top {top})",
+                ranked.len() - top
+            );
         }
     }
     out
@@ -476,12 +499,14 @@ pub fn to_json(report: &RedundancyReport, top: usize) -> String {
         b.record
             .rcps_total()
             .cmp(&a.record.rcps_total())
-            .then_with(|| (&a.network, a.layer_index, &a.machine, &a.phase).cmp(&(
-                &b.network,
-                b.layer_index,
-                &b.machine,
-                &b.phase,
-            )))
+            .then_with(|| {
+                (&a.network, a.layer_index, &a.machine, &a.phase).cmp(&(
+                    &b.network,
+                    b.layer_index,
+                    &b.machine,
+                    &b.phase,
+                ))
+            })
     });
     for (i, row) in heaviest.iter().take(top).enumerate() {
         if i > 0 {
@@ -595,9 +620,15 @@ mod tests {
             Some(report.totals.rcps_total())
         );
         // Totals keep full coverage even when rows are truncated.
-        let machines = json.get("machines").and_then(Json::as_array).expect("machines");
+        let machines = json
+            .get("machines")
+            .and_then(Json::as_array)
+            .expect("machines");
         assert_eq!(machines.len(), 2);
-        let advantage = json.get("advantage").and_then(Json::as_array).expect("advantage");
+        let advantage = json
+            .get("advantage")
+            .and_then(Json::as_array)
+            .expect("advantage");
         assert!(!advantage.is_empty());
         let markdown = to_markdown(&report, 3);
         assert!(markdown.contains("# Redundancy attribution"));

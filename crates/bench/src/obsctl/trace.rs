@@ -177,7 +177,10 @@ pub fn to_markdown(report: &TraceReport, top: usize) -> String {
         "- spans matched: {} ({} filtered out, {} unparsable line(s) skipped)\n",
         report.records_matched, report.records_filtered, report.lines_skipped
     );
-    let _ = writeln!(out, "| path | count | total_us | mean_us | p50_us | p95_us | max_us |");
+    let _ = writeln!(
+        out,
+        "| path | count | total_us | mean_us | p50_us | p95_us | max_us |"
+    );
     let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---:|");
     for s in report.spans.iter().take(top) {
         let _ = writeln!(
@@ -187,7 +190,11 @@ pub fn to_markdown(report: &TraceReport, top: usize) -> String {
         );
     }
     if report.spans.len() > top {
-        let _ = writeln!(out, "\n({} more path(s) below --top {top})", report.spans.len() - top);
+        let _ = writeln!(
+            out,
+            "\n({} more path(s) below --top {top})",
+            report.spans.len() - top
+        );
     }
     out
 }

@@ -141,7 +141,10 @@ impl TrendReport {
         if let Some(warning) = &self.compare.host_warning {
             let _ = writeln!(out, "{warning}\n");
         }
-        let _ = writeln!(out, "| metric | class | trend (old → new) | change | status |");
+        let _ = writeln!(
+            out,
+            "| metric | class | trend (old → new) | change | status |"
+        );
         let _ = writeln!(out, "|---|---|---|---:|---|");
         let mut hidden = 0usize;
         for (delta, (name, points)) in self.compare.deltas.iter().zip(&self.history) {
@@ -177,7 +180,11 @@ impl TrendReport {
             improved,
             if improved == 1 { "" } else { "s" },
             self.compare.deltas.len(),
-            if self.compare.deltas.len() == 1 { "" } else { "s" },
+            if self.compare.deltas.len() == 1 {
+                ""
+            } else {
+                "s"
+            },
         );
         if hidden > 0 {
             let _ = writeln!(out, "({hidden} metric(s) hidden by --metric filter)");
@@ -252,7 +259,11 @@ impl TrendReport {
                     Some(rev) => write_json_string(rev, &mut out),
                     None => out.push_str("null"),
                 }
-                let _ = write!(out, ",\"timestamp_unix_ms\":{},\"value\":", p.timestamp_unix_ms);
+                let _ = write!(
+                    out,
+                    ",\"timestamp_unix_ms\":{},\"value\":",
+                    p.timestamp_unix_ms
+                );
                 match p.value {
                     Some(v) => out.push_str(&num(v)),
                     None => out.push_str("null"),
@@ -392,7 +403,10 @@ mod tests {
         assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(json.get("label").and_then(Json::as_str), Some("fig09"));
         assert_eq!(json.get("regressed").and_then(Json::as_bool), Some(true));
-        let metrics = json.get("metrics").and_then(Json::as_array).expect("metrics");
+        let metrics = json
+            .get("metrics")
+            .and_then(Json::as_array)
+            .expect("metrics");
         assert_eq!(metrics.len(), 1);
         assert_eq!(
             metrics[0].get("status").and_then(Json::as_str),
@@ -416,7 +430,12 @@ mod tests {
     #[test]
     fn metric_filter_hides_rows_but_keeps_global_verdict() {
         let entries = vec![
-            entry("fig09", "a", 1, &[("net/ant_cycles", 100.0), ("net/wall_us", 10.0)]),
+            entry(
+                "fig09",
+                "a",
+                1,
+                &[("net/ant_cycles", 100.0), ("net/wall_us", 10.0)],
+            ),
             entry(
                 "fig09",
                 "b",
@@ -434,7 +453,10 @@ mod tests {
             panic!("expected report");
         };
         let json = ant_obs::parse_json(&report.to_json()).expect("valid JSON");
-        let metrics = json.get("metrics").and_then(Json::as_array).expect("metrics");
+        let metrics = json
+            .get("metrics")
+            .and_then(Json::as_array)
+            .expect("metrics");
         assert_eq!(metrics.len(), 1, "cycles row hidden");
         assert_eq!(
             metrics[0].get("name").and_then(Json::as_str),

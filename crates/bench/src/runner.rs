@@ -408,7 +408,8 @@ pub fn simulate_network<S: ConvSim + ?Sized>(
 ) -> NetworkResult {
     let started = Instant::now();
     let mut span = ant_obs::span("network");
-    span.record("network", net.name).record("machine", pe.name());
+    span.record("network", net.name)
+        .record("machine", pe.name());
     let mut result = NetworkResult::empty(net.name, pe.name(), net.layers.len());
     let mut scratch = SimScratch::new();
     for (li, layer) in net.layers.iter().enumerate() {
@@ -500,10 +501,14 @@ fn simulate_with_obs<S: ConvSim + Sync + ?Sized>(
     let mut result = merge(&pool, &outputs);
     let report = &result.failures;
     let registry = ant_obs::registry();
-    registry.counter("runner.pair_failures").add(report.failures.len() as u64);
+    registry
+        .counter("runner.pair_failures")
+        .add(report.failures.len() as u64);
     registry.counter("runner.pair_retries").add(report.retries);
     if report.deadline_skipped > 0 {
-        registry.counter("runner.deadline_skipped").add(report.deadline_skipped);
+        registry
+            .counter("runner.deadline_skipped")
+            .add(report.deadline_skipped);
     }
     if run.cache_identity.is_some() {
         span.record("cache_hits", result.cache_hits)
@@ -511,7 +516,9 @@ fn simulate_with_obs<S: ConvSim + Sync + ?Sized>(
         // Registry counters only materialize on cache-enabled runs, so
         // manifests of cache-off runs keep their existing key set.
         registry.counter("runner.cache.hits").add(result.cache_hits);
-        registry.counter("runner.cache.misses").add(result.cache_misses);
+        registry
+            .counter("runner.cache.misses")
+            .add(result.cache_misses);
         registry
             .counter("runner.cache.analytic_hits")
             .add(result.analytic_pairs);
@@ -929,7 +936,9 @@ fn synthesize(
         let mut done = Vec::new();
         loop {
             let li = next.fetch_add(1, Ordering::Relaxed);
-            let Some(layer) = net.layers.get(li) else { break };
+            let Some(layer) = net.layers.get(li) else {
+                break;
+            };
             let slot = match memo[li] {
                 Some(phases) => Ok(LayerSlot::Cached(Box::new(phases))),
                 None => try_synthesize_layer_work(layer, li, cfg)
@@ -941,7 +950,10 @@ fn synthesize(
     })?;
     let mut claimed: Vec<_> = claimed.into_iter().flatten().collect();
     claimed.sort_unstable_by_key(|(li, _)| *li);
-    let mut slots = claimed.into_iter().map(|(_, slot)| slot).collect::<Result<Vec<_>, _>>()?;
+    let mut slots = claimed
+        .into_iter()
+        .map(|(_, slot)| slot)
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Tier 1, post-synthesis: content-address the freshly synthesized
     // layers. A hit here (e.g. a cache populated by a different config that
@@ -951,7 +963,9 @@ fn synthesize(
         return Ok(slots);
     };
     for (slot, synth_key) in slots.iter_mut().zip(synth_keys) {
-        let (LayerSlot::Work(work, keys), Some(skey)) = (&mut *slot, synth_key) else { continue };
+        let (LayerSlot::Work(work, keys), Some(skey)) = (&mut *slot, synth_key) else {
+            continue;
+        };
         let ckey = content_cache_key(id, work);
         match simcache::lookup(&ckey) {
             Some(phases) => {
@@ -1028,7 +1042,9 @@ fn deal<'a, S: ConvSim + ?Sized>(
     let mut jobs: Vec<ImageJob> = Vec::new();
     let mut job_pairs: Vec<usize> = Vec::new();
     for (li, slot) in slots.iter().enumerate() {
-        let LayerSlot::Work(work, _) = slot else { continue };
+        let LayerSlot::Work(work, _) = slot else {
+            continue;
+        };
         for (pi, phase) in work.phases.iter().enumerate() {
             for image in &phase.images {
                 let start = job_pairs.len();
@@ -1236,7 +1252,9 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
         let shared = self.progress.as_ref();
         // Telemetry timing is separate from the watchdog's so neither
         // flag changes the other's behaviour.
-        let telemetry_started = run.telemetry.then(|| (run.started.elapsed(), Instant::now()));
+        let telemetry_started = run
+            .telemetry
+            .then(|| (run.started.elapsed(), Instant::now()));
         let resident = &phase.pairs[pair_indices[0]];
         let mut session = open_session(self.pe, &resident.image, &resident.shape, scratch);
         for &pair_index in pair_indices {
@@ -1245,7 +1263,10 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
             // contract as the watchdog). Remaining pairs drain unexecuted;
             // their layers are left out of the cache so a rerun
             // re-simulates exactly them.
-            if run.deadline_us.is_some_and(|d| run.started.elapsed().as_micros() as u64 >= d) {
+            if run
+                .deadline_us
+                .is_some_and(|d| run.started.elapsed().as_micros() as u64 >= d)
+            {
                 out.skipped.push(job.layer);
                 continue;
             }
@@ -1295,12 +1316,15 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
         let job_started = run.budget_us.map(|_| {
             let slot = &self.watch[me];
             slot.task.store(encode_task(task), Ordering::Relaxed);
-            slot.start_us
-                .store(run.started.elapsed().as_micros() as u64 + 1, Ordering::Release);
+            slot.start_us.store(
+                run.started.elapsed().as_micros() as u64 + 1,
+                Ordering::Release,
+            );
             Instant::now()
         });
         let fault = |attempt| {
-            run.chaos.and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
+            run.chaos
+                .and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
         };
         let mut result = run_pair_job(machine, session, pair, fault(0));
         let mut attempts = 1u32;
@@ -1379,8 +1403,12 @@ fn failure_report(machine: &'static str, outputs: &[WorkerOutput]) -> FailureRep
     report
         .failures
         .sort_by_key(|f| (f.layer_index, f.phase as usize, f.pair));
-    report.slow.sort_by_key(|s| (s.layer_index, s.phase, s.pair));
-    report.retried.sort_by_key(|r| (r.layer_index, r.phase, r.pair));
+    report
+        .slow
+        .sort_by_key(|s| (s.layer_index, s.phase, s.pair));
+    report
+        .retried
+        .sort_by_key(|r| (r.layer_index, r.phase, r.pair));
     if ant_obs::enabled() {
         for f in &report.failures {
             ant_obs::event(
@@ -1497,7 +1525,9 @@ fn merge<S: ConvSim + ?Sized>(pool: &Pool<'_, S>, outputs: &[WorkerOutput]) -> N
 /// the registry stay key-stable across thread counts.
 fn record_worker_metrics(workers: &[WorkerTelemetry]) {
     let registry = ant_obs::registry();
-    registry.gauge("runner.worker.count").set(workers.len() as f64);
+    registry
+        .gauge("runner.worker.count")
+        .set(workers.len() as f64);
     for t in workers {
         registry
             .histogram("runner.worker.executed")
@@ -1883,7 +1913,8 @@ pub fn simulate_matmul_layers<S: ant_sim::MatmulSim + ?Sized>(
     seed: u64,
 ) -> SimStats {
     let mut span = ant_obs::span("matmul_layers");
-    span.record("layers", layers.len()).record("sparsity", sparsity);
+    span.record("layers", layers.len())
+        .record("sparsity", sparsity);
     let mut total = SimStats::default();
     let mut scratch = SimScratch::new();
     for (li, spec) in layers.iter().enumerate() {
@@ -2099,7 +2130,10 @@ mod tests {
             };
             let parallel = try_simulate_network_parallel(&pe, &net, &cfg, &opts).unwrap();
             assert_eq!(serial.total, parallel.total, "threads={threads}");
-            assert_eq!(serial.wall_cycles, parallel.wall_cycles, "threads={threads}");
+            assert_eq!(
+                serial.wall_cycles, parallel.wall_cycles,
+                "threads={threads}"
+            );
             assert_eq!(
                 serial.total.energy_pj(&energy),
                 parallel.total.energy_pj(&energy),
@@ -2123,7 +2157,12 @@ mod tests {
         let pe = AntAccelerator::paper_default();
         for (name, value, param, hint) in [
             ("ANT_TRACE", "1", "ANT_TRACE", "ANT_OBS=trace"),
-            ("ANT_PROGRESS_FILE", "x.json", "ANT_PROGRESS_FILE", "ANT_OBS=progress"),
+            (
+                "ANT_PROGRESS_FILE",
+                "x.json",
+                "ANT_PROGRESS_FILE",
+                "ANT_OBS=progress",
+            ),
             ("ANT_OBS", "trace,bogus", "ANT_OBS", "\"bogus\""),
         ] {
             let obs = ObsConfig::parse([(name, value)]);
@@ -2229,7 +2268,10 @@ mod tests {
             }
             // Every job is executed exactly once, and the deal covers the
             // whole pool.
-            assert_eq!(workers.iter().map(|t| t.executed).sum::<u64>(), expected_jobs);
+            assert_eq!(
+                workers.iter().map(|t| t.executed).sum::<u64>(),
+                expected_jobs
+            );
             assert_eq!(workers.iter().map(|t| t.dealt).sum::<u64>(), expected_jobs);
             // Executed = dealt kept + stolen (globally).
             let stolen: u64 = workers.iter().map(|t| t.stolen).sum();
@@ -2259,8 +2301,8 @@ mod tests {
             telemetry: Some(true),
             ..RunOptions::default()
         };
-        let _ = try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts)
-            .unwrap();
+        let _ =
+            try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts).unwrap();
         let registry = ant_obs::registry();
         assert!(registry.histogram("runner.worker.executed").count() >= 2);
         assert!(registry.histogram("runner.worker.busy_us").count() >= 2);
@@ -2357,7 +2399,12 @@ mod tests {
             }
         }
         // The run fed the host-metrics registry.
-        assert!(ant_obs::registry().histogram("runner.network_wall_us").count() > 0);
+        assert!(
+            ant_obs::registry()
+                .histogram("runner.network_wall_us")
+                .count()
+                > 0
+        );
     }
 
     #[test]

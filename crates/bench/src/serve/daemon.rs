@@ -541,7 +541,10 @@ fn mean_duration(st: &State) -> Option<u64> {
 fn jobs_json(inner: &Inner) -> String {
     let st = inner.lock();
     let mut out = String::with_capacity(256);
-    out.push_str(&format!("{{\"schema\":\"{JOBS_SCHEMA}\",\"queue_depth\":{},\"jobs\":[", st.queue.len()));
+    out.push_str(&format!(
+        "{{\"schema\":\"{JOBS_SCHEMA}\",\"queue_depth\":{},\"jobs\":[",
+        st.queue.len()
+    ));
     for (i, job) in st.jobs.values().enumerate() {
         if i > 0 {
             out.push(',');
@@ -588,7 +591,10 @@ fn write_job_record(inner: &Inner, job: &Job) {
     let path = inner.config.spool.join(format!("job-{}.json", job.seq));
     let tmp = inner.config.spool.join(format!("job-{}.json.tmp", job.seq));
     let mut out = String::with_capacity(512);
-    out.push_str(&format!("{{\"schema\":\"{JOB_SCHEMA}\",\"seq\":{},\"id\":", job.seq));
+    out.push_str(&format!(
+        "{{\"schema\":\"{JOB_SCHEMA}\",\"seq\":{},\"id\":",
+        job.seq
+    ));
     write_json_string(&job.id, &mut out);
     out.push_str(&format!(",\"state\":\"{}\"", job.state.tag()));
     out.push_str(&format!(",\"submitted_ms\":{}", job.submitted_ms));
@@ -696,8 +702,7 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                 .jobs
                 .values()
                 .filter(|j| {
-                    j.state == JobState::Queued
-                        && j.deadline_at_ms.is_some_and(|d| d <= now)
+                    j.state == JobState::Queued && j.deadline_at_ms.is_some_and(|d| d <= now)
                 })
                 .map(|j| j.seq)
                 .collect();
@@ -747,7 +752,9 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
     let registry = ant_obs::registry();
     let (spec, attempt, deadline_at) = {
         let mut st = inner.lock();
-        let Some(job) = st.jobs.get_mut(&seq) else { return };
+        let Some(job) = st.jobs.get_mut(&seq) else {
+            return;
+        };
         job.state = JobState::Running;
         let out = (
             job.spec.clone(),
@@ -955,9 +962,7 @@ fn execute_attempt(
             csv.push_str(&format!(",{value}"));
         }
         csv.push('\n');
-        jsonl.push_str(&format!(
-            "{{\"schema\":\"{RESULT_SCHEMA}\",\"network\":"
-        ));
+        jsonl.push_str(&format!("{{\"schema\":\"{RESULT_SCHEMA}\",\"network\":"));
         write_json_string(net.name, &mut jsonl);
         jsonl.push_str(",\"machine\":");
         write_json_string(machine.name(), &mut jsonl);
@@ -997,7 +1002,9 @@ mod tests {
         // Different seeds jitter differently (with overwhelming likelihood
         // for these fixed inputs — pinned, not probabilistic).
         assert_ne!(
-            (1..=4).map(|n| backoff_ms(8, 42, n, 50)).collect::<Vec<_>>(),
+            (1..=4)
+                .map(|n| backoff_ms(8, 42, n, 50))
+                .collect::<Vec<_>>(),
             a
         );
     }

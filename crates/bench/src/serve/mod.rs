@@ -109,8 +109,9 @@ impl SweepdConfig {
     /// does not parse, or when the queue, attempt or backoff value is zero.
     pub fn from_env() -> Result<Self, AntError> {
         Self::from_vars(
-            std::env::vars_os()
-                .filter_map(|(k, v)| Some((k.into_string().ok()?, v.to_string_lossy().into_owned()))),
+            std::env::vars_os().filter_map(|(k, v)| {
+                Some((k.into_string().ok()?, v.to_string_lossy().into_owned()))
+            }),
         )
     }
 
@@ -155,8 +156,9 @@ impl SweepdConfig {
 }
 
 fn number<T: FromStr>(key: &'static str, raw: &str) -> Result<T, AntError> {
-    raw.parse()
-        .map_err(|_| AntError::invalid_config(key, format!("{raw:?} is not a non-negative integer")))
+    raw.parse().map_err(|_| {
+        AntError::invalid_config(key, format!("{raw:?} is not a non-negative integer"))
+    })
 }
 
 fn positive<T: FromStr + Default + PartialEq>(key: &'static str, raw: &str) -> Result<T, AntError> {
@@ -211,7 +213,11 @@ mod tests {
 
     #[test]
     fn zero_is_rejected_where_it_cannot_work() {
-        for key in ["ANT_SWEEPD_QUEUE", "ANT_SWEEPD_MAX_ATTEMPTS", "ANT_SWEEPD_BACKOFF_MS"] {
+        for key in [
+            "ANT_SWEEPD_QUEUE",
+            "ANT_SWEEPD_MAX_ATTEMPTS",
+            "ANT_SWEEPD_BACKOFF_MS",
+        ] {
             assert_eq!(rejected_param(&[(key, "0")]), key);
         }
         // Zero threads means "available CPUs"; zero is a valid seed.

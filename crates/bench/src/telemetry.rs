@@ -79,7 +79,13 @@ pub fn add_worker_tracks(
                     ("pair".to_string(), Value::U64(s.pair as u64)),
                 ],
             );
-            timeline.counter(pid, span_tid + 1, &format!("deque w{name}"), s.start_us, s.deque_len);
+            timeline.counter(
+                pid,
+                span_tid + 1,
+                &format!("deque w{name}"),
+                s.start_us,
+                s.deque_len,
+            );
         }
     }
 }
@@ -141,8 +147,14 @@ impl WorkerTable {
             };
             out.push((format!("worker.{name}.jobs"), Value::U64(row.executed)));
             out.push((format!("worker.{name}.stolen"), Value::U64(row.stolen)));
-            out.push((format!("worker.{name}.busy_us"), Value::U64(row.busy_ns / 1_000)));
-            out.push((format!("worker.{name}.idle_us"), Value::U64(row.idle_ns / 1_000)));
+            out.push((
+                format!("worker.{name}.busy_us"),
+                Value::U64(row.busy_ns / 1_000),
+            ));
+            out.push((
+                format!("worker.{name}.idle_us"),
+                Value::U64(row.idle_ns / 1_000),
+            ));
             out.push((format!("worker.{name}.utilization"), Value::F64(util)));
         }
         out
@@ -495,8 +507,7 @@ mod tests {
         let numeric = keys.clone();
         keys.sort();
         // Lexicographic sort must not reorder worker indices (02 < 10).
-        let job_keys_sorted: Vec<&String> =
-            keys.iter().filter(|k| k.ends_with(".jobs")).collect();
+        let job_keys_sorted: Vec<&String> = keys.iter().filter(|k| k.ends_with(".jobs")).collect();
         let job_keys_numeric: Vec<&String> =
             numeric.iter().filter(|k| k.ends_with(".jobs")).collect();
         assert_eq!(job_keys_sorted, job_keys_numeric);

@@ -6,9 +6,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use ant_bench::history::{
-    self, HistoryEntry, Host, WorkloadSet, DEFAULT_THRESHOLD,
-};
+use ant_bench::history::{self, HistoryEntry, Host, WorkloadSet, DEFAULT_THRESHOLD};
 
 fn temp_ledger(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ant-bench-history-tests");
@@ -40,7 +38,12 @@ fn record_tiny_produces_complete_entry() {
     // global allocator and record() enables it: alloc metrics must exist
     // and show real traffic.
     assert!(
-        entry.metrics.get("tiny/alloc_bytes").copied().unwrap_or(0.0) > 0.0,
+        entry
+            .metrics
+            .get("tiny/alloc_bytes")
+            .copied()
+            .unwrap_or(0.0)
+            > 0.0,
         "counting allocator saw no traffic: {:?}",
         entry.metrics
     );
@@ -148,9 +151,10 @@ fn median_window_gates_like_a_single_baseline() {
     let mut jitter = base.clone();
     // Wall-time noise across window entries must not leak into the median's
     // deterministic metrics.
-    jitter
-        .metrics
-        .insert("tiny/wall_us".to_string(), base.metrics["tiny/wall_us"] * 3.0);
+    jitter.metrics.insert(
+        "tiny/wall_us".to_string(),
+        base.metrics["tiny/wall_us"] * 3.0,
+    );
     let window = [&base, &jitter, &base];
     let median = history::median_of(&window);
     assert_eq!(
@@ -207,7 +211,10 @@ fn host_metrics_gate_only_against_the_candidates_host() {
     assert!(warning.contains("another CPU"), "{warning}");
     assert!(report.to_markdown().contains("other host"));
     let json = ant_obs::parse_json(&report.to_json()).expect("valid JSON");
-    let metrics = json.get("metrics").and_then(|m| m.as_array()).expect("metrics");
+    let metrics = json
+        .get("metrics")
+        .and_then(|m| m.as_array())
+        .expect("metrics");
     assert!(metrics.iter().any(|m| {
         m.get("name").and_then(|s| s.as_str()) == Some("tiny/wall_us")
             && m.get("status").and_then(|s| s.as_str()) == Some("other host")
@@ -216,9 +223,15 @@ fn host_metrics_gate_only_against_the_candidates_host() {
     // Cycles still gate across hosts: +20% on host B regresses.
     let mut worse = on_b.clone();
     let cycles = worse.metrics["tiny/ant_cycles"];
-    worse.metrics.insert("tiny/ant_cycles".to_string(), cycles * 1.2);
+    worse
+        .metrics
+        .insert("tiny/ant_cycles".to_string(), cycles * 1.2);
     let report = gate(&[a.clone(), a.clone(), worse.clone()]);
-    let names: Vec<&str> = report.regressions().iter().map(|d| d.name.as_str()).collect();
+    let names: Vec<&str> = report
+        .regressions()
+        .iter()
+        .map(|d| d.name.as_str())
+        .collect();
     assert_eq!(names, vec!["tiny/ant_cycles"]);
     // An explicit pair follows the same rule.
     let names: Vec<String> = history::compare(&a, &worse, DEFAULT_THRESHOLD)

@@ -77,7 +77,11 @@ fn io_faults_degrade_to_fresh_runs_and_misses_never_wrong_results() {
         net.layers.len() as u64
     );
     let stats = simcache::stats().expect("cache active");
-    assert_eq!(stats.entries, net.layers.len(), "in-memory entries stay exact");
+    assert_eq!(
+        stats.entries,
+        net.layers.len(),
+        "in-memory entries stay exact"
+    );
     assert_eq!(stats.dropped_writes, net.layers.len());
     // Fresh activation: reload from the torn file.
     simcache::set_override(CacheOverride::On(SimCacheConfig {
@@ -119,7 +123,10 @@ fn io_faults_degrade_to_fresh_runs_and_misses_never_wrong_results() {
     }));
     let stats = simcache::stats().expect("cache active");
     assert_eq!(stats.loaded, 0);
-    assert_eq!(stats.skipped_corrupt, 0, "ENOSPC must not corrupt the store");
+    assert_eq!(
+        stats.skipped_corrupt, 0,
+        "ENOSPC must not corrupt the store"
+    );
     simcache::set_override(CacheOverride::Env);
 
     let _ = std::fs::remove_dir_all(&tmp);

@@ -5,9 +5,7 @@
 //! sidecars (the programmatic experiments-dir and stem overrides), which
 //! would move the files of sibling tests in the same binary.
 
-use ant_bench::runner::{
-    try_simulate_network_parallel, ExperimentConfig, RunOptions,
-};
+use ant_bench::runner::{try_simulate_network_parallel, ExperimentConfig, RunOptions};
 use ant_obs::json::Json;
 use ant_sim::scnn::ScnnPlus;
 use ant_workloads::models::NetworkModel;
@@ -47,7 +45,10 @@ fn progress_reporter_writes_final_status_file() {
 
     let body = std::fs::read_to_string(&status_path).expect("status file written");
     let json = ant_obs::parse_json(body.trim()).expect("status file is valid JSON");
-    assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
+    assert_eq!(
+        json.get("schema").and_then(Json::as_str),
+        Some("ant-status/1")
+    );
     assert_eq!(json.get("state").and_then(Json::as_str), Some("done"));
     assert_eq!(json.get("network").and_then(Json::as_str), Some("tiny"));
     assert_eq!(json.get("machine").and_then(Json::as_str), Some("SCNN+"));
@@ -63,10 +64,16 @@ fn progress_reporter_writes_final_status_file() {
     assert!(json.get("elapsed_s").and_then(Json::as_f64).is_some());
     assert!(json.get("pairs_per_sec").and_then(Json::as_f64).is_some());
     assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(0.0));
-    assert!(json.get("updated_at_unix_ms").and_then(Json::as_u64).is_some());
+    assert!(json
+        .get("updated_at_unix_ms")
+        .and_then(Json::as_u64)
+        .is_some());
     // Build identity: the key is always present (a string in a git
     // checkout, null outside one).
-    assert!(json.get("git_revision").is_some(), "git_revision key present");
+    assert!(
+        json.get("git_revision").is_some(),
+        "git_revision key present"
+    );
     // No torn-write temp file is left behind.
     assert!(!dir.join("progress_test.status.json.tmp").exists());
 
@@ -77,8 +84,8 @@ fn progress_reporter_writes_final_status_file() {
         progress: Some(false),
         ..RunOptions::default()
     };
-    let _ = try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts_off)
-        .unwrap();
+    let _ =
+        try_simulate_network_parallel(&ScnnPlus::paper_default(), &net, &cfg, &opts_off).unwrap();
     assert!(!status_path.exists(), "progress off must not write status");
 
     let _ = std::fs::remove_dir_all(&dir);

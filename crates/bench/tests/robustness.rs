@@ -79,7 +79,13 @@ fn invalid_configs_come_back_as_typed_errors() {
     zero_pes.num_pes = 0;
     let err = try_simulate_network_parallel(&pe, &net, &zero_pes, &opts).unwrap_err();
     assert!(
-        matches!(err, AntError::InvalidConfig { param: "num_pes", .. }),
+        matches!(
+            err,
+            AntError::InvalidConfig {
+                param: "num_pes",
+                ..
+            }
+        ),
         "{err}"
     );
 
@@ -87,7 +93,13 @@ fn invalid_configs_come_back_as_typed_errors() {
     bad_sparsity.sparsity.weight = 1.5;
     let err = try_simulate_network_parallel(&pe, &net, &bad_sparsity, &opts).unwrap_err();
     assert!(
-        matches!(err, AntError::InvalidConfig { param: "sparsity.weight", .. }),
+        matches!(
+            err,
+            AntError::InvalidConfig {
+                param: "sparsity.weight",
+                ..
+            }
+        ),
         "{err}"
     );
 

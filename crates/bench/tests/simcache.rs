@@ -90,7 +90,10 @@ fn cache_serves_warm_runs_byte_identically() {
     // cache-enabled run dispatches zero jobs and still matches emulation.
     let dense_cold = run(&dense, 3);
     assert_identical(&dense_cold, &dense_baseline, "dense analytic run");
-    assert_eq!(dense_cold.analytic_pairs, 24, "2 layers x 3 phases x 4 pairs");
+    assert_eq!(
+        dense_cold.analytic_pairs, 24,
+        "2 layers x 3 phases x 4 pairs"
+    );
     assert_eq!(dense_cold.cache_misses, 2);
     let dense_warm = run(&dense, 3);
     assert_identical(&dense_warm, &dense_baseline, "dense warm run");
@@ -122,7 +125,10 @@ fn cache_serves_warm_runs_byte_identically() {
     assert_eq!(disk_warm.cache_hits, 2);
     let stats = simcache::stats().expect("cache active");
     assert_eq!(stats.loaded, 2);
-    assert_eq!(stats.skipped_corrupt + stats.skipped_stale + stats.skipped_poisoned, 0);
+    assert_eq!(
+        stats.skipped_corrupt + stats.skipped_stale + stats.skipped_poisoned,
+        0
+    );
 
     // --- Robustness: corrupt, truncated, stale, poisoned lines ------------
     let good = std::fs::read_to_string(&store).unwrap();
@@ -157,9 +163,15 @@ fn cache_serves_warm_runs_byte_identically() {
         assert_eq!(stats.loaded, 1, "only the intact line survives");
         assert_eq!(stats.skipped_corrupt, 2, "garbage + truncated");
         assert_eq!(stats.skipped_stale, 1, "schema-bumped line");
-        assert_eq!(stats.skipped_poisoned, 1, "tampered counters fail the check");
+        assert_eq!(
+            stats.skipped_poisoned, 1,
+            "tampered counters fail the check"
+        );
         assert_eq!(salvaged.cache_hits, 1, "intact layer served");
-        assert_eq!(salvaged.cache_misses, 1, "lost layer resimulated and re-recorded");
+        assert_eq!(
+            salvaged.cache_misses, 1,
+            "lost layer resimulated and re-recorded"
+        );
     }
 
     // The resimulated layer was appended back: a final activation serves

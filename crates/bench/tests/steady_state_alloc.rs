@@ -46,9 +46,10 @@ fn conv_pair(shape: &ConvShape, sparsity: f64, seed: u64) -> (CsrMatrix, CsrMatr
 fn second_pair_on_a_warm_worker_allocates_nothing() {
     let conv_machines: Vec<Box<dyn ConvSim>> = vec![
         Box::new(AntAccelerator::paper_default()),
-        Box::new(AntAccelerator::paper_default().with_accumulator_banks(
-            AccumulatorBanks::scnn_provisioned(4),
-        )),
+        Box::new(
+            AntAccelerator::paper_default()
+                .with_accumulator_banks(AccumulatorBanks::scnn_provisioned(4)),
+        ),
         Box::new(ScnnPlus::paper_default()),
         Box::new(DenseInnerProduct::paper_default()),
         Box::new(TensorDash::paper_default()),

@@ -24,7 +24,8 @@ use ant_workloads::{ConvLayerSpec, NetworkModel};
 
 /// The spec shared by the determinism phases: every daemon that runs it
 /// must produce byte-identical result files.
-const SPEC_ALICE: &str = r#"{"tenant":"alice","model":"tiny","machines":["ant"],"sparsities":[0.9]}"#;
+const SPEC_ALICE: &str =
+    r#"{"tenant":"alice","model":"tiny","machines":["ant"],"sparsities":[0.9]}"#;
 const SPEC_BOB: &str = r#"{"tenant":"bob","model":"tiny","machines":["ant"],"sparsities":[0.9]}"#;
 
 fn counter(name: &str) -> u64 {
@@ -203,8 +204,16 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
             std::fs::read_to_string(spool.join(format!("job-{seq}.result.{ext}")))
                 .expect("result file exists")
         };
-        assert_eq!(read(1, "csv"), alice_csv, "daemon CSV diverged from the runner");
-        assert_eq!(read(1, "csv"), read(2, "csv"), "tenants saw different results");
+        assert_eq!(
+            read(1, "csv"),
+            alice_csv,
+            "daemon CSV diverged from the runner"
+        );
+        assert_eq!(
+            read(1, "csv"),
+            read(2, "csv"),
+            "tenants saw different results"
+        );
         assert_eq!(read(1, "jsonl"), read(2, "jsonl"));
         // The job board renders through obsctl's jobs view.
         let (_, board) = get(&base, "/jobs");
@@ -274,11 +283,21 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
         assert_eq!(code, 202);
         let doc = wait_terminal(&base, 1);
         chaos::set_override(None);
-        assert_eq!(state_of(&doc), "done", "job must survive one injected death");
+        assert_eq!(
+            state_of(&doc),
+            "done",
+            "job must survive one injected death"
+        );
         assert_eq!(counter("sweepd.job.retries") - retries_before, 1);
-        let attempts = doc.get("attempts").and_then(Json::as_array).expect("attempts");
+        let attempts = doc
+            .get("attempts")
+            .and_then(Json::as_array)
+            .expect("attempts");
         assert_eq!(attempts.len(), 1, "exactly one failed attempt");
-        let error = attempts[0].get("error").and_then(Json::as_str).expect("error");
+        let error = attempts[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error");
         assert!(error.contains("injected job-worker death"), "{error}");
         // The backoff is a pure function of (daemon seed, seq, attempt).
         let expected = backoff_ms(SweepdConfig::default().seed, 1, 1, 30);

@@ -677,7 +677,10 @@ mod tests {
                 sparsity,
                 &mut rng,
             );
-            let (kernel, image) = (CsrMatrix::from_dense(&kernel), CsrMatrix::from_dense(&image));
+            let (kernel, image) = (
+                CsrMatrix::from_dense(&kernel),
+                CsrMatrix::from_dense(&image),
+            );
             let rotated = kernel.rotate180();
             scratch.prepare(&image, &shape);
             for kernel in [&kernel, &rotated] {

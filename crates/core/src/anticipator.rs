@@ -282,10 +282,7 @@ impl Anticipator {
     /// (`config.n`, `config.k`) is zero.
     pub fn try_new(config: AntConfig) -> Result<Self, crate::AntError> {
         let fnir = Fnir::new(config.n, config.k).map_err(|e| {
-            crate::AntError::invalid_config(
-                "fnir",
-                format!("n={} k={}: {e}", config.n, config.k),
-            )
+            crate::AntError::invalid_config("fnir", format!("n={} k={}: {e}", config.n, config.k))
         })?;
         Ok(Self { config, fnir })
     }
@@ -595,7 +592,9 @@ impl Anticipator {
         scratch: &mut AntScratch,
     ) -> Result<AntCounters, ConvError> {
         check_matmul_shapes(image, kernel, shape)?;
-        scratch.output.reset_zeroed(shape.image_h(), shape.kernel_s());
+        scratch
+            .output
+            .reset_zeroed(shape.image_h(), shape.kernel_s());
         let mut counters = AntCounters {
             pairs_total: kernel.nnz() as u64 * image.nnz() as u64,
             ..AntCounters::default()
@@ -1102,7 +1101,10 @@ mod tests {
         let image = sparsify::random_with_sparsity(7, 9, 0.5, &mut rng);
         let kernel = sparsify::random_with_sparsity(9, 6, 0.5, &mut rng);
         let mshape = MatmulShape::new(7, 9, 9, 6).unwrap();
-        let (image, kernel) = (CsrMatrix::from_dense(&image), CsrMatrix::from_dense(&kernel));
+        let (image, kernel) = (
+            CsrMatrix::from_dense(&image),
+            CsrMatrix::from_dense(&kernel),
+        );
         let reference = ant.run_matmul(&image, &kernel, &mshape).unwrap();
         let counters = ant
             .run_matmul_with(&image, &kernel, &mshape, &mut scratch)
@@ -1120,7 +1122,8 @@ mod tests {
         let (_, image) = random_pair(&shape, 0.7, 46);
         let ant = Anticipator::new(AntConfig::paper_default());
         let mut scratch = AntScratch::new();
-        ant.prepare_conv_image(&image, &shape, &mut scratch).unwrap();
+        ant.prepare_conv_image(&image, &shape, &mut scratch)
+            .unwrap();
         for seed in 47..51 {
             let (kernel, _) = random_pair(&shape, 0.7, seed);
             let reference = ant.run_conv(&kernel, &image, &shape).unwrap();
@@ -1132,7 +1135,9 @@ mod tests {
             assert_eq!(*scratch.output(), reference.output, "seed {seed}");
         }
         let wrong = CsrMatrix::empty(4, 4);
-        assert!(ant.prepare_conv_image(&wrong, &shape, &mut scratch).is_err());
+        assert!(ant
+            .prepare_conv_image(&wrong, &shape, &mut scratch)
+            .is_err());
         assert!(ant
             .scan_conv_kernel(&wrong, &shape, &mut scratch, |_| {})
             .is_err());

@@ -174,8 +174,13 @@ impl Fnir {
         window: &[usize],
         mut on_selected: impl FnMut(usize),
     ) -> FnirSelect {
-        let (selected, feedback) =
-            self.select_core(min, max, window.len(), |i| window[i] as i64, &mut on_selected);
+        let (selected, feedback) = self.select_core(
+            min,
+            max,
+            window.len(),
+            |i| window[i] as i64,
+            &mut on_selected,
+        );
         FnirSelect {
             selected,
             feedback,

@@ -103,7 +103,12 @@ pub fn scan_kernel(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir) -> Ker
 /// directly on the CSR columns slice (no per-window `Vec` collect), and the
 /// row of each selected element is recovered with a forward row-pointer
 /// cursor instead of a per-span row table.
-pub fn scan_kernel_into(kernel: &CsrMatrix, ranges: &GroupRanges, fnir: &Fnir, scan: &mut KernelScan) {
+pub fn scan_kernel_into(
+    kernel: &CsrMatrix,
+    ranges: &GroupRanges,
+    fnir: &Fnir,
+    scan: &mut KernelScan,
+) {
     scan.reset();
     // Clamp the r range to the kernel's rows; an empty clamp means every
     // product would be an RCP and nothing is read at all.

@@ -155,7 +155,10 @@ impl ConvTrace {
                 ),
             ));
         }
-        if let Some(row) = weights.iter().position(|row| row.len() != activations.len()) {
+        if let Some(row) = weights
+            .iter()
+            .position(|row| row.len() != activations.len())
+        {
             return Err(AntError::invalid_config(
                 "trace_planes",
                 format!(
@@ -319,7 +322,8 @@ impl ConvTrace {
     fn pairs_span(&self, phase: &'static str) -> ant_obs::Span {
         let mut span = ant_obs::span("materialize_pairs");
         if span.is_recording() {
-            span.record("layer", self.name.as_str()).record("phase", phase);
+            span.record("layer", self.name.as_str())
+                .record("phase", phase);
         }
         span
     }

@@ -51,16 +51,31 @@ pub struct ObsError {
 pub const RETIRED: [(&str, &str); 12] = [
     ("ANT_TRACE", "use ANT_OBS=trace"),
     ("ANT_TRACE_PAIRS", "use ANT_OBS=pairs (implies trace)"),
-    ("ANT_TRACE_FILE", "ANT_OBS=trace writes <experiments_dir>/<stem>.trace.jsonl"),
+    (
+        "ANT_TRACE_FILE",
+        "ANT_OBS=trace writes <experiments_dir>/<stem>.trace.jsonl",
+    ),
     ("ANT_FLAME", "use ANT_OBS=flame"),
-    ("ANT_FLAME_FILE", "ANT_OBS=flame writes <experiments_dir>/<stem>.folded"),
+    (
+        "ANT_FLAME_FILE",
+        "ANT_OBS=flame writes <experiments_dir>/<stem>.folded",
+    ),
     ("ANT_PROFILE", "use ANT_OBS=profile"),
-    ("ANT_PROFILE_FILE", "ANT_OBS=profile writes <experiments_dir>/<stem>.perfetto.json"),
+    (
+        "ANT_PROFILE_FILE",
+        "ANT_OBS=profile writes <experiments_dir>/<stem>.perfetto.json",
+    ),
     ("ANT_PROGRESS", "use ANT_OBS=progress"),
-    ("ANT_PROGRESS_FILE", "ANT_OBS=progress writes <experiments_dir>/<stem>.status.json"),
+    (
+        "ANT_PROGRESS_FILE",
+        "ANT_OBS=progress writes <experiments_dir>/<stem>.status.json",
+    ),
     ("ANT_TELEMETRY", "use ANT_OBS=telemetry"),
     ("ANT_ALLOC", "use ANT_OBS=alloc"),
-    ("ANT_METRICS_ADDR_FILE", "written to <experiments_dir>/<stem>.metrics.addr; see ANT_OBS"),
+    (
+        "ANT_METRICS_ADDR_FILE",
+        "written to <experiments_dir>/<stem>.metrics.addr; see ANT_OBS",
+    ),
 ];
 
 /// Whether a switch value means "on": anything but `""`, `0`, `false`,
@@ -119,7 +134,10 @@ impl ObsConfig {
                     "unknown item {item:?}; expected a comma-separated list of trace, pairs, \
                      flame, profile, progress, telemetry, alloc (empty, 0 or off for none)"
                 );
-                return Err(ObsError { param: "ANT_OBS", reason });
+                return Err(ObsError {
+                    param: "ANT_OBS",
+                    reason,
+                });
             }
         })
     }
@@ -145,7 +163,8 @@ pub fn flags() -> &'static ObsConfig {
     static OFF: OnceLock<ObsConfig> = OnceLock::new();
     static WARNED: Once = Once::new();
     resolved().as_ref().unwrap_or_else(|err| {
-        WARNED.call_once(|| eprintln!("[ant-obs] observability off: {}: {}", err.param, err.reason));
+        WARNED
+            .call_once(|| eprintln!("[ant-obs] observability off: {}: {}", err.param, err.reason));
         OFF.get_or_init(ObsConfig::default)
     })
 }
@@ -217,7 +236,15 @@ pub fn create_parent(path: &Path) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    const ITEMS: [&str; 7] = ["trace", "pairs", "flame", "profile", "progress", "telemetry", "alloc"];
+    const ITEMS: [&str; 7] = [
+        "trace",
+        "pairs",
+        "flame",
+        "profile",
+        "progress",
+        "telemetry",
+        "alloc",
+    ];
 
     fn parse(vars: &[(&str, &str)]) -> Result<ObsConfig, ObsError> {
         ObsConfig::parse(vars.iter().copied())
@@ -228,7 +255,15 @@ mod tests {
     }
 
     fn switches(c: &ObsConfig) -> [bool; 7] {
-        [c.trace, c.pairs, c.flame, c.profile, c.progress, c.telemetry, c.alloc]
+        [
+            c.trace,
+            c.pairs,
+            c.flame,
+            c.profile,
+            c.progress,
+            c.telemetry,
+            c.alloc,
+        ]
     }
 
     #[test]
@@ -244,7 +279,14 @@ mod tests {
         }
         // Whitespace and empty entries are tolerated.
         let spaced = obs(" flame , ,alloc ");
-        assert_eq!(spaced, ObsConfig { flame: true, alloc: true, ..ObsConfig::default() });
+        assert_eq!(
+            spaced,
+            ObsConfig {
+                flame: true,
+                alloc: true,
+                ..ObsConfig::default()
+            }
+        );
     }
 
     #[test]
@@ -285,7 +327,10 @@ mod tests {
             ("ANT_PROGRESS_FILE", "<experiments_dir>/<stem>.status.json"),
             ("ANT_TELEMETRY", "ANT_OBS=telemetry"),
             ("ANT_ALLOC", "ANT_OBS=alloc"),
-            ("ANT_METRICS_ADDR_FILE", "<experiments_dir>/<stem>.metrics.addr"),
+            (
+                "ANT_METRICS_ADDR_FILE",
+                "<experiments_dir>/<stem>.metrics.addr",
+            ),
         ];
         assert_eq!(replacements.len(), RETIRED.len());
         for (name, replacement) in replacements {
@@ -319,9 +364,18 @@ mod tests {
         assert_eq!(dir, Path::new("target/experiments"));
         let custom = experiments_dir_under(Some(OsStr::new("/tmp/t")));
         assert_eq!(custom, Path::new("/tmp/t/experiments"));
-        for ext in ["trace.jsonl", "folded", "perfetto.json", "status.json", "metrics.addr"] {
+        for ext in [
+            "trace.jsonl",
+            "folded",
+            "perfetto.json",
+            "status.json",
+            "metrics.addr",
+        ] {
             let path = sidecar_in(&dir, "fig09", ext);
-            assert_eq!(path, Path::new("target/experiments").join(format!("fig09.{ext}")));
+            assert_eq!(
+                path,
+                Path::new("target/experiments").join(format!("fig09.{ext}"))
+            );
         }
     }
 

@@ -404,7 +404,11 @@ pub fn render_prometheus(snapshot: &[(String, InstrumentSnapshot)]) -> String {
             InstrumentSnapshot::Histogram(hist) => {
                 for (suffix, value) in hist.series() {
                     let series = format!("{family}_{suffix}");
-                    let kind = if suffix == "count" { "counter" } else { "gauge" };
+                    let kind = if suffix == "count" {
+                        "counter"
+                    } else {
+                        "gauge"
+                    };
                     out.push_str(&format!(
                         "# TYPE {series} {kind}\n{series} {}\n",
                         format_sample(value)
@@ -512,7 +516,10 @@ mod tests {
     #[test]
     fn render_emits_typed_families() {
         let snapshot = vec![
-            ("runner.pairs_done".to_string(), InstrumentSnapshot::Counter(42)),
+            (
+                "runner.pairs_done".to_string(),
+                InstrumentSnapshot::Counter(42),
+            ),
             ("runner.util".to_string(), InstrumentSnapshot::Gauge(0.5)),
         ];
         let text = render_prometheus(&snapshot);
@@ -532,12 +539,13 @@ mod tests {
             p95: None,
             max: None,
         };
-        let text = render_prometheus(&[(
-            "pair_us".to_string(),
-            InstrumentSnapshot::Histogram(empty),
-        )]);
+        let text =
+            render_prometheus(&[("pair_us".to_string(), InstrumentSnapshot::Histogram(empty))]);
         assert!(text.contains("# TYPE ant_pair_us_count counter\nant_pair_us_count 0\n"));
-        assert!(!text.contains("ant_pair_us_min"), "empty histogram has no stats: {text}");
+        assert!(
+            !text.contains("ant_pair_us_min"),
+            "empty histogram has no stats: {text}"
+        );
 
         let full = HistogramSnapshot {
             count: 3,
@@ -547,10 +555,8 @@ mod tests {
             p95: Some(3.0),
             max: Some(3.0),
         };
-        let text = render_prometheus(&[(
-            "pair_us".to_string(),
-            InstrumentSnapshot::Histogram(full),
-        )]);
+        let text =
+            render_prometheus(&[("pair_us".to_string(), InstrumentSnapshot::Histogram(full))]);
         for series in [
             "ant_pair_us_count 3",
             "ant_pair_us_min 1",
@@ -583,7 +589,9 @@ mod tests {
         assert!(line.starts_with("# TYPE ant_build_info gauge\n"));
         let revision = crate::manifest::git_revision_cached().unwrap_or_default();
         assert!(
-            line.contains(&format!("ant_build_info{{git_revision=\"{revision}\"}} 1\n")),
+            line.contains(&format!(
+                "ant_build_info{{git_revision=\"{revision}\"}} 1\n"
+            )),
             "unexpected build info: {line}"
         );
         // The /metrics body leads with the build-info family.

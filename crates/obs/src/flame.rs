@@ -132,7 +132,13 @@ pub fn to_collapsed() -> String {
             .map(|frame| {
                 frame
                     .chars()
-                    .map(|c| if c == ';' || c.is_whitespace() { '_' } else { c })
+                    .map(|c| {
+                        if c == ';' || c.is_whitespace() {
+                            '_'
+                        } else {
+                            c
+                        }
+                    })
                     .collect()
             })
             .collect();
@@ -211,15 +217,15 @@ mod tests {
         record("t3_exp", 100);
         record("t3_exp/net work;x", 40);
         let folded = to_collapsed();
-        let lines: Vec<&str> = folded
-            .lines()
-            .filter(|l| l.starts_with("t3_"))
-            .collect();
+        let lines: Vec<&str> = folded.lines().filter(|l| l.starts_with("t3_")).collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
             let (stack, weight) = line.rsplit_once(' ').expect("space before weight");
             assert!(weight.parse::<u64>().is_ok(), "weight not integer: {line}");
-            assert!(stack.split(';').all(|f| !f.is_empty()), "empty frame: {line}");
+            assert!(
+                stack.split(';').all(|f| !f.is_empty()),
+                "empty frame: {line}"
+            );
             assert!(!stack.contains(' '), "unescaped space: {line}");
         }
         assert!(lines.contains(&"t3_exp 60"));

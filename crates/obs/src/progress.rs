@@ -74,10 +74,7 @@ impl Progress {
     /// Marks one step (named `item`) done and prints the running count.
     pub fn step(&mut self, item: &str) {
         self.done += 1;
-        eprintln!(
-            "[{}] {}/{} {}",
-            self.label, self.done, self.total, item
-        );
+        eprintln!("[{}] {}/{} {}", self.label, self.done, self.total, item);
         span::event(
             "progress",
             &[
@@ -191,7 +188,10 @@ impl RunStatus {
             ("name", Some(Value::Str(self.name.clone()))),
             ("network", Some(Value::Str(self.network.clone()))),
             ("pairs_done", Some(Value::U64(self.pairs_done))),
-            ("pairs_per_sec", Some(Value::F64(finite(self.pairs_per_sec)))),
+            (
+                "pairs_per_sec",
+                Some(Value::F64(finite(self.pairs_per_sec))),
+            ),
             ("pairs_total", Some(Value::U64(self.pairs_total))),
             ("quarantined", Some(Value::U64(self.quarantined))),
             ("retries", Some(Value::U64(self.retries))),
@@ -297,9 +297,7 @@ impl StatusReporter {
     pub fn publish(&mut self, status: &RunStatus) {
         self.last_publish = Some(Instant::now());
         let json = status.to_json();
-        *latest_status()
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = Some(json.clone());
+        *latest_status().lock().unwrap_or_else(|p| p.into_inner()) = Some(json.clone());
         if self.console {
             eprintln!("{}", status.console_line());
         }
@@ -369,7 +367,10 @@ mod tests {
     fn status_json_parses_with_schema_and_sorted_keys() {
         let text = sample_status().to_json();
         let json = parse(&text).expect("status JSON parses");
-        assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("ant-status/1")
+        );
         assert_eq!(json.get("state").and_then(Json::as_str), Some("running"));
         assert_eq!(json.get("network").and_then(Json::as_str), Some("resnet18"));
         assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(120));
@@ -379,7 +380,10 @@ mod tests {
         assert_eq!(json.get("retries").and_then(Json::as_u64), Some(2));
         assert_eq!(json.get("watchdog_slow").and_then(Json::as_u64), Some(3));
         assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(1.2));
-        assert!(json.get("updated_at_unix_ms").and_then(Json::as_u64).is_some());
+        assert!(json
+            .get("updated_at_unix_ms")
+            .and_then(Json::as_u64)
+            .is_some());
         // Keys after `schema` appear in sorted order.
         let body = text.trim_start_matches("{\"schema\":\"ant-status/1\",");
         let keys: Vec<&str> = body
@@ -397,7 +401,10 @@ mod tests {
         // Unknown revision: git_revision is null; `resumed_from` is not
         // part of the schema.
         let fresh = sample_status().to_json();
-        assert!(fresh.contains("\"git_revision\":null"), "null revision: {fresh}");
+        assert!(
+            fresh.contains("\"git_revision\":null"),
+            "null revision: {fresh}"
+        );
         assert!(!fresh.contains("resumed_from"), "retired key: {fresh}");
 
         // Known revision: a string, keys stay sorted.
@@ -407,7 +414,10 @@ mod tests {
         };
         let text = status.to_json();
         let json = parse(&text).expect("parses");
-        assert_eq!(json.get("git_revision").and_then(Json::as_str), Some("abc1234"));
+        assert_eq!(
+            json.get("git_revision").and_then(Json::as_str),
+            Some("abc1234")
+        );
         let body = text.trim_start_matches("{\"schema\":\"ant-status/1\",");
         let keys: Vec<&str> = body
             .split(',')
@@ -431,7 +441,10 @@ mod tests {
         reporter.publish(&status);
         let latest = latest_status_json().expect("slot filled after publish");
         let json = parse(&latest).expect("slot holds valid JSON");
-        assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("ant-status/1")
+        );
         assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(321));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -465,7 +478,10 @@ mod tests {
         let mut reporter = StatusReporter::with_interval(&path, Duration::from_secs(60));
 
         let mut status = sample_status();
-        assert!(reporter.maybe_publish(&status), "first publish goes through");
+        assert!(
+            reporter.maybe_publish(&status),
+            "first publish goes through"
+        );
         let body = std::fs::read_to_string(&path).expect("status file written");
         let json = parse(body.trim()).expect("file is complete JSON");
         assert_eq!(json.get("pairs_done").and_then(Json::as_u64), Some(120));

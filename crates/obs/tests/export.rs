@@ -42,12 +42,18 @@ fn assert_grammar_valid(text: &str) {
             let kind = parts.next().expect("TYPE line has a kind");
             assert!(name_ok(name), "bad family name in `{line}`");
             assert!(
-                matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped"),
+                matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ),
                 "bad kind in `{line}`"
             );
             assert!(parts.next().is_none(), "trailing tokens in `{line}`");
         } else {
-            assert!(!line.starts_with('#'), "only TYPE comments are emitted: `{line}`");
+            assert!(
+                !line.starts_with('#'),
+                "only TYPE comments are emitted: `{line}`"
+            );
             let (series, value) = line.rsplit_once(' ').expect("sample line has a value");
             // A sample may carry a label set: `name{key="value",...}`.
             let name = match series.split_once('{') {
@@ -74,9 +80,7 @@ fn assert_grammar_valid(text: &str) {
 
 #[test]
 fn metrics_endpoint_serves_grammar_valid_exposition() {
-    ant_obs::registry()
-        .counter("runner.pairs_done")
-        .add(7);
+    ant_obs::registry().counter("runner.pairs_done").add(7);
     ant_obs::registry().gauge("runner.util").set(0.625);
     let hist = ant_obs::registry().histogram("export_test.pair_us");
     hist.record(10.0);
@@ -91,7 +95,9 @@ fn metrics_endpoint_serves_grammar_valid_exposition() {
     // revision the run manifests record.
     assert!(body.starts_with("# TYPE ant_build_info gauge\n"), "{body}");
     let revision = ant_obs::manifest::git_revision_cached().unwrap_or_default();
-    assert!(body.contains(&format!("ant_build_info{{git_revision=\"{revision}\"}} 1\n")));
+    assert!(body.contains(&format!(
+        "ant_build_info{{git_revision=\"{revision}\"}} 1\n"
+    )));
     assert!(body.contains("ant_export_test_pair_us_count 2"));
     assert!(body.contains("ant_export_test_pair_us_min 10"));
     assert!(body.contains("ant_export_test_pair_us_max 30"));
@@ -120,9 +126,15 @@ fn status_endpoint_serves_latest_published_json() {
     let (code, body) = http_get(&format!("http://{addr}/status")).expect("fetch status");
     assert_eq!(code, 200, "body: {body}");
     let json = parse(body.trim()).expect("status body is JSON");
-    assert_eq!(json.get("schema").and_then(Json::as_str), Some("ant-status/1"));
+    assert_eq!(
+        json.get("schema").and_then(Json::as_str),
+        Some("ant-status/1")
+    );
     assert_eq!(json.get("name").and_then(Json::as_str), Some("export-test"));
-    assert_eq!(json.get("git_revision").and_then(Json::as_str), Some("deadbeef"));
+    assert_eq!(
+        json.get("git_revision").and_then(Json::as_str),
+        Some("deadbeef")
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -157,8 +169,14 @@ fn application_routes_body_bound_and_shutdown() {
     // Application routes come first; the shared ones still answer.
     let echoed = http_post(&format!("{base}/echo"), "{\"job\":1}").expect("echo");
     assert_eq!(echoed, (200, "{\"job\":1}".to_string()));
-    assert_eq!(http_get(&format!("{base}/healthz")).expect("healthz").0, 200);
-    assert_eq!(http_post(&format!("{base}/healthz"), "").expect("post").0, 405);
+    assert_eq!(
+        http_get(&format!("{base}/healthz")).expect("healthz").0,
+        200
+    );
+    assert_eq!(
+        http_post(&format!("{base}/healthz"), "").expect("post").0,
+        405
+    );
 
     // A declared body above 256 KiB is refused before any of it is read.
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
@@ -173,7 +191,10 @@ fn application_routes_body_bound_and_shutdown() {
     let started = Instant::now();
     server.shutdown();
     assert!(started.elapsed() < Duration::from_secs(1), "slow shutdown");
-    assert!(http_get(&format!("{base}/healthz")).is_err(), "still listening");
+    assert!(
+        http_get(&format!("{base}/healthz")).is_err(),
+        "still listening"
+    );
 }
 
 #[test]
@@ -192,7 +213,11 @@ fn snapshot_ordering_is_stable_and_sorted() {
     let mut sorted = first.clone();
     sorted.sort();
     assert_eq!(first, sorted, "typed snapshot is name-sorted");
-    assert_eq!(first, names(registry.snapshot_instruments()), "stable across calls");
+    assert_eq!(
+        first,
+        names(registry.snapshot_instruments()),
+        "stable across calls"
+    );
 
     // The flat snapshot stays sorted too (histograms expand in place).
     let flat: Vec<String> = registry.snapshot().into_iter().map(|(n, _)| n).collect();

@@ -47,7 +47,12 @@ pub fn validate_conv_pair(
     image: &CsrMatrix,
     shape: &ConvShape,
 ) -> Result<(), AntError> {
-    check_operand(machine, "kernel", kernel, (shape.kernel_h(), shape.kernel_w()))?;
+    check_operand(
+        machine,
+        "kernel",
+        kernel,
+        (shape.kernel_h(), shape.kernel_w()),
+    )?;
     check_operand(machine, "image", image, (shape.image_h(), shape.image_w()))
 }
 
@@ -288,7 +293,12 @@ impl<'a, S: ConvSim + ?Sized> ImageSession<'a, S> {
         shape: &'a ConvShape,
         scratch: &'a mut SimScratch,
     ) -> Result<Self, AntError> {
-        check_operand(pe.name(), "image", image, (shape.image_h(), shape.image_w()))?;
+        check_operand(
+            pe.name(),
+            "image",
+            image,
+            (shape.image_h(), shape.image_w()),
+        )?;
         Ok(Self::open(pe, image, shape, scratch))
     }
 

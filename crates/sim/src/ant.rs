@@ -338,7 +338,8 @@ mod tests {
             }
         }));
         let plain = AntAccelerator::paper_default();
-        let banked = plain.with_accumulator_banks(crate::accum::AccumulatorBanks::scnn_provisioned(4));
+        let banked =
+            plain.with_accumulator_banks(crate::accum::AccumulatorBanks::scnn_provisioned(4));
         let base = plain.simulate_conv_pair(&kernel, &image, &shape);
         let stats = banked.simulate_conv_pair(&kernel, &image, &shape);
         assert!(

@@ -252,7 +252,13 @@ impl ChaosConfig {
     /// The fault (if any) to inject into attempt `attempt` of the pair job
     /// `(layer, phase, pair)`. Pure: depends only on the arguments and
     /// `self`.
-    pub fn fault_for(&self, layer: usize, phase: usize, pair: usize, attempt: usize) -> Option<Fault> {
+    pub fn fault_for(
+        &self,
+        layer: usize,
+        phase: usize,
+        pair: usize,
+        attempt: usize,
+    ) -> Option<Fault> {
         let mut h = self.seed ^ 0x9E37_79B9_7F4A_7C15;
         for word in [layer as u64, phase as u64, pair as u64, attempt as u64] {
             h = splitmix64(h ^ word.wrapping_mul(0xBF58_476D_1CE4_E5B9));
@@ -395,15 +401,24 @@ mod tests {
     #[test]
     fn parse_rejects_bad_specs() {
         for spec in [
-            "seed",              // not key=value
-            "seed=abc",          // not a u64
-            "panic=nope",        // not a number
-            "panic=1.5",         // outside [0, 1]
-            "truncate=-0.1",     // outside [0, 1]
-            "frobnicate=0.5",    // unknown key
+            "seed",           // not key=value
+            "seed=abc",       // not a u64
+            "panic=nope",     // not a number
+            "panic=1.5",      // outside [0, 1]
+            "truncate=-0.1",  // outside [0, 1]
+            "frobnicate=0.5", // unknown key
         ] {
             let err = ChaosConfig::parse(spec).expect_err(spec);
-            assert!(matches!(err, AntError::InvalidConfig { param: "ANT_CHAOS", .. }), "{spec}");
+            assert!(
+                matches!(
+                    err,
+                    AntError::InvalidConfig {
+                        param: "ANT_CHAOS",
+                        ..
+                    }
+                ),
+                "{spec}"
+            );
         }
     }
 
@@ -416,13 +431,18 @@ mod tests {
             ..ChaosConfig::quiet(9)
         };
         let draws: Vec<_> = (0..64).map(|p| c.fault_for(1, 0, p, 0)).collect();
-        assert_eq!(draws, (0..64).map(|p| c.fault_for(1, 0, p, 0)).collect::<Vec<_>>());
+        assert_eq!(
+            draws,
+            (0..64).map(|p| c.fault_for(1, 0, p, 0)).collect::<Vec<_>>()
+        );
         assert!(draws.iter().any(|f| f.is_some()));
         assert!(draws.iter().any(|f| f.is_none()));
         let other = ChaosConfig { seed: 10, ..c };
         assert_ne!(
             draws,
-            (0..64).map(|p| other.fault_for(1, 0, p, 0)).collect::<Vec<_>>()
+            (0..64)
+                .map(|p| other.fault_for(1, 0, p, 0))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -473,8 +493,8 @@ mod tests {
 
     #[test]
     fn parse_accepts_service_and_io_keys() {
-        let c = ChaosConfig::parse("seed=7,torn=0.2,enospc=0.1,job=0.5,stall=0.25,spool=0.3")
-            .unwrap();
+        let c =
+            ChaosConfig::parse("seed=7,torn=0.2,enospc=0.1,job=0.5,stall=0.25,spool=0.3").unwrap();
         assert_eq!(c.seed, 7);
         assert!((c.torn_prob - 0.2).abs() < 1e-12);
         assert!((c.enospc_prob - 0.1).abs() < 1e-12);
@@ -493,12 +513,18 @@ mod tests {
             enospc_prob: 0.25,
             ..ChaosConfig::quiet(11)
         };
-        let cache: Vec<_> = (0..128).map(|i| c.io_fault_for(IoDomain::SimCache, i)).collect();
+        let cache: Vec<_> = (0..128)
+            .map(|i| c.io_fault_for(IoDomain::SimCache, i))
+            .collect();
         assert_eq!(
             cache,
-            (0..128).map(|i| c.io_fault_for(IoDomain::SimCache, i)).collect::<Vec<_>>()
+            (0..128)
+                .map(|i| c.io_fault_for(IoDomain::SimCache, i))
+                .collect::<Vec<_>>()
         );
-        let spool: Vec<_> = (0..128).map(|i| c.io_fault_for(IoDomain::Spool, i)).collect();
+        let spool: Vec<_> = (0..128)
+            .map(|i| c.io_fault_for(IoDomain::Spool, i))
+            .collect();
         assert_ne!(cache, spool, "domains must draw independently");
         assert!(cache.contains(&Some(IoFault::TornWrite)));
         assert!(cache.contains(&Some(IoFault::Enospc)));
@@ -513,7 +539,12 @@ mod tests {
             ..ChaosConfig::quiet(21)
         };
         let draws: Vec<_> = (0..256).map(|j| c.service_fault_for(j, 0)).collect();
-        assert_eq!(draws, (0..256).map(|j| c.service_fault_for(j, 0)).collect::<Vec<_>>());
+        assert_eq!(
+            draws,
+            (0..256)
+                .map(|j| c.service_fault_for(j, 0))
+                .collect::<Vec<_>>()
+        );
         assert!(draws.contains(&Some(ServiceFault::JobDeath)));
         assert!(draws.contains(&Some(ServiceFault::Stall)));
         assert!(draws.iter().any(|f| f.is_none()));
@@ -524,9 +555,8 @@ mod tests {
             c.service_fault_for(j, 0) == Some(ServiceFault::JobDeath)
                 && c.service_fault_for(j, 1).is_none()
         });
-        let quarantined = (0..256u64).any(|j| {
-            (0..3).all(|a| c.service_fault_for(j, a) == Some(ServiceFault::JobDeath))
-        });
+        let quarantined = (0..256u64)
+            .any(|j| (0..3).all(|a| c.service_fault_for(j, a) == Some(ServiceFault::JobDeath)));
         assert!(retried, "no retried-success path reachable");
         assert!(quarantined, "no quarantine path reachable");
     }

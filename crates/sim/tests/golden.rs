@@ -76,7 +76,9 @@ fn conv_machines() -> Vec<Box<dyn ConvSim>> {
 fn session_machines() -> Vec<Box<dyn ConvSim>> {
     let mut machines = conv_machines();
     let banks = AccumulatorBanks::scnn_provisioned(4);
-    machines.push(Box::new(AntAccelerator::paper_default().with_accumulator_banks(banks)));
+    machines.push(Box::new(
+        AntAccelerator::paper_default().with_accumulator_banks(banks),
+    ));
     for config in [
         AntConfig {
             use_r: false,

@@ -180,13 +180,10 @@ impl Bitmask {
             .iter()
             .enumerate()
             .flat_map(move |(wi, &word)| {
-                std::iter::successors(
-                    (word != 0).then_some(word),
-                    |&rest| {
-                        let rest = rest & (rest - 1);
-                        (rest != 0).then_some(rest)
-                    },
-                )
+                std::iter::successors((word != 0).then_some(word), |&rest| {
+                    let rest = rest & (rest - 1);
+                    (rest != 0).then_some(rest)
+                })
                 .map(move |w| wi * 64 + w.trailing_zeros() as usize)
             })
             .filter(move |&i| i < self.rows * cols)
@@ -285,8 +282,14 @@ mod tests {
 
     #[test]
     fn and_assign_matches_and() {
-        let a = Bitmask::from_dense(&DenseMatrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 2.0, 3.0]]));
-        let b = Bitmask::from_dense(&DenseMatrix::from_rows(&[&[0.0, 1.0, 1.0], &[4.0, 0.0, 5.0]]));
+        let a = Bitmask::from_dense(&DenseMatrix::from_rows(&[
+            &[1.0, 1.0, 0.0],
+            &[0.0, 2.0, 3.0],
+        ]));
+        let b = Bitmask::from_dense(&DenseMatrix::from_rows(&[
+            &[0.0, 1.0, 1.0],
+            &[4.0, 0.0, 5.0],
+        ]));
         let expected = a.and(&b);
         let mut c = a.clone();
         c.and_assign(&b);
@@ -317,7 +320,10 @@ mod tests {
     #[test]
     fn words_for_matches_rebuild_words() {
         for (r, c) in [(1, 1), (2, 3), (6, 11), (10, 10), (16, 16), (13, 64)] {
-            assert_eq!(Bitmask::words_for(r, c), Bitmask::zeros(r, c).rebuild_words());
+            assert_eq!(
+                Bitmask::words_for(r, c),
+                Bitmask::zeros(r, c).rebuild_words()
+            );
         }
     }
 
