@@ -39,6 +39,7 @@ use ant_bench::history::{
     self, CompareReport, HistoryEntry, WorkloadSet, DEFAULT_LEDGER, DEFAULT_THRESHOLD,
 };
 use ant_bench::obs::Experiment;
+use ant_bench::obsctl::{take_flag, take_switch};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,28 +56,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Pulls `--name value` out of `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    if let Some(pos) = args.iter().position(|a| a == name) {
-        if pos + 1 >= args.len() {
-            return Err(format!("{name} needs a value"));
-        }
-        let value = args.remove(pos + 1);
-        args.remove(pos);
-        return Ok(Some(value));
-    }
-    Ok(None)
-}
-
-/// Pulls a bare `--name` switch out of `args`.
-fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == name) {
-        args.remove(pos);
-        return true;
-    }
-    false
 }
 
 fn ledger_path(args: &mut Vec<String>) -> Result<PathBuf, String> {

@@ -5,12 +5,12 @@
 //! ```
 //!
 //! Binds an HTTP/JSONL listener (see `ant_bench::serve`), recovers any
-//! interrupted jobs from the spool, and runs until killed. Configuration is
-//! entirely environment-driven (`ANT_SWEEPD_*`; defaults in
-//! `docs/OBSERVABILITY.md`), so the binary takes no arguments. An
-//! unparsable or zero setting, a retired observability variable, an
-//! unknown `ANT_OBS` item, or an `ANT_CHAOS` or `ANT_PAIR_BUDGET_US` that
-//! does not parse exits 2 naming the variable. The wire surface:
+//! interrupted jobs from the spool, and runs until killed. The binary takes
+//! no arguments; three environment variables place it: `ANT_SWEEPD_ADDR`,
+//! `ANT_SWEEPD_SPOOL` and `ANT_SWEEPD_ADDR_FILE` (defaults in
+//! `docs/OBSERVABILITY.md`). A retired `ANT_*` variable, an unknown
+//! `ANT_OBS` item, or an `ANT_CHAOS` that does not parse exits 2 naming
+//! the variable. The wire surface:
 //!
 //! - `POST /jobs` submits a sweep spec (tenant, model, machines, sparsity
 //!   grid, weight, deadline);
@@ -27,7 +27,6 @@
 use std::process::ExitCode;
 
 use ant_bench::obs::obs_config;
-use ant_bench::runner::pair_budget_from_env;
 use ant_bench::serve::{Sweepd, SweepdConfig};
 use ant_sim::chaos;
 
@@ -35,17 +34,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: sweepd\n\nconfiguration via ANT_SWEEPD_* (see docs/OBSERVABILITY.md):\n  \
+            "usage: sweepd\n\nconfiguration (see docs/OBSERVABILITY.md):\n  \
              ANT_SWEEPD_ADDR (default 127.0.0.1:0), ANT_SWEEPD_SPOOL,\n  \
-             ANT_SWEEPD_ADDR_FILE, ANT_SWEEPD_QUEUE, ANT_SWEEPD_MAX_ATTEMPTS,\n  \
-             ANT_SWEEPD_BACKOFF_MS, ANT_SWEEPD_THREADS, ANT_SWEEPD_SEED"
+             ANT_SWEEPD_ADDR_FILE"
         );
         return ExitCode::SUCCESS;
     }
     let config = match obs_config(ant_obs::config::resolved())
         .and_then(|_| chaos::try_active())
-        .and_then(|_| pair_budget_from_env())
-        .and_then(|_| SweepdConfig::from_env())
+        .map(|_| SweepdConfig::from_env())
     {
         Ok(config) => config,
         Err(e) => {

@@ -774,7 +774,11 @@ fn fmt_value(v: f64) -> String {
 /// by more than `threshold`; host metrics widen the gate to the largest of
 /// `threshold`, both entries' recorded `<metric>_spread` noise floors, and
 /// a static floor ([`WALL_NOISE_FLOOR`] for wall times, [`ALLOC_NOISE_FLOOR`]
-/// for allocator metrics). All gated metrics are lower-is-better. Host and
+/// for allocator metrics). All gated metrics are lower-is-better. A metric
+/// improves when the baseline exceeds the candidate by more than the same
+/// gate (`base > cand * (1 + gate)`): a relative drop can never pass -1, so
+/// `rel_change < -gate` would hide every speed-up behind a gate of 100% or
+/// more, which one preempted repeat puts in a `_spread`. Host and
 /// kernel metrics gate only when both entries carry the same known host;
 /// otherwise they are reported as `other host` and the report carries a
 /// [`CompareReport::host_warning`].
@@ -830,7 +834,7 @@ pub fn compare(baseline: &HistoryEntry, candidate: &HistoryEntry, threshold: f64
             rel_change,
             gate,
             regressed: gated && rel_change > gate,
-            improved: gated && rel_change < -gate,
+            improved: gated && cand * (1.0 + gate) < base,
             other_host,
         });
     }
@@ -1302,6 +1306,32 @@ mod tests {
         let base_ns = entry(&[("vgg16/wall_us", 100_000.0)]);
         let cand_ns = entry(&[("vgg16/wall_us", 155_000.0)]);
         assert!(compare(&base_ns, &cand_ns, DEFAULT_THRESHOLD).has_regressions());
+    }
+
+    #[test]
+    fn a_noise_floor_above_one_still_sees_a_large_speedup() {
+        // One preempted repeat can put a microsecond bench's spread above
+        // 100%; a 20x speed-up must still read as an improvement, and the
+        // reverse as a regression.
+        let name = "kernel/busy_wait/x1/ns_per_op";
+        let slow = entry(&[
+            (name, 400_000.0),
+            ("kernel/busy_wait/x1/ns_per_op_spread", 1.3),
+        ]);
+        let fast = entry(&[
+            (name, 20_000.0),
+            ("kernel/busy_wait/x1/ns_per_op_spread", 2.5),
+        ]);
+        let report = compare(&slow, &fast, DEFAULT_THRESHOLD);
+        assert!(report.deltas[0].improved, "{:?}", report.deltas);
+        assert!(compare(&fast, &slow, DEFAULT_THRESHOLD).has_regressions());
+        // A drop inside the widened gate is not flagged.
+        let near = entry(&[
+            (name, 200_000.0),
+            ("kernel/busy_wait/x1/ns_per_op_spread", 0.0),
+        ]);
+        let report = compare(&slow, &near, DEFAULT_THRESHOLD);
+        assert!(!report.deltas[0].improved && !report.has_regressions());
     }
 
     #[test]

@@ -87,10 +87,9 @@ pub fn render(text: &str) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "  health retries={} quarantined={} watchdog_slow={}",
+        "  health retries={} quarantined={}",
         u("retries").unwrap_or(0),
         u("quarantined").unwrap_or(0),
-        u("watchdog_slow").unwrap_or(0),
     );
     if let Some(rev) = s("git_revision") {
         let short: String = rev.chars().take(10).collect();
@@ -111,7 +110,7 @@ mod tests {
                 r#""machine":"SCNN+","name":"fig09","network":"tiny","pairs_done":12,"#,
                 r#""pairs_per_sec":4.8,"pairs_total":24,"quarantined":0,"#,
                 r#""retries":1,"state":"{}","threads":3,"#,
-                r#""updated_at_unix_ms":1,"watchdog_slow":0}}"#
+                r#""updated_at_unix_ms":1}}"#
             ),
             state
         )

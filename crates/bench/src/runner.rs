@@ -61,20 +61,13 @@ impl ExperimentConfig {
 }
 
 /// Tuning knobs for [`try_simulate_network_parallel`]. `Default` sizes the
-/// pool to the available CPUs and takes the pair wall budget from the
-/// `ANT_PAIR_BUDGET_US` environment variable (unset = no watchdog).
+/// pool to the available CPUs and sets no deadline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Worker count. `None` (or `Some(0)`) sizes to the available CPUs;
-    /// a resolved count of 1 runs inline with no thread spawns unless the
-    /// watchdog or live progress needs a thread of its own.
+    /// a resolved count of 1 runs inline with no thread spawns unless
+    /// live progress needs a thread of its own.
     pub threads: Option<usize>,
-    /// Wall-clock budget per pair job, in microseconds. When set, a
-    /// watchdog thread flags in-flight jobs exceeding it (they are *not*
-    /// killed — simulation jobs hold no cancellable resources) and
-    /// completed over-budget jobs are reported in
-    /// [`FailureReport::slow`]. `None` falls back to `ANT_PAIR_BUDGET_US`.
-    pub pair_budget_us: Option<u64>,
     /// Per-worker scheduler telemetry (busy/idle timing, steal and deque
     /// counters surfaced as `runner.worker.*` metrics and
     /// [`NetworkResult::workers`]). `None` defers to `ANT_OBS=telemetry`.
@@ -84,7 +77,7 @@ pub struct RunOptions {
     /// steady-state-allocation or bit-identity gates.
     pub telemetry: Option<bool>,
     /// Live run-status reporting ([`ant_obs::StatusReporter`]): layers and
-    /// pairs completed, throughput, ETA, quarantine/watchdog counts, as
+    /// pairs completed, throughput, ETA, quarantine and retry counts, as
     /// rate-limited stderr lines plus an atomically-rewritten JSON file.
     /// `None` defers to `ANT_OBS=progress` (the file is
     /// `<experiments_dir>/<stem>.status.json`). Like `telemetry`, resolved
@@ -92,8 +85,8 @@ pub struct RunOptions {
     /// ever *written* when reporting is on.
     pub progress: Option<bool>,
     /// Wall-clock budget for the *whole run*, in microseconds from run
-    /// start — the job-level generalization of `pair_budget_us` used by the
-    /// sweepd deadline scheduler. Once exceeded, workers cancel at the next
+    /// start — the runner's one wall-clock budget, fed by a sweepd job's
+    /// `deadline_ms`. Once exceeded, workers cancel at the next
     /// pair boundary: remaining pairs are skipped (counted in
     /// [`FailureReport::deadline_skipped`]), the affected layers are left
     /// out of the layer cache (a rerun re-simulates exactly them), and the
@@ -138,28 +131,13 @@ pub struct PairRetry {
     pub attempts: u32,
 }
 
-/// A pair job that completed but exceeded the configured wall budget.
-#[derive(Debug, Clone, Copy)]
-pub struct SlowJob {
-    /// Index of the source layer in the network spec.
-    pub layer_index: usize,
-    /// Phase index (0 = forward, 1 = backward, 2 = update).
-    pub phase: usize,
-    /// Pair index within the phase.
-    pub pair: usize,
-    /// Observed wall time, in microseconds.
-    pub wall_us: u64,
-}
-
-/// Everything that went wrong (or was merely slow) during one network run.
+/// Everything that went wrong during one network run.
 /// Deterministically ordered by `(layer, phase, pair)` regardless of worker
 /// count or steal order.
 #[derive(Debug, Clone, Default)]
 pub struct FailureReport {
     /// Quarantined pair jobs (failed twice; counters missing from stats).
     pub failures: Vec<PairFailure>,
-    /// Completed jobs that exceeded the watchdog's wall budget.
-    pub slow: Vec<SlowJob>,
     /// Pairs whose first attempt failed but whose retry succeeded, in
     /// deterministic `(layer, phase, pair)` order — the per-pair detail the
     /// `runner.pair_retries` counter alone loses.
@@ -268,7 +246,7 @@ pub struct NetworkResult {
     /// Host wall time spent simulating this network, in microseconds
     /// (simulator speed, not modeled-hardware time).
     pub host_wall_us: u64,
-    /// Quarantined/slow-job report (empty on a clean run).
+    /// Quarantined-job report (empty on a clean run).
     pub failures: FailureReport,
     /// True when quarantined jobs left the stats incomplete.
     pub partial: bool,
@@ -462,8 +440,8 @@ fn throughput_fields(
 ///
 /// Returns [`AntError::InvalidConfig`] for unusable configurations (zero
 /// PEs, sparsities outside `[0, 1]`, zero-dimension layer specs, a retired
-/// observability variable, an unknown `ANT_OBS` item, or an `ANT_CHAOS` or
-/// `ANT_PAIR_BUDGET_US` that does not parse),
+/// `ANT_*` variable, an unknown `ANT_OBS` item, or an `ANT_CHAOS` that does
+/// not parse),
 /// [`AntError::Shape`] when a layer's phase shapes cannot be constructed,
 /// and [`AntError::Panic`] if a worker thread dies outside the per-job
 /// isolation boundary. Individual pair-job failures do NOT error the run —
@@ -595,38 +573,12 @@ fn validate_experiment(net: &NetworkModel, cfg: &ExperimentConfig) -> Result<(),
     Ok(())
 }
 
-/// The pair wall budget from `ANT_PAIR_BUDGET_US` (unset or blank: no
-/// watchdog).
-///
-/// # Errors
-///
-/// Returns [`AntError::InvalidConfig`] naming the variable when it is set
-/// but not a positive integer: a typo must not silently drop the
-/// watchdog.
-pub fn pair_budget_from_env() -> Result<Option<u64>, AntError> {
-    parse_pair_budget(std::env::var("ANT_PAIR_BUDGET_US").ok().as_deref())
-}
-
-fn parse_pair_budget(raw: Option<&str>) -> Result<Option<u64>, AntError> {
-    match raw.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(us) if us > 0 => Ok(Some(us)),
-            _ => Err(AntError::invalid_config(
-                "ANT_PAIR_BUDGET_US",
-                format!("{raw:?} is not a positive integer (microseconds)"),
-            )),
-        },
-    }
-}
-
 /// One run's [`RunOptions`], resolved against `ANT_OBS` once. The
 /// workers capture plain values, so a disabled switch adds no atomic
 /// operation per pair job.
 struct RunFlags {
     started: Instant,
     threads: usize,
-    budget_us: Option<u64>,
     deadline_us: Option<u64>,
     telemetry: bool,
     /// The stderr progress line was asked for.
@@ -664,7 +616,6 @@ impl RunFlags {
         // output.
         let progress_requested = opts.progress.unwrap_or(obs.progress);
         let chaos = chaos::try_active()?;
-        let env_budget_us = pair_budget_from_env()?;
         // The two-tier redundancy eliminator (docs/PERFORMANCE.md): both
         // tiers are strictly opt-in (`ANT_CACHE` / `ANT_CACHE_DIR` or a test
         // override) and stand down whenever chaos injection could taint
@@ -681,7 +632,6 @@ impl RunFlags {
         Ok(RunFlags {
             started,
             threads,
-            budget_us: opts.pair_budget_us.or(env_budget_us),
             deadline_us: opts.deadline_us,
             telemetry,
             progress_requested,
@@ -706,7 +656,6 @@ struct ProgressShared {
     pairs_done: AtomicU64,
     retries: AtomicU64,
     failures: AtomicU64,
-    slow: AtomicU64,
 }
 
 /// The reporter thread: periodically snapshots [`ProgressShared`] into a
@@ -759,32 +708,8 @@ fn snapshot_status(
         eta_s,
         quarantined: shared.failures.load(Ordering::Relaxed),
         retries: shared.retries.load(Ordering::Relaxed),
-        watchdog_slow: shared.slow.load(Ordering::Relaxed),
         ..shared.base.clone()
     }
-}
-
-/// Encodes a [`PairTask`] into one word for the watchdog's atomic slots.
-fn encode_task(task: PairTask) -> u64 {
-    ((task.layer as u64) << 40) | ((task.phase as u64) << 32) | (task.pair as u64 & 0xFFFF_FFFF)
-}
-
-fn decode_task(word: u64) -> (usize, usize, usize) {
-    (
-        (word >> 40) as usize,
-        ((word >> 32) & 0xFF) as usize,
-        (word & 0xFFFF_FFFF) as usize,
-    )
-}
-
-/// Per-worker watchdog slot: which job the worker is on and when it
-/// started, published so the watchdog thread can flag stuck jobs.
-#[derive(Default)]
-struct WatchSlot {
-    /// Job start as `elapsed_us + 1` since run start; 0 = idle.
-    start_us: AtomicU64,
-    /// The in-flight task, [`encode_task`]-encoded.
-    task: AtomicU64,
 }
 
 /// The error a chaos-truncated CSR plane produces: rebuilds the kernel with
@@ -867,22 +792,22 @@ fn run_pair_job<S: ConvSim + Sync + ?Sized>(
 }
 
 /// Runs `body(worker)` on `workers` workers and returns their outputs in
-/// worker order. Each helper runs on a thread of its own beside the
-/// workers and sees its stop flag set once every worker has returned. One
-/// worker with no helpers runs inline on the calling thread: the thread
-/// round-trip dominates sub-millisecond workloads. A worker panic comes
-/// back as [`AntError::Panic`].
+/// worker order. The helper, when given, runs on a thread of its own
+/// beside the workers and sees its stop flag set once every worker has
+/// returned. One worker with no helper runs inline on the calling thread:
+/// the thread round-trip dominates sub-millisecond workloads. A worker
+/// panic comes back as [`AntError::Panic`].
 fn run_pool<T: Send>(
     workers: usize,
-    helpers: &[&(dyn Fn(&AtomicBool) + Sync)],
+    helper: Option<&(dyn Fn(&AtomicBool) + Sync)>,
     body: impl Fn(usize) -> T + Sync,
 ) -> Result<Vec<T>, AntError> {
-    if workers == 1 && helpers.is_empty() {
+    if workers == 1 && helper.is_none() {
         return Ok(vec![body(0)]);
     }
     let stop = &AtomicBool::new(false);
     std::thread::scope(|scope| {
-        for helper in helpers {
+        if let Some(helper) = helper {
             scope.spawn(move || helper(stop));
         }
         let body = &body;
@@ -932,7 +857,7 @@ fn synthesize(
     // Workers claim layer indices from a shared atomic and tag each result
     // with its index; sorting restores layer order.
     let next = AtomicUsize::new(0);
-    let claimed = run_pool(threads.clamp(1, pending.max(1)), &[], |_| {
+    let claimed = run_pool(threads.clamp(1, pending.max(1)), None, |_| {
         let mut done = Vec::new();
         loop {
             let li = next.fetch_add(1, Ordering::Relaxed);
@@ -979,8 +904,7 @@ fn synthesize(
 }
 
 /// The coordinates of one pair: indices into the synthesized [`LayerWork`]
-/// of a slot. Chaos faults, quarantine records and the watchdog address
-/// pairs by them.
+/// of a slot. Chaos faults and quarantine records address pairs by them.
 #[derive(Debug, Clone, Copy)]
 struct PairTask {
     layer: usize,
@@ -1016,7 +940,6 @@ struct Pool<'a, S: ?Sized> {
     /// empty when the tier is off.
     analytic: Vec<SimStats>,
     analytic_pairs: u64,
-    watch: Vec<WatchSlot>,
     progress: Option<ProgressShared>,
 }
 
@@ -1026,8 +949,8 @@ struct Pool<'a, S: ?Sized> {
 /// once and streams its kernels past it, then moves on to the layer's next
 /// like-shaped image with its [`SimScratch`] warm. With the analytic tier
 /// on, pairs whose machine provides a closed form (byte-identical by the
-/// golden proptests) are answered here instead. Also sets up the watchdog
-/// slots and the live-progress state the workers share.
+/// golden proptests) are answered here instead. Also sets up the
+/// live-progress state the workers share.
 fn deal<'a, S: ConvSim + ?Sized>(
     pe: &'a S,
     net: &'a NetworkModel,
@@ -1107,7 +1030,6 @@ fn deal<'a, S: ConvSim + ?Sized>(
         job_pairs,
         analytic: analytic_partial,
         analytic_pairs,
-        watch: (0..workers).map(|_| WatchSlot::default()).collect(),
         progress,
         slots,
     }
@@ -1119,7 +1041,6 @@ fn deal<'a, S: ConvSim + ?Sized>(
 struct WorkerOutput {
     partial: Vec<SimStats>,
     failures: Vec<PairFailure>,
-    slow: Vec<SlowJob>,
     retried: Vec<PairRetry>,
     /// Layers of the pairs drained unexecuted after the run deadline passed.
     skipped: Vec<usize>,
@@ -1129,7 +1050,7 @@ struct WorkerOutput {
 }
 
 /// Stage 3: runs the dealt jobs on the work-stealing pool, beside the
-/// watchdog and the live-progress reporter when they are on. An idle worker
+/// live-progress reporter when it is on. An idle worker
 /// steals from the *back* of a victim's deque, the work its owner is
 /// furthest from reaching. Each worker folds raw pair counters into
 /// per-(layer, phase) partials; the counters are `u64` sums, so
@@ -1141,22 +1062,13 @@ fn execute<S: ConvSim + Sync + ?Sized>(pool: &Pool<'_, S>) -> Result<Vec<WorkerO
         reporter.set_console(run.progress_requested);
         reporter
     };
-    let watchdog = run.budget_us.map(|budget| {
-        move |stop: &AtomicBool| watchdog_loop(stop, &pool.watch, &run.started, budget)
+    let reporter_loop = pool.progress.as_ref().map(|shared| {
+        move |stop: &AtomicBool| progress_loop(stop, shared, &mut reporter(), &run.started)
     });
-    let reporter_loop = |stop: &AtomicBool| {
-        if let Some(shared) = &pool.progress {
-            progress_loop(stop, shared, &mut reporter(), &run.started);
-        }
-    };
-    let mut helpers: Vec<&(dyn Fn(&AtomicBool) + Sync)> = Vec::new();
-    if let Some(watchdog) = &watchdog {
-        helpers.push(watchdog);
-    }
-    if pool.progress.is_some() {
-        helpers.push(&reporter_loop);
-    }
-    let outputs = run_pool(pool.deques.len(), &helpers, |me| pool.work(me))?;
+    let helper = reporter_loop
+        .as_ref()
+        .map(|f| f as &(dyn Fn(&AtomicBool) + Sync));
+    let outputs = run_pool(pool.deques.len(), helper, |me| pool.work(me))?;
     if let Some(shared) = &pool.progress {
         // Every worker has joined, so the shared counters are exact here
         // (mid-run snapshots are relaxed approximations).
@@ -1208,7 +1120,7 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
             // the pool is drained for good.
             let Some(job) = task else { break };
             out.telemetry.stolen += u64::from(stolen);
-            self.run_job(me, job, own_len, stolen, &mut scratch, &mut out);
+            self.run_job(job, own_len, stolen, &mut scratch, &mut out);
         }
         let telemetry = &mut out.telemetry;
         if self.run.telemetry {
@@ -1232,11 +1144,10 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
     /// Opens the job's image session once and simulates each of its pairs
     /// behind the isolation boundary — a failed pair is retried once on a
     /// fresh scratch arena (which re-prepares the image), then quarantined
-    /// — booking counters, failures, watchdog, progress and telemetry
-    /// records into `out`. Everything but the telemetry is kept per pair.
+    /// — booking counters, failures, progress and telemetry records into
+    /// `out`. Everything but the telemetry is kept per pair.
     fn run_job(
         &self,
-        me: usize,
         job: ImageJob,
         own_len: u64,
         stolen: bool,
@@ -1250,8 +1161,6 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
         let pair_indices = &self.job_pairs[job.start..job.end];
         let run = self.run;
         let shared = self.progress.as_ref();
-        // Telemetry timing is separate from the watchdog's so neither
-        // flag changes the other's behaviour.
         let telemetry_started = run
             .telemetry
             .then(|| (run.started.elapsed(), Instant::now()));
@@ -1259,10 +1168,9 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
         let mut session = open_session(self.pe, &resident.image, &resident.shape, scratch);
         for &pair_index in pair_indices {
             // Job-level deadline: cancellation happens only at a pair
-            // boundary (a running pair holds no cancellable resources, same
-            // contract as the watchdog). Remaining pairs drain unexecuted;
-            // their layers are left out of the cache so a rerun
-            // re-simulates exactly them.
+            // boundary (a running pair holds no cancellable resources).
+            // Remaining pairs drain unexecuted; their layers are left out of
+            // the cache so a rerun re-simulates exactly them.
             if run
                 .deadline_us
                 .is_some_and(|d| run.started.elapsed().as_micros() as u64 >= d)
@@ -1275,7 +1183,7 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
                 phase: job.phase,
                 pair: pair_index,
             };
-            self.run_pair(me, task, phase, &mut session, out);
+            self.run_pair(task, phase, &mut session, out);
             if let Some(shared) = shared {
                 shared.pairs_done.fetch_add(1, Ordering::Relaxed);
                 shared.remaining[job.layer].fetch_sub(1, Ordering::Relaxed);
@@ -1300,10 +1208,9 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
     }
 
     /// One pair of an image job: the first attempt, a retry on a fresh
-    /// arena if it failed, and the watchdog, counter and failure records.
+    /// arena if it failed, and the counter and failure records.
     fn run_pair(
         &self,
-        me: usize,
         task: PairTask,
         phase: &PhaseWork,
         session: &mut Result<ImageSession<'_, S>, AntError>,
@@ -1313,15 +1220,6 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
         let run = self.run;
         let shared = self.progress.as_ref();
         let machine = self.pe.name();
-        let job_started = run.budget_us.map(|_| {
-            let slot = &self.watch[me];
-            slot.task.store(encode_task(task), Ordering::Relaxed);
-            slot.start_us.store(
-                run.started.elapsed().as_micros() as u64 + 1,
-                Ordering::Release,
-            );
-            Instant::now()
-        });
         let fault = |attempt| {
             run.chaos
                 .and_then(|c| c.fault_for(task.layer, task.phase, task.pair, attempt))
@@ -1351,21 +1249,6 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
                 });
             }
         }
-        if let Some(job_started) = job_started {
-            self.watch[me].start_us.store(0, Ordering::Release);
-            let wall_us = job_started.elapsed().as_micros() as u64;
-            if wall_us > run.budget_us.unwrap_or(u64::MAX) {
-                out.slow.push(SlowJob {
-                    layer_index: task.layer,
-                    phase: task.phase,
-                    pair: task.pair,
-                    wall_us,
-                });
-                if let Some(shared) = shared {
-                    shared.slow.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         match result {
             Ok(stats) => out.partial[task.layer * 3 + task.phase].accumulate(&stats),
             Err(error) => {
@@ -1386,7 +1269,7 @@ impl<S: ConvSim + Sync + ?Sized> Pool<'_, S> {
     }
 }
 
-/// Collects the workers' failures, slow jobs and retries into one report,
+/// Collects the workers' failures and retries into one report,
 /// sorted by job coordinates: worker attribution depends on steal order,
 /// but the set of jobs does not, so the report is the same for any worker
 /// count. Emits the trace events for it.
@@ -1394,7 +1277,6 @@ fn failure_report(machine: &'static str, outputs: &[WorkerOutput]) -> FailureRep
     let mut report = FailureReport::default();
     for out in outputs {
         report.failures.extend(out.failures.iter().cloned());
-        report.slow.extend(out.slow.iter().copied());
         report.retried.extend(out.retried.iter().copied());
         report.deadline_skipped += out.skipped.len() as u64;
     }
@@ -1403,9 +1285,6 @@ fn failure_report(machine: &'static str, outputs: &[WorkerOutput]) -> FailureRep
     report
         .failures
         .sort_by_key(|f| (f.layer_index, f.phase as usize, f.pair));
-    report
-        .slow
-        .sort_by_key(|s| (s.layer_index, s.phase, s.pair));
     report
         .retried
         .sort_by_key(|r| (r.layer_index, r.phase, r.pair));
@@ -1551,35 +1430,6 @@ fn record_worker_metrics(workers: &[WorkerTelemetry]) {
         registry
             .counter("runner.worker.steal_failures")
             .add(t.failed_steals);
-    }
-}
-
-/// The watchdog: samples every worker's in-flight job and warns (once per
-/// job) when one exceeds the wall budget. Jobs are flagged, not killed —
-/// a stuck job holds no cancellable resources, and the warning is the
-/// operator's cue to lower the workload or raise the budget.
-fn watchdog_loop(stop: &AtomicBool, watch: &[WatchSlot], run_start: &Instant, budget_us: u64) {
-    let mut warned: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let tick = Duration::from_micros((budget_us / 4).clamp(1_000, 50_000));
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
-        let now_us = run_start.elapsed().as_micros() as u64;
-        for (w, slot) in watch.iter().enumerate() {
-            let start_plus_one = slot.start_us.load(Ordering::Acquire);
-            if start_plus_one == 0 {
-                continue;
-            }
-            let elapsed = now_us.saturating_sub(start_plus_one - 1);
-            let task = slot.task.load(Ordering::Relaxed);
-            if elapsed > budget_us && warned.insert(task) {
-                let (layer, phase, pair) = decode_task(task);
-                eprintln!(
-                    "ant-bench: watchdog: worker {w} pair job \
-                     layer={layer} phase={phase} pair={pair} \
-                     in flight {elapsed}us (budget {budget_us}us)"
-                );
-            }
-        }
     }
 }
 
@@ -2164,6 +2014,12 @@ mod tests {
                 "ANT_OBS=progress",
             ),
             ("ANT_OBS", "trace,bogus", "ANT_OBS", "\"bogus\""),
+            (
+                "ANT_PAIR_BUDGET_US",
+                "1000",
+                "ANT_PAIR_BUDGET_US",
+                "deadline_us",
+            ),
         ] {
             let obs = ObsConfig::parse([(name, value)]);
             let err = simulate_with_obs(&pe, &tiny_net(), &cfg, &RunOptions::default(), &obs)
@@ -2179,22 +2035,6 @@ mod tests {
         // The same runner with an accepted parse simulates normally.
         let ok = ObsConfig::parse([("ANT_OBS", "off")]);
         assert!(simulate_with_obs(&pe, &tiny_net(), &cfg, &RunOptions::default(), &ok).is_ok());
-    }
-
-    #[test]
-    fn unparsable_pair_budget_is_refused_naming_the_variable() {
-        for raw in ["abc", "0", "-5", "1.5", "12us"] {
-            match parse_pair_budget(Some(raw)) {
-                Err(AntError::InvalidConfig { param, reason }) => {
-                    assert_eq!(param, "ANT_PAIR_BUDGET_US");
-                    assert!(reason.contains(raw), "{raw}: {reason}");
-                }
-                other => panic!("{raw}: expected InvalidConfig, got {other:?}"),
-            }
-        }
-        assert_eq!(parse_pair_budget(None).unwrap(), None);
-        assert_eq!(parse_pair_budget(Some("  ")).unwrap(), None);
-        assert_eq!(parse_pair_budget(Some(" 250 ")).unwrap(), Some(250));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `max_attempts` times with deterministic exponential backoff + jitter
 //! (a pure function of `(seed, seq, attempt)`, so tests can pin the exact
 //! schedule), then quarantined with its [`AntError`] history in the job
-//! record. Deadlines generalize `RunOptions::pair_budget_us` to the job
-//! level: the remaining budget is handed to the runner as
+//! record. A job's deadline is the runner's one wall-clock budget: the
+//! remaining time is handed to the runner as
 //! `RunOptions::deadline_us`, which cancels at the next pair-job boundary
 //! and leaves the affected layers out of the layer cache — the layers an
 //! expired job did complete stay cached, so a re-submission *resumes*.
@@ -189,6 +189,9 @@ fn now_ms() -> u64 {
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
 }
+
+/// Seed of the daemon's backoff jitter (the paper seed).
+pub const BACKOFF_SEED: u64 = 0xA17;
 
 /// Deterministic exponential backoff with jitter: `base * 2^(attempt-1)`
 /// plus a jitter in `[0, base)` that is a pure function of
@@ -843,12 +846,7 @@ fn run_job(inner: &Arc<Inner>, seq: u64) {
             let mut st = inner.lock();
             if let Some(job) = st.jobs.get_mut(&seq) {
                 if attempt < inner.config.max_attempts {
-                    let wait = backoff_ms(
-                        inner.config.seed,
-                        seq,
-                        attempt,
-                        inner.config.backoff_base_ms,
-                    );
+                    let wait = backoff_ms(BACKOFF_SEED, seq, attempt, inner.config.backoff_base_ms);
                     job.attempts.push(AttemptRecord {
                         attempt,
                         error: error.to_string(),

@@ -60,7 +60,6 @@ fn progress_reporter_writes_final_status_file() {
     assert_eq!(json.get("layers_done").and_then(Json::as_u64), Some(2));
     assert_eq!(json.get("quarantined").and_then(Json::as_u64), Some(0));
     assert_eq!(json.get("retries").and_then(Json::as_u64), Some(0));
-    assert_eq!(json.get("watchdog_slow").and_then(Json::as_u64), Some(0));
     assert!(json.get("elapsed_s").and_then(Json::as_f64).is_some());
     assert!(json.get("pairs_per_sec").and_then(Json::as_f64).is_some());
     assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(0.0));

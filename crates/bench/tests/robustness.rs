@@ -20,6 +20,15 @@ fn tiny_net() -> NetworkModel {
     }
 }
 
+/// Held by the test that turns the process-wide layer cache on and by the
+/// tests that count jobs: with the cache on, the analytic tier answers
+/// pairs before they are dealt, so a concurrent run deals fewer jobs.
+static CACHE_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn cache_state() -> std::sync::MutexGuard<'static, ()> {
+    CACHE_STATE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn assert_same_result(a: &NetworkResult, b: &NetworkResult, label: &str) {
     assert_eq!(a.total, b.total, "{label}");
     assert_eq!(a.wall_cycles, b.wall_cycles, "{label}");
@@ -35,6 +44,7 @@ fn assert_same_result(a: &NetworkResult, b: &NetworkResult, label: &str) {
 
 #[test]
 fn zero_threads_sizes_the_pool_to_the_available_cpus() {
+    let _cache_off = cache_state();
     let cfg = ExperimentConfig::paper_default();
     let net = tiny_net();
     let pe = ScnnPlus::paper_default();
@@ -116,21 +126,22 @@ fn invalid_configs_come_back_as_typed_errors() {
 }
 
 #[test]
-fn watchdog_budget_leaves_results_bit_identical() {
+fn generous_deadline_leaves_results_bit_identical() {
     let cfg = ExperimentConfig::paper_default();
     let net = tiny_net();
     let pe = ScnnPlus::paper_default();
     let serial = simulate_network(&pe, &net, &cfg);
-    // A generous budget exercises the watchdog thread without flagging
-    // anything; the watchdog observes, never perturbs.
+    // A deadline that never fires checks the clock at every pair boundary
+    // and changes nothing: no pair skipped, nothing partial.
     let opts = RunOptions {
         threads: Some(2),
-        pair_budget_us: Some(60_000_000),
+        deadline_us: Some(60_000_000),
         ..RunOptions::default()
     };
-    let watched = try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("watched run");
-    assert_same_result(&serial, &watched, "watchdog");
-    assert!(watched.failures.slow.is_empty());
+    let bounded = try_simulate_network_parallel(&pe, &net, &cfg, &opts).expect("bounded run");
+    assert_same_result(&serial, &bounded, "deadline");
+    assert!(!bounded.partial && !bounded.deadline_exceeded);
+    assert_eq!(bounded.failures.deadline_skipped, 0);
 }
 
 /// The JSON object the layer cache persists for one phase's counters
@@ -149,6 +160,7 @@ fn checkpointed_sweep_resumes_byte_identically() {
     // Resume is a warm run against a persistent layer cache. The cache is
     // process-wide and other tests in this binary run concurrently, so
     // this test uses its own seed: their entries never share its keys.
+    let _cache_on = cache_state();
     let cfg = ExperimentConfig {
         seed: 0x5E50E,
         ..ExperimentConfig::paper_default()

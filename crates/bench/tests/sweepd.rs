@@ -12,7 +12,7 @@
 use ant_bench::runner::{
     simulate_network, try_simulate_network_parallel, ExperimentConfig, RunOptions,
 };
-use ant_bench::serve::{backoff_ms, http_post, Sweepd, SweepdConfig};
+use ant_bench::serve::{backoff_ms, http_post, Sweepd, SweepdConfig, BACKOFF_SEED};
 use ant_bench::simcache::{self, CacheOverride, SimCacheConfig};
 use ant_obs::export::http_get;
 use ant_obs::json::Json;
@@ -300,7 +300,7 @@ fn sweepd_supervises_schedules_recovers_and_sheds() {
             .expect("error");
         assert!(error.contains("injected job-worker death"), "{error}");
         // The backoff is a pure function of (daemon seed, seq, attempt).
-        let expected = backoff_ms(SweepdConfig::default().seed, 1, 1, 30);
+        let expected = backoff_ms(BACKOFF_SEED, 1, 1, 30);
         assert_eq!(
             attempts[0].get("backoff_ms").and_then(Json::as_u64),
             Some(expected),

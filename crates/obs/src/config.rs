@@ -4,8 +4,9 @@
 //! `flame`, `profile`, `progress`, `telemetry`, `alloc`; `""`, `0` or `off`
 //! mean none — and `ANT_METRICS_ADDR` / `ANT_METRICS_LINGER_MS` configure
 //! the exporter. No other module reads an observability variable. A
-//! [`RETIRED`] variable or an unknown item is an [`ObsError`] that start-up
-//! code reports through [`resolved`]; hot paths read [`flags`]. Every
+//! [`RETIRED`] `ANT_*` variable, an unknown item or a linger that is not a
+//! number is an [`ObsError`] that start-up code reports through
+//! [`resolved`]; hot paths read [`flags`]. Every
 //! sidecar is `<experiments_dir>/<stem>.<ext>` ([`sidecar`]), so no two
 //! experiments share one. See `docs/OBSERVABILITY.md`.
 
@@ -34,21 +35,24 @@ pub struct ObsConfig {
     pub alloc: bool,
     /// `ANT_METRICS_ADDR`, when set and [`truthy`].
     pub metrics_addr: Option<String>,
-    /// `ANT_METRICS_LINGER_MS` (0 when unset or unparsable).
+    /// `ANT_METRICS_LINGER_MS` (0 when unset or empty).
     pub linger_ms: u64,
 }
 
-/// A rejected setting: a retired variable or an unknown `ANT_OBS` item.
+/// A rejected setting: a retired variable, an unknown `ANT_OBS` item or a
+/// linger that is not a number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsError {
-    /// The offending variable (`"ANT_OBS"` or the retired name).
+    /// The offending variable.
     pub param: &'static str,
     /// What was wrong and what to use instead.
     pub reason: String,
 }
 
-/// The retired observability variables and what replaces each.
-pub const RETIRED: [(&str, &str); 12] = [
+/// The retired `ANT_*` variables and what replaces each: the observability
+/// spellings `ANT_OBS` folded in, the per-pair watchdog budget and sweepd's
+/// tuning variables. Every start-up path refuses them through [`resolved`].
+pub const RETIRED: [(&str, &str); 18] = [
     ("ANT_TRACE", "use ANT_OBS=trace"),
     ("ANT_TRACE_PAIRS", "use ANT_OBS=pairs (implies trace)"),
     (
@@ -76,6 +80,30 @@ pub const RETIRED: [(&str, &str); 12] = [
         "ANT_METRICS_ADDR_FILE",
         "written to <experiments_dir>/<stem>.metrics.addr; see ANT_OBS",
     ),
+    (
+        "ANT_PAIR_BUDGET_US",
+        "bound a run with RunOptions::deadline_us or a job's deadline_ms",
+    ),
+    (
+        "ANT_SWEEPD_QUEUE",
+        "fixed at 64; set SweepdConfig::queue_capacity in code",
+    ),
+    (
+        "ANT_SWEEPD_MAX_ATTEMPTS",
+        "fixed at 3; set SweepdConfig::max_attempts in code",
+    ),
+    (
+        "ANT_SWEEPD_BACKOFF_MS",
+        "fixed at 50; set SweepdConfig::backoff_base_ms in code",
+    ),
+    (
+        "ANT_SWEEPD_THREADS",
+        "the runner sizes to the available CPUs; set SweepdConfig::threads in code",
+    ),
+    (
+        "ANT_SWEEPD_SEED",
+        "fixed at the paper seed 0xA17 (serve::BACKOFF_SEED)",
+    ),
 ];
 
 /// Whether a switch value means "on": anything but `""`, `0`, `false`,
@@ -92,7 +120,8 @@ impl ObsConfig {
     /// # Errors
     ///
     /// An [`ObsError`] for any [`RETIRED`] name that is present (whatever
-    /// its value) and for an unknown `ANT_OBS` item.
+    /// its value), for an unknown `ANT_OBS` item and for a non-empty
+    /// `ANT_METRICS_LINGER_MS` that is not a whole number of milliseconds.
     pub fn parse<K, V>(vars: impl IntoIterator<Item = (K, V)>) -> Result<ObsConfig, ObsError>
     where
         K: AsRef<str>,
@@ -112,7 +141,7 @@ impl ObsConfig {
                     }
                 }
                 "ANT_METRICS_ADDR" if truthy(value) => cfg.metrics_addr = Some(value.trim().into()),
-                "ANT_METRICS_LINGER_MS" => cfg.linger_ms = value.trim().parse().unwrap_or(0),
+                "ANT_METRICS_LINGER_MS" => cfg.linger_ms = linger_ms(value)?,
                 _ => {}
             }
         }
@@ -140,6 +169,17 @@ impl ObsConfig {
                 });
             }
         })
+    }
+}
+
+/// The exporter linger: empty means none, anything else must be a `u64`.
+fn linger_ms(value: &str) -> Result<u64, ObsError> {
+    match value.trim() {
+        "" => Ok(0),
+        raw => raw.parse().map_err(|_| ObsError {
+            param: "ANT_METRICS_LINGER_MS",
+            reason: format!("{raw:?} is not a whole number of milliseconds"),
+        }),
     }
 }
 
@@ -332,14 +372,26 @@ mod tests {
                 "<experiments_dir>/<stem>.metrics.addr",
             ),
         ];
-        assert_eq!(replacements.len(), RETIRED.len());
-        for (name, replacement) in replacements {
-            // Present is enough: even an "off" value fails loudly.
-            for value in ["1", "0"] {
-                let err = parse(&[("ANT_OBS", "trace"), (name, value)]).unwrap_err();
-                assert_eq!(err.param, name);
-                assert!(err.reason.contains(replacement), "{name}: {err:?}");
-                assert!(err.reason.contains("ANT_OBS"), "{name}: {err:?}");
+        let knobs = [
+            ("ANT_PAIR_BUDGET_US", "RunOptions::deadline_us"),
+            ("ANT_SWEEPD_QUEUE", "SweepdConfig::queue_capacity"),
+            ("ANT_SWEEPD_MAX_ATTEMPTS", "SweepdConfig::max_attempts"),
+            ("ANT_SWEEPD_BACKOFF_MS", "SweepdConfig::backoff_base_ms"),
+            ("ANT_SWEEPD_THREADS", "SweepdConfig::threads"),
+            ("ANT_SWEEPD_SEED", "BACKOFF_SEED"),
+        ];
+        assert_eq!(replacements.len() + knobs.len(), RETIRED.len());
+        for (folded, table) in [(true, &replacements[..]), (false, &knobs[..])] {
+            for &(name, replacement) in table {
+                // Present is enough: even an "off" value fails loudly.
+                for value in ["1", "0"] {
+                    let err = parse(&[("ANT_OBS", "trace"), (name, value)]).unwrap_err();
+                    assert_eq!(err.param, name);
+                    assert!(err.reason.contains(replacement), "{name}: {err:?}");
+                    if folded {
+                        assert!(err.reason.contains("ANT_OBS"), "{name}: {err:?}");
+                    }
+                }
             }
         }
     }
@@ -354,8 +406,14 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cfg.linger_ms, 250);
-        let off = parse(&[("ANT_METRICS_ADDR", "off"), ("ANT_METRICS_LINGER_MS", "x")]).unwrap();
+        let off = parse(&[("ANT_METRICS_ADDR", "off"), ("ANT_METRICS_LINGER_MS", " ")]).unwrap();
         assert_eq!(off, ObsConfig::default());
+        // A typo fails loudly instead of silently dropping the linger.
+        for raw in ["x", "-5", "1.5", "250ms"] {
+            let err = parse(&[("ANT_METRICS_LINGER_MS", raw)]).unwrap_err();
+            assert_eq!(err.param, "ANT_METRICS_LINGER_MS");
+            assert!(err.reason.contains(raw), "{raw}: {err:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! The [`StatusReporter`] half of this module is the machine-facing side:
 //! under `ANT_OBS=progress`, the parallel runner periodically publishes
 //! a [`RunStatus`] — layers/pairs completed, throughput, ETA, quarantine and
-//! watchdog counts — as one stderr line *and* an atomically-rewritten JSON
+//! retry counts — as one stderr line *and* an atomically-rewritten JSON
 //! file (write-temp-then-rename, so a poller never reads a torn write). The
 //! file is the artifact a sweep service polls; its schema is `ant-status/1`
 //! (see `docs/OBSERVABILITY.md`).
@@ -148,8 +148,6 @@ pub struct RunStatus {
     pub quarantined: u64,
     /// Pair jobs that panicked once and succeeded on retry.
     pub retries: u64,
-    /// Pair jobs the watchdog flagged as over the per-pair budget.
-    pub watchdog_slow: u64,
     /// Git revision of the build publishing this status (`None` when the
     /// revision could not be determined; serialized as JSON `null`).
     pub git_revision: Option<String>,
@@ -178,7 +176,7 @@ impl RunStatus {
             .unwrap_or(0);
         // `None` serializes as JSON `null` (our `Value` enum has no null
         // variant); keys stay in sorted order.
-        let entries: [(&str, Option<Value>); 17] = [
+        let entries: [(&str, Option<Value>); 16] = [
             ("elapsed_s", Some(Value::F64(finite(self.elapsed_s)))),
             ("eta_s", Some(Value::F64(finite(self.eta_s)))),
             ("git_revision", self.git_revision.clone().map(Value::Str)),
@@ -198,7 +196,6 @@ impl RunStatus {
             ("state", Some(Value::Str(self.state.to_string()))),
             ("threads", Some(Value::U64(self.threads))),
             ("updated_at_unix_ms", Some(Value::U64(unix_ms))),
-            ("watchdog_slow", Some(Value::U64(self.watchdog_slow))),
         ];
         for (key, value) in &entries {
             out.push(',');
@@ -216,7 +213,7 @@ impl RunStatus {
     /// The one-line stderr rendering of this status.
     fn console_line(&self) -> String {
         format!(
-            "[progress] {}/{}: layers {}/{} pairs {}/{} ({:.1}%) {:.0} pairs/s eta {:.1}s q={} retry={} slow={}",
+            "[progress] {}/{}: layers {}/{} pairs {}/{} ({:.1}%) {:.0} pairs/s eta {:.1}s q={} retry={}",
             self.network,
             self.machine,
             self.layers_done,
@@ -228,7 +225,6 @@ impl RunStatus {
             self.eta_s,
             self.quarantined,
             self.retries,
-            self.watchdog_slow,
         )
     }
 }
@@ -358,7 +354,6 @@ mod tests {
             eta_s: 1.2,
             quarantined: 1,
             retries: 2,
-            watchdog_slow: 3,
             git_revision: None,
         }
     }
@@ -378,7 +373,6 @@ mod tests {
         assert_eq!(json.get("layers_done").and_then(Json::as_u64), Some(3));
         assert_eq!(json.get("quarantined").and_then(Json::as_u64), Some(1));
         assert_eq!(json.get("retries").and_then(Json::as_u64), Some(2));
-        assert_eq!(json.get("watchdog_slow").and_then(Json::as_u64), Some(3));
         assert_eq!(json.get("eta_s").and_then(Json::as_f64), Some(1.2));
         assert!(json
             .get("updated_at_unix_ms")

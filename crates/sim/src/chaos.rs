@@ -123,8 +123,7 @@ pub enum ServiceFault {
     /// The job worker dies (a panic around the whole job), exercising the
     /// supervisor's `catch_unwind` + retry/backoff + quarantine loop.
     JobDeath,
-    /// The job stalls before running, exercising deadline enforcement and
-    /// the watchdog's slow-job accounting.
+    /// The job stalls before running, exercising deadline enforcement.
     Stall,
 }
 

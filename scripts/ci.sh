@@ -12,6 +12,9 @@ cargo test -q
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "== cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "== antbench build + self-test (its own workspace: tier-1 never compiles it)"
 # The benchmark replays the runner's stages through the public pair API
 # (ConvTrace::*_pairs, try_simulate_conv_pair) and checks the replay equals
@@ -113,7 +116,7 @@ required = {
     "elapsed_s", "eta_s", "git_revision", "layers_done", "layers_total",
     "machine", "name", "network", "pairs_done", "pairs_per_sec",
     "pairs_total", "quarantined", "retries", "state", "threads",
-    "updated_at_unix_ms", "watchdog_slow",
+    "updated_at_unix_ms",
 }
 missing = required - set(status)
 assert not missing, f"status file missing keys: {sorted(missing)}"
@@ -604,12 +607,13 @@ PY
 kill "$SWEEPD_PID" 2>/dev/null || true
 wait "$SWEEPD_PID" 2>/dev/null || true
 
-echo "== retired observability spellings (refused, naming ANT_OBS; bad sweepd config exits 2)"
-# The twelve retired observability variables and unknown ANT_OBS items
-# must stop a run with a typed error naming the replacement, never be
-# ignored; so must an ANT_CHAOS spec that does not parse. sweepd rejects
-# unparsable ANT_SWEEPD_* values the same way (timeout guards a daemon
-# that would otherwise start and serve).
+echo "== retired ANT_* spellings (refused, naming the variable; sweepd exits 2)"
+# The retired variables (the twelve observability spellings, the per-pair
+# budget and sweepd's five tuning knobs) and unknown ANT_OBS items must
+# stop a run with a typed error naming the replacement, never be ignored;
+# so must an ANT_CHAOS spec that does not parse. sweepd refuses a retired
+# variable the same way (timeout guards a daemon that would otherwise
+# start and serve).
 REFUSAL_ERR="target/experiments/ci_refusal.err"
 for spec in ANT_TRACE=1 ANT_OBS=bogus; do
   if env "$spec" ./target/release/fig09_speedup_energy >/dev/null 2>"$REFUSAL_ERR"; then
@@ -620,6 +624,7 @@ for spec in ANT_TRACE=1 ANT_OBS=bogus; do
     || { echo "refusal under $spec does not name ANT_OBS:" >&2; cat "$REFUSAL_ERR" >&2; exit 1; }
 done
 ! ANT_CHAOS=bogus ./target/release/fig09_speedup_energy >/dev/null 2>"$REFUSAL_ERR" && grep -q 'ANT_CHAOS' "$REFUSAL_ERR" || { echo "fig09 under ANT_CHAOS=bogus ran or did not name ANT_CHAOS" >&2; cat "$REFUSAL_ERR" >&2; exit 1; }
+! ANT_PAIR_BUDGET_US=1000 ./target/release/fig09_speedup_energy >/dev/null 2>"$REFUSAL_ERR" && grep -q 'ANT_PAIR_BUDGET_US' "$REFUSAL_ERR" || { echo "fig09 under ANT_PAIR_BUDGET_US=1000 ran or did not name ANT_PAIR_BUDGET_US" >&2; cat "$REFUSAL_ERR" >&2; exit 1; }
 SWEEPD_CODE=0
 ANT_SWEEPD_QUEUE=abc timeout 10 ./target/release/sweepd >/dev/null 2>"$REFUSAL_ERR" \
   || SWEEPD_CODE=$?
